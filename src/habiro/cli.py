@@ -22,7 +22,15 @@ from habiro.qseries import TruncatedSeries, binomial_transform, transform_g, tra
 from habiro.signcheck import verify_positivity
 from habiro.thetaside import b_sequence, c_sequence, xi_from_theta
 
-TRANSFORMS = ("one-minus-q", "inv-one-plus-q", "ratio")
+# transform -> (main-term kind, name in this module of the function that computes
+# the row).  Names are looked up at call time, so rebinding one on this module
+# reaches both expand and asym.
+TRANSFORM_ROWS = {
+    "one-minus-q": ("xi", None),
+    "inv-one-plus-q": ("g", "transform_g"),
+    "ratio": ("h", "transform_h"),
+}
+TRANSFORMS = tuple(TRANSFORM_ROWS)
 FORMATS = ("csv", "json", "plain")
 
 
@@ -131,16 +139,19 @@ def _emit_json(payload) -> None:
     sys.stdout.write(json.dumps(payload) + "\n")
 
 
-def _apply_transform(spec: FamilySpec, xi: TruncatedSeries, transform: str) -> TruncatedSeries:
-    if transform == "one-minus-q":
-        return xi
-    if transform == "inv-one-plus-q":
-        # published one-over-one-plus-q rows for the odd-weight family follow
-        # the unsigned binomial convention
-        if spec.kind == "habiro-g":
-            return binomial_transform(xi)
-        return transform_g(xi)
-    return transform_h(xi)
+def _transform_row(
+    spec: FamilySpec, xi: TruncatedSeries, transform: str, published: bool
+) -> tuple[TruncatedSeries, str]:
+    """The row a transform names, and the kind of main term that describes it.
+
+    The published inv-one-plus-q rows of habiro-g follow the unsigned binomial
+    convention, so expand (published=True) prints binomial_transform there.
+    The g main term describes the alternating row, which asym diagnoses.
+    """
+    kind, row = TRANSFORM_ROWS[transform]
+    if published and spec.kind == "habiro-g" and kind == "g":
+        row = "binomial_transform"
+    return (xi if row is None else globals()[row](xi)), kind
 
 
 def _theta_series(spec: FamilySpec, order: int) -> TruncatedSeries:
@@ -151,7 +162,8 @@ def _theta_series(spec: FamilySpec, order: int) -> TruncatedSeries:
 def cmd_expand(args) -> int:
     spec = _spec_from_args(args)
     xi = cached_expansion(spec, args.N, _cache_dir(args))
-    coeffs = _apply_transform(spec, xi, args.transform).integer_coeffs()
+    row, _ = _transform_row(spec, xi, args.transform, published=True)
+    coeffs = row.integer_coeffs()
     fmt = _fmt(args)
     if fmt == "plain":
         sys.stdout.write(", ".join(str(c) for c in coeffs) + "\n")
@@ -285,12 +297,7 @@ def cmd_asym(args) -> int:
         series = cached_expansion(spec, args.N, _cache_dir(args))
     else:
         series = _theta_series(spec, top)
-    # the shifted main terms describe the alternating transforms
-    which = {"one-minus-q": "xi", "inv-one-plus-q": "g", "ratio": "h"}[args.transform]
-    if which == "g":
-        series = transform_g(series)
-    elif which == "h":
-        series = transform_h(series)
+    series, which = _transform_row(spec, series, args.transform, published=False)
     rows = ratio_diagnostics(series, profile, samples, which=which)
     table = []
     for sample in rows:

@@ -1,23 +1,7 @@
 """Exact rational, interval and cyclotomic arithmetic used by every other layer."""
 
 from habiro.exact.bernoulli import bernoulli_number, bernoulli_poly
-from habiro.exact.cyclotomic import CyclotomicNumber, cyclo_zero_test, cyclotomic_poly, totient
-from habiro.exact.exprs import (
-    Add,
-    Cos,
-    Div,
-    Exp,
-    Expr,
-    Mul,
-    Neg,
-    Pi,
-    Pow,
-    Rat,
-    Sin,
-    Sqrt,
-    Zeta,
-    interval_eval,
-)
+from habiro.exact.cyclotomic import CyclotomicNumber, cyclotomic_poly, totient
 from habiro.exact.intervals import (
     DEFAULT_PRECISION,
     PRECISION_CAP,
@@ -29,30 +13,15 @@ from habiro.exact.stirling import stirling_first
 from habiro.exact.zeta import zeta_even, zeta_interval
 
 __all__ = [
-    "Add",
-    "Cos",
     "CyclotomicNumber",
     "DEFAULT_PRECISION",
-    "Div",
-    "Exp",
-    "Expr",
     "IntervalReal",
-    "Mul",
-    "Neg",
     "PRECISION_CAP",
-    "Pi",
-    "Pow",
     "PrecisionCapError",
-    "Rat",
-    "Sin",
-    "Sqrt",
-    "Zeta",
     "bernoulli_number",
     "bernoulli_poly",
-    "cyclo_zero_test",
     "cyclotomic_poly",
     "decide_sign",
-    "interval_eval",
     "stirling_first",
     "totient",
     "zeta_even",

@@ -110,10 +110,6 @@ class CyclotomicNumber:
             raise ValueError("coefficient vector has the wrong length")
 
     @classmethod
-    def zero(cls, conductor: int) -> "CyclotomicNumber":
-        return cls(conductor, [Fraction(0)] * totient(conductor))
-
-    @classmethod
     def from_terms(
         cls, conductor: int, terms: Mapping[int, Fraction | int]
     ) -> "CyclotomicNumber":
@@ -122,25 +118,6 @@ class CyclotomicNumber:
         for e, c in terms.items():
             dense[e % conductor] += Fraction(c)
         return cls(conductor, _reduce(dense, conductor))
-
-    def __add__(self, other: "CyclotomicNumber") -> "CyclotomicNumber":
-        self._check(other)
-        return CyclotomicNumber(
-            self.conductor, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __sub__(self, other: "CyclotomicNumber") -> "CyclotomicNumber":
-        self._check(other)
-        return CyclotomicNumber(
-            self.conductor, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __neg__(self) -> "CyclotomicNumber":
-        return CyclotomicNumber(self.conductor, [-a for a in self.coeffs])
-
-    def scale(self, r: Fraction | int) -> "CyclotomicNumber":
-        r = Fraction(r)
-        return CyclotomicNumber(self.conductor, [r * a for a in self.coeffs])
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -152,12 +129,6 @@ class CyclotomicNumber:
 
     def __hash__(self):
         return hash((self.conductor, self.coeffs))
-
-    def _check(self, other: "CyclotomicNumber") -> None:
-        if not isinstance(other, CyclotomicNumber):
-            raise TypeError("operand is not a CyclotomicNumber")
-        if other.conductor != self.conductor:
-            raise ValueError("conductors differ")
 
     def __repr__(self) -> str:
         nz = {i: str(c) for i, c in enumerate(self.coeffs) if c}
@@ -178,7 +149,3 @@ def _reduce(dense: list[Fraction], conductor: int) -> list[Fraction]:
             dense[e - phi + ee] -= c * cc
     return dense[:phi]
 
-
-def cyclo_zero_test(x: CyclotomicNumber) -> bool:
-    """Exact vanishing test on the canonical basis."""
-    return x.is_zero()

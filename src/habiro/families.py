@@ -147,7 +147,7 @@ def expand_fishburn(N: int) -> TruncatedSeries:
         term = mul_trunc_int(term, one_minus_power_int(n, N), N)
         for j in range(n, N + 1):
             acc[j] += term[j]
-    return TruncatedSeries(acc, 0, N)
+    return TruncatedSeries(acc)
 
 
 def _torus32t_constants(t: int) -> tuple[int, int, int, int]:
@@ -205,7 +205,7 @@ def expand_torus32t(t: int, N: int) -> TruncatedSeries:
     out = mul_trunc_int(acc, neg_power, N)
     if hpp % 2:
         out = [-c for c in out]
-    return TruncatedSeries(out, 0, N)
+    return TruncatedSeries(out)
 
 
 def expand_torus2(m: int, ell: int, N: int) -> TruncatedSeries:
@@ -234,8 +234,7 @@ def expand_torus2(m: int, ell: int, N: int) -> TruncatedSeries:
         for j in range(bounds[i + 1] + 1):
             total: list[int] = []
             for ki in range(j + d + 1):
-                dense = list(qbinomial(j + d, ki).coeffs)
-                piece = mul_dense_int(dense, prev[ki])
+                piece = mul_dense_int(qbinomial(j + d, ki), prev[ki])
                 total = _add_shifted(total, piece, ki * ki + lin * ki)
             cur.append(total)
         prev = cur
@@ -245,7 +244,7 @@ def expand_torus2(m: int, ell: int, N: int) -> TruncatedSeries:
         if km:
             poch = mul_sparse_binomial_int(poch, km)
         poly = _add_shifted(poly, mul_dense_int(poch, prev[km]), 0)
-    return TruncatedSeries(subst_one_minus_int(poly, N), 0, N)
+    return TruncatedSeries(subst_one_minus_int(poly, N))
 
 
 def expand_habiro_g(k: int, N: int) -> TruncatedSeries:
@@ -265,8 +264,7 @@ def expand_habiro_g(k: int, N: int) -> TruncatedSeries:
             total: list[int] = []
             for n in range(j + 1):
                 e = 2 * n * n + 2 * n
-                dense = list(qbinomial(j, n, base_power=2).coeffs)
-                piece = mul_dense_int(dense, prev[n])
+                piece = mul_dense_int(qbinomial(j, n, base_power=2), prev[n])
                 total = _add_shifted(total, piece, e)
             cur.append(total)
         prev = cur
@@ -276,7 +274,7 @@ def expand_habiro_g(k: int, N: int) -> TruncatedSeries:
         if nk:
             oddpoch = mul_sparse_binomial_int(oddpoch, 2 * nk - 1)
         poly = _add_shifted(poly, mul_dense_int(oddpoch, prev[nk]), nk)
-    return TruncatedSeries(subst_one_minus_int(poly, N), 0, N)
+    return TruncatedSeries(subst_one_minus_int(poly, N))
 
 
 def expand_habiro_g_qseries(k: int, order: int) -> TruncatedSeries:
@@ -296,8 +294,7 @@ def expand_habiro_g_qseries(k: int, order: int) -> TruncatedSeries:
                 e = 2 * n * n + 2 * n
                 if e > order:
                     break
-                dense = list(qbinomial(j, n, base_power=2).coeffs)
-                piece = mul_trunc_int(prev[n], dense, order - e)
+                piece = mul_trunc_int(prev[n], qbinomial(j, n, base_power=2), order - e)
                 total = _add_shifted(total, piece, e, limit=order)
             cur.append(total)
         prev = cur
@@ -309,7 +306,7 @@ def expand_habiro_g_qseries(k: int, order: int) -> TruncatedSeries:
         piece = mul_trunc_int(prev[nk], oddpoch, order - nk)
         poly = _add_shifted(poly, piece, nk, limit=order)
     poly += [0] * (order + 1 - len(poly))
-    return TruncatedSeries(poly, 0, order)
+    return TruncatedSeries(poly)
 
 
 def expand_family(spec: FamilySpec, N: int) -> TruncatedSeries:
@@ -339,7 +336,7 @@ def theta_q_expansion(ident: StrangeIdentity, order: int) -> TruncatedSeries:
         e //= ident.b
         if e <= order:
             coeffs[e] += n**ident.nu * v
-    return TruncatedSeries(coeffs, 0, order)
+    return TruncatedSeries(coeffs)
 
 
 # -- disk cache ---------------------------------------------------------------
@@ -393,7 +390,7 @@ def cached_expansion(spec: FamilySpec, N: int, cache_dir: str | os.PathLike | No
     if data is not None and (data.get("family") != spec.kind or data.get("params") != spec.params()):
         data = None
     if data is not None and data["N"] >= N:
-        return TruncatedSeries(data["coefficients"][: N + 1], 0, N)
+        return TruncatedSeries(data["coefficients"][: N + 1])
     fresh = expand_family(spec, N)
     coeffs = fresh.integer_coeffs()
     if data is not None and coeffs[: data["N"] + 1] != data["coefficients"]:

@@ -1,9 +1,8 @@
-"""Truncated power series and q-polynomial utilities.
+"""Coefficient windows of power series, integer-list kernels, and transforms.
 
-Series live in one variable with integer exponents (negative allowed for
-exact Laurent polynomials).  A series is either exact (order None) or valid
-through a stated truncation order; arithmetic tracks the tightest order that
-remains fully determined.
+A series is the window of its coefficients 0..N.  The expansion code works on
+plain integer lists (exact q-polynomials, and windows in u where q = 1-u) and
+wraps only its final window in a TruncatedSeries.
 """
 
 from __future__ import annotations
@@ -23,43 +22,18 @@ def _norm(c: Coeff) -> Coeff:
 
 
 class TruncatedSeries:
-    """Coefficient window [min_degree, order] of a series, or an exact polynomial."""
+    """Coefficients 0..order of a power series, with order = len(coeffs) - 1."""
 
-    __slots__ = ("min_degree", "coeffs", "order")
+    __slots__ = ("coeffs", "order")
 
-    def __init__(self, coeffs: Sequence[Coeff], min_degree: int = 0, order: int | None = None):
-        coeffs = [_norm(c) for c in coeffs]
-        if order is not None:
-            want = order - min_degree + 1
-            if want < 0:
-                raise ValueError("order lies below min_degree")
-            if len(coeffs) != want:
-                raise ValueError("coefficient count does not match the stated order")
-        self.min_degree = min_degree
-        self.coeffs = tuple(coeffs)
-        self.order = order
-
-    # -- basic views -------------------------------------------------------
+    def __init__(self, coeffs: Sequence[Coeff]):
+        self.coeffs = tuple(_norm(c) for c in coeffs)
+        self.order = len(self.coeffs) - 1
 
     def coefficient(self, n: int) -> Coeff:
-        if self.order is not None and n > self.order:
+        if n > self.order:
             raise ValueError(f"coefficient {n} lies beyond truncation order {self.order}")
-        idx = n - self.min_degree
-        if idx < 0 or idx >= len(self.coeffs):
-            return 0
-        return self.coeffs[idx]
-
-    def degree(self) -> int:
-        """Largest exponent with a nonzero stored coefficient (exact series only)."""
-        if self.order is not None:
-            raise ValueError("degree is only defined for exact polynomials")
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            if self.coeffs[i]:
-                return self.min_degree + i
-        return self.min_degree
-
-    def is_exact(self) -> bool:
-        return self.order is None
+        return self.coeffs[n] if n >= 0 else 0
 
     def integer_coeffs(self) -> list[int]:
         out = []
@@ -72,106 +46,15 @@ class TruncatedSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        if self.order != other.order:
-            return False
-        lo = min(self.min_degree, other.min_degree)
-        if self.order is None:
-            hi = max(self.min_degree + len(self.coeffs), other.min_degree + len(other.coeffs)) - 1
-        else:
-            hi = self.order
-        return all(self.coefficient(n) == other.coefficient(n) for n in range(lo, hi + 1))
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.min_degree, self.coeffs, self.order))
+        return hash(self.coeffs)
 
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self.coeffs[:8])
         tail = ", ..." if len(self.coeffs) > 8 else ""
-        return (
-            f"TruncatedSeries([{head}{tail}], min_degree={self.min_degree}, "
-            f"order={self.order})"
-        )
-
-    # -- ring operations ---------------------------------------------------
-
-    def shift(self, e: int) -> "TruncatedSeries":
-        order = None if self.order is None else self.order + e
-        return TruncatedSeries(self.coeffs, self.min_degree + e, order)
-
-    def scale(self, r: Coeff) -> "TruncatedSeries":
-        return TruncatedSeries([r * c for c in self.coeffs], self.min_degree, self.order)
-
-    def __neg__(self) -> "TruncatedSeries":
-        return self.scale(-1)
-
-    def _window(self) -> tuple[int, int | None]:
-        hi = self.order if self.order is not None else self.min_degree + len(self.coeffs) - 1
-        return self.min_degree, hi
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        if self.order is None and other.order is None:
-            order = None
-        else:
-            candidates = [o for o in (self.order, other.order) if o is not None]
-            order = min(candidates)
-        lo = min(self.min_degree, other.min_degree)
-        if order is None:
-            _, ha = self._window()
-            _, hb = other._window()
-            hi = max(ha, hb)
-        else:
-            hi = order
-        coeffs = [self._padded(n) + other._padded(n) for n in range(lo, hi + 1)]
-        return TruncatedSeries(coeffs, lo, order)
-
-    def _padded(self, n: int) -> Coeff:
-        # Like coefficient() but reads 0 beyond a finite order, for use when
-        # the result order has already been clamped to the valid range.
-        idx = n - self.min_degree
-        if idx < 0 or idx >= len(self.coeffs):
-            return 0
-        return self.coeffs[idx]
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self + (-other)
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if self.order is not None and self.order < order:
-            raise ValueError("cannot extend a truncated series")
-        coeffs = [self._padded(n) for n in range(self.min_degree, order + 1)]
-        return TruncatedSeries(coeffs, self.min_degree, order)
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Product with the tightest truncation order still fully determined."""
-    va, vb = a.min_degree, b.min_degree
-    if a.order is None and b.order is None:
-        order = None
-        hi = (a.min_degree + len(a.coeffs) - 1) + (b.min_degree + len(b.coeffs) - 1)
-    else:
-        cands = []
-        if a.order is not None:
-            cands.append(a.order + vb)
-        if b.order is not None:
-            cands.append(b.order + va)
-        order = min(cands)
-        hi = order
-    lo = va + vb
-    out = [0] * (hi - lo + 1)
-    for i, ca in enumerate(a.coeffs):
-        if not ca:
-            continue
-        ea = va + i
-        for j, cb in enumerate(b.coeffs):
-            if not cb:
-                continue
-            e = ea + vb + j
-            if e > hi:
-                break
-            out[e - lo] += ca * cb
-    return TruncatedSeries(out, lo, order)
+        return f"TruncatedSeries([{head}{tail}], order={self.order})"
 
 
 # -- integer-list kernels used by the expansion code ------------------------
@@ -224,16 +107,6 @@ def one_minus_power_int(k: int, order: int) -> list[int]:
     return out
 
 
-def poch_one_minus_int(n: int, order: int) -> list[int]:
-    """Coefficients of (q;q)_n at q = 1-u through the given order."""
-    acc = [1] + [0] * order
-    for k in range(1, n + 1):
-        if k > order:
-            return [0] * (order + 1)
-        acc = mul_trunc_int(acc, one_minus_power_int(k, order), order)
-    return acc
-
-
 def subst_one_minus_int(p: list[int], order: int) -> list[int]:
     """Evaluate a dense integer q-polynomial at q = 1-u, truncated in u."""
     acc = [0] * (order + 1)
@@ -243,16 +116,6 @@ def subst_one_minus_int(p: list[int], order: int) -> list[int]:
             acc[j] -= acc[j - 1]
         acc[0] += p[e]
     return acc
-
-
-# -- public operations -------------------------------------------------------
-
-
-def pochhammer_at_one_minus(n: int, N: int) -> TruncatedSeries:
-    """Expansion of (q;q)_n at q = 1-u through u**N; valuation is exactly n."""
-    if n < 0 or N < 0:
-        raise ValueError("arguments must be nonnegative")
-    return TruncatedSeries(poch_one_minus_int(n, N), 0, N)
 
 
 _qbinom_lock = threading.Lock()
@@ -281,54 +144,21 @@ def _qbinom_int(n: int, k: int) -> tuple[int, ...]:
     return res
 
 
-def qbinomial(n: int, k: int, base_power: int = 1) -> TruncatedSeries:
-    """Gaussian binomial coefficient as an exact polynomial in q**base_power."""
+def qbinomial(n: int, k: int, base_power: int = 1) -> list[int]:
+    """Dense coefficients of the Gaussian binomial as a polynomial in q**base_power."""
     if base_power not in (1, 2):
         raise ValueError("base_power must be 1 or 2")
     with _qbinom_lock:
         dense = _qbinom_int(n, k)
-    if not dense:
-        return TruncatedSeries([], 0, None)
-    if base_power == 1:
-        return TruncatedSeries(list(dense), 0, None)
+    if base_power == 1 or not dense:
+        return list(dense)
     spread = [0] * (2 * (len(dense) - 1) + 1)
     for i, c in enumerate(dense):
         spread[2 * i] = c
-    return TruncatedSeries(spread, 0, None)
+    return spread
 
 
-def substitute_one_minus(p: TruncatedSeries, N: int) -> TruncatedSeries:
-    """Expand an exact (Laurent) polynomial at q = 1-u through u**N."""
-    if p.order is not None:
-        raise ValueError("substitution requires an exact polynomial")
-    if N < 0:
-        raise ValueError("truncation order must be nonnegative")
-    acc = [Fraction(0)] * (N + 1)
-    low = [Fraction(0)] * (N + 1)
-    nonneg = [0] * max((p.min_degree + len(p.coeffs)), 0)
-    for i, c in enumerate(p.coeffs):
-        e = p.min_degree + i
-        if e >= 0:
-            nonneg[e] = c
-        elif c:
-            # (1-u)**e with e < 0 expands with binomial coefficients; kept
-            # apart so the Horner loop below cannot rescale it.
-            k = -e
-            for j in range(N + 1):
-                low[j] += c * comb(k + j - 1, j)
-    for e in range(len(nonneg) - 1, -1, -1):
-        for j in range(N, 0, -1):
-            acc[j] -= acc[j - 1]
-        acc[0] += nonneg[e]
-    return TruncatedSeries([a + b for a, b in zip(acc, low)], 0, N)
-
-
-def _require_window(xi: TruncatedSeries) -> int:
-    if xi.order is None:
-        raise ValueError("transform needs a truncated series")
-    if xi.min_degree > 0:
-        raise ValueError("series must start at degree 0")
-    return xi.order
+# -- transforms of coefficient windows ----------------------------------------
 
 
 def transform_g(xi: TruncatedSeries) -> TruncatedSeries:
@@ -336,7 +166,7 @@ def transform_g(xi: TruncatedSeries) -> TruncatedSeries:
 
     Alternating binomial transform: g(n) = sum_l (-1)**l C(n-1,l) xi(n-l).
     """
-    N = _require_window(xi)
+    N = xi.order
     out = [xi.coefficient(0)]
     for n in range(1, N + 1):
         acc = 0
@@ -344,19 +174,19 @@ def transform_g(xi: TruncatedSeries) -> TruncatedSeries:
             term = comb(n - 1, l) * xi.coefficient(n - l)
             acc = acc + term if l % 2 == 0 else acc - term
         out.append(acc)
-    return TruncatedSeries(out, 0, N)
+    return TruncatedSeries(out)
 
 
 def binomial_transform(xi: TruncatedSeries) -> TruncatedSeries:
     """Unsigned binomial transform, the two-sided inverse of transform_g."""
-    N = _require_window(xi)
+    N = xi.order
     out = [xi.coefficient(0)]
     for n in range(1, N + 1):
         acc = 0
         for l in range(n):
             acc += comb(n - 1, l) * xi.coefficient(n - l)
         out.append(acc)
-    return TruncatedSeries(out, 0, N)
+    return TruncatedSeries(out)
 
 
 def transform_h(xi: TruncatedSeries) -> TruncatedSeries:
@@ -365,7 +195,7 @@ def transform_h(xi: TruncatedSeries) -> TruncatedSeries:
     Equivalently the composition of the series with 2q/(1+q), whose n-th power
     has coefficients 2**n (-1)**(m-n) C(m-1, m-n).
     """
-    N = _require_window(xi)
+    N = xi.order
     out = [xi.coefficient(0)]
     for m in range(1, N + 1):
         acc = 0
@@ -373,4 +203,4 @@ def transform_h(xi: TruncatedSeries) -> TruncatedSeries:
             term = (1 << n) * comb(m - 1, m - n) * xi.coefficient(n)
             acc = acc + term if (m - n) % 2 == 0 else acc - term
         out.append(acc)
-    return TruncatedSeries(out, 0, N)
+    return TruncatedSeries(out)

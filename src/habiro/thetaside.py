@@ -288,4 +288,4 @@ def xi_from_theta(b: BSequence, N: int) -> TruncatedSeries:
         if val.denominator != 1:
             raise ValueError("strange-identity data inconsistent with integrality")
         out.append(int(val))
-    return TruncatedSeries(out, 0, N)
+    return TruncatedSeries(out)

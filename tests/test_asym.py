@@ -167,7 +167,7 @@ def test_theta_route_ratio_converges_for_odd_weight():
 
 def test_zero_coefficient_is_reported_per_sample():
     p = profile_for_family(FamilySpec.fishburn())
-    series = TruncatedSeries([1, 2, 0, 4], 0, 3)
+    series = TruncatedSeries([1, 2, 0, 4])
     rows = ratio_diagnostics(series, p, [2, 3])
     assert rows[0].zero_coefficient and rows[0].ratio is None
     assert not rows[1].zero_coefficient and rows[1].ratio is not None
@@ -175,7 +175,7 @@ def test_zero_coefficient_is_reported_per_sample():
 
 def test_negative_coefficient_flips_ratio_sign():
     p = profile_for_family(FamilySpec.fishburn())
-    series = TruncatedSeries([1, 1, 2, -5], 0, 3)
+    series = TruncatedSeries([1, 1, 2, -5])
     lone = ratio_diagnostics(series, p, [3])[0]
     assert lone.ratio.is_negative()
 

@@ -260,6 +260,21 @@ def test_asym_transform_diagnostics_converge(capsys):
     assert abs(samples[1]["log_ratio"]) < abs(samples[0]["log_ratio"])
 
 
+def test_habiro_g_inv_one_plus_q_rows(capsys):
+    # expand prints the published unsigned binomial row; asym diagnoses the
+    # alternating row, the one the g main term describes.
+    code, out, _ = run(capsys, "expand", "--family", "habiro-g", "--k", "2",
+                       "--transform", "inv-one-plus-q", "-N", "7")
+    assert code == 0
+    assert out == "1, 2, 8, 42, 293, 2630, 29054, 380894\n"
+    code, out, _ = run(capsys, "asym", "--family", "habiro-g", "--k", "2",
+                       "--transform", "inv-one-plus-q", "--samples", "16,64",
+                       "--format", "json")
+    assert code == 0
+    samples = json.loads(out)["samples"]
+    assert abs(samples[1]["log_ratio"]) < abs(samples[0]["log_ratio"])
+
+
 def test_asym_plain_format(capsys):
     code, out, _ = run(capsys, "asym", "--family", "habiro-g", "--k", "1",
                        "--samples", "16", "--format", "plain")

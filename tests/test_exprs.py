@@ -1,12 +1,15 @@
-"""Closed-form expression evaluation and its width contract."""
+"""Closed-form constants in IntervalReal arithmetic: enclosures and their widths.
+
+The Fourier-coefficient tests state their closed forms this way, so these
+check that the arithmetic they rely on encloses known values tightly.
+"""
 
 from fractions import Fraction
 
 import pytest
 import sympy
 
-from habiro.exact import Cos, Div, Exp, Mul, Neg, Pi, Pow, Sin, Sqrt, Zeta, interval_eval
-from habiro.exact.exprs import add, mul, rat
+from habiro.exact import IntervalReal, zeta_interval
 
 
 def _contains(enc, ref: Fraction, slack: Fraction = Fraction(0)) -> bool:
@@ -14,52 +17,51 @@ def _contains(enc, ref: Fraction, slack: Fraction = Fraction(0)) -> bool:
 
 
 def test_sin_half_pi():
-    enc = interval_eval(Sin(Div(Pi(), rat(2))), 64)
+    enc = (IntervalReal.pi(64) / 2).sin()
     assert _contains(enc, Fraction(1))
     assert enc.width_fraction() < Fraction(1, 2**60)
 
 
 def test_negated_product_at_one():
-    expr = Neg(Mul((Div(rat(1), Sqrt(rat(1))), Sin(Div(Pi(), rat(2))))))
-    enc = interval_eval(expr, 64)
+    enc = -(1 / IntervalReal.from_int(1, 64).sqrt() * (IntervalReal.pi(64) / 2).sin())
     assert _contains(enc, Fraction(-1))
 
 
 def test_zeta_node_odd():
     ref = Fraction(str(sympy.N(sympy.zeta(3), 80)))
-    enc = interval_eval(Zeta(3), 128)
+    enc = zeta_interval(3, 128)
     assert _contains(enc, ref, Fraction(1, 10**70))
 
 
 def test_zeta_node_even_matches_closed_form():
-    direct = interval_eval(Zeta(2), 96)
-    closed = interval_eval(Mul((rat(Fraction(1, 6)), Pow(Pi(), 2))), 96)
+    direct = zeta_interval(2, 96)
+    closed = IntervalReal.pi(96).pow_int(2) * Fraction(1, 6)
     assert direct.lo_fraction() <= closed.hi_fraction()
     assert closed.lo_fraction() <= direct.hi_fraction()
 
 
 def test_zeta_node_rejects_small_argument():
     with pytest.raises(ValueError):
-        Zeta(1)
+        zeta_interval(1)
 
 
 def test_exp_and_cos():
     e_ref = Fraction(
         "2.71828182845904523536028747135266249775724709369995957496696762772407663"
     )
-    enc = interval_eval(Exp(rat(1)), 96)
+    enc = IntervalReal.from_int(1, 96).exp()
     assert _contains(enc, e_ref, Fraction(1, 10**60))
-    enc = interval_eval(Cos(Pi()), 96)
+    enc = IntervalReal.pi(96).cos()
     assert _contains(enc, Fraction(-1))
 
 
 def test_width_contract_and_monotone_refinement():
-    expr = add(mul(Sqrt(rat(3)), Zeta(3)), Div(Pi(), rat(7)))
     ref = sympy.sqrt(3) * sympy.zeta(3) + sympy.pi / 7
     ref_frac = Fraction(str(sympy.N(ref, 220)))
     widths = []
     for precision in (64, 128, 256):
-        enc = interval_eval(expr, precision)
+        enc = (IntervalReal.from_int(3, precision).sqrt() * zeta_interval(3, precision)
+               + IntervalReal.pi(precision) / 7)
         assert _contains(enc, ref_frac, Fraction(1, 10**200))
         value_scale = max(Fraction(1), abs(ref_frac))
         assert enc.width_fraction() <= Fraction(2) ** (1 - precision) * value_scale
@@ -69,8 +71,8 @@ def test_width_contract_and_monotone_refinement():
 
 def test_deep_expression():
     # -(2/sqrt(5)) * sin(3*pi/5) as used by closed-form comparisons.
-    expr = Neg(Mul((Div(rat(2), Sqrt(rat(5))), Sin(Div(Mul((rat(3), Pi())), rat(5))))))
+    scale = 2 / IntervalReal.from_int(5, 128).sqrt()
+    enc = -(scale * (IntervalReal.pi(128) * Fraction(3, 5)).sin())
     ref = -2 / sympy.sqrt(5) * sympy.sin(3 * sympy.pi / 5)
     ref_frac = Fraction(str(sympy.N(ref, 80)))
-    enc = interval_eval(expr, 128)
     assert _contains(enc, ref_frac, Fraction(1, 10**70))

@@ -6,6 +6,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from laurent import add, mul, poly, shift, subst_one_minus
 
 import habiro.families as families
 from habiro.families import (
@@ -20,16 +21,7 @@ from habiro.families import (
     identity_for,
     theta_q_expansion,
 )
-from habiro.qseries import (
-    TruncatedSeries,
-    binomial_transform,
-    pochhammer_at_one_minus,
-    qbinomial,
-    series_mul,
-    substitute_one_minus,
-    transform_g,
-    transform_h,
-)
+from habiro.qseries import binomial_transform, qbinomial, transform_g, transform_h
 from habiro.thetaside import b_sequence, c_sequence, make_chi_t, xi_from_theta
 
 TABLES = json.loads(
@@ -106,10 +98,12 @@ def test_identity_constructs_for_parameter_sweep(spec):
 
 def test_fishburn_matches_pochhammer_sum():
     N = 12
-    total = TruncatedSeries([0] * (N + 1), 0, N)
+    total, poch = {}, poly(1)
     for n in range(N + 1):
-        total = total + pochhammer_at_one_minus(n, N)
-    assert expand_fishburn(N) == total
+        if n:
+            poch = mul(poch, poly(1, *[0] * (n - 1), -1))
+        total = add(total, poch)
+    assert expand_fishburn(N).integer_coeffs() == subst_one_minus(total, N)
     assert expand_fishburn(5).integer_coeffs() == [1, 1, 2, 5, 15, 53]
 
 
@@ -120,13 +114,10 @@ def _torus32t_literal(t, N):
         hpp, hp, a = (2**t - 1) // 3, (2**t - 4) // 3, (2 ** (t - 1) + 1) // 3
     else:
         hpp, hp, a = (2**t - 2) // 3, (2**t - 5) // 3, (2**t + 1) // 3
-    total = TruncatedSeries([0], 0, None)
-    poch = TruncatedSeries([1], 0, None)
+    total, poch = {}, poly(1)
     for n in range(N + 1):
         if n:
-            poch = series_mul(
-                poch, TruncatedSeries([1] + [0] * (n - 1) + [-1], 0, None)
-            )
+            poch = mul(poch, poly(1, *[0] * (n - 1), -1))
         for js in product(range(n + 2), repeat=m - 1):
             weighted = sum(l * j for l, j in zip(range(1, m), js))
             if (3 * weighted) % m != 1:
@@ -134,24 +125,22 @@ def _torus32t_literal(t, N):
             num = weighted - a
             assert num % m == 0, "congruence filter violated"
             e = num // m + sum(comb(j, 2) for j in js)
-            inner = TruncatedSeries([0], 0, None)
+            inner = {}
             for kk in range(m):
-                prod = TruncatedSeries([1], 0, None)
+                prod = poly(1)
                 for l in range(1, m):
-                    prod = series_mul(
-                        prod, qbinomial(n + (1 if l <= kk else 0), js[l - 1])
-                    )
-                inner = inner + prod
-            term = series_mul(poch, inner).shift(e)
+                    prod = mul(prod, poly(*qbinomial(n + (1 if l <= kk else 0), js[l - 1])))
+                inner = add(inner, prod)
+            term = shift(mul(poch, inner), e)
             sign = -1 if sum(js) % 2 else 1
-            total = total + (term if sign == 1 else -term)
-    out = substitute_one_minus(total.shift(-hp), N)
-    return -out if hpp % 2 else out
+            total = add(total, term if sign == 1 else mul(term, poly(-1)))
+    out = subst_one_minus(shift(total, -hp), N)
+    return [-c for c in out] if hpp % 2 else out
 
 
 @pytest.mark.parametrize("t,N", [(2, 6), (3, 4)])
 def test_torus32t_fast_path_matches_literal_enumeration(t, N):
-    assert expand_torus32t(t, N) == _torus32t_literal(t, N)
+    assert expand_torus32t(t, N).integer_coeffs() == _torus32t_literal(t, N)
 
 
 def test_torus32t_pinned_prefixes():

@@ -1,4 +1,4 @@
-"""Series arithmetic, q-binomials, substitution and the coefficient transforms."""
+"""Coefficient windows, integer-list kernels, q-binomials and the transforms."""
 
 from fractions import Fraction
 from math import comb, factorial
@@ -6,85 +6,84 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from laurent import add, mul, poly, shift, subst_one_minus
 
 from habiro.qseries import (
     TruncatedSeries,
     binomial_transform,
-    pochhammer_at_one_minus,
+    mul_dense_int,
+    mul_trunc_int,
+    one_minus_power_int,
     qbinomial,
-    series_mul,
-    substitute_one_minus,
+    subst_one_minus_int,
     transform_g,
     transform_h,
 )
 
 
-def poly(*coeffs, min_degree=0):
-    return TruncatedSeries(list(coeffs), min_degree, None)
+def dense(p):
+    """Dense coefficient list of a reference polynomial with no negative powers."""
+    return [p.get(e, 0) for e in range(max(p, default=-1) + 1)]
+
+
+def poch_at_one_minus(n, N):
+    """(q;q)_n at q = 1-u through u**N, built from the kernels the expansions use."""
+    acc = [1] + [0] * N
+    for k in range(1, n + 1):
+        acc = mul_trunc_int(acc, one_minus_power_int(k, N), N)
+    return acc
 
 
 def test_series_mul_exact():
-    assert series_mul(poly(1, 1), poly(1, -1)) == poly(1, 0, -1)
+    assert mul(poly(1, 1), poly(1, -1)) == poly(1, 0, -1)
+    assert mul_dense_int([1, 1], [1, -1]) == [1, 0, -1]
 
 
 def test_series_mul_laurent_inverse():
-    q_inv = TruncatedSeries([1], -1, None)
-    q = poly(0, 1)
-    assert series_mul(q_inv, q) == poly(1)
+    assert mul(poly(1, low=-1), poly(0, 1)) == poly(1)
 
 
 def test_series_mul_truncated_geometric():
     n = 12
-    geo = TruncatedSeries([1] * (n + 1), 0, n)
-    prod = series_mul(geo, poly(1, -1))
-    assert prod == TruncatedSeries([1] + [0] * n, 0, n)
-
-
-def test_series_mul_order_uses_valuation():
-    a = TruncatedSeries([1] * 6, 2, 7)  # valuation 2, known through order 7
-    b = TruncatedSeries([1] * 4, 3, 6)  # valuation 3, known through order 6
-    assert series_mul(a, b).order == min(7 + 3, 6 + 2)
+    assert mul_trunc_int([1] * (n + 1), [1, -1], n) == [1] + [0] * n
 
 
 def test_coefficient_access_beyond_order():
-    s = TruncatedSeries([1, 2], 0, 1)
+    s = TruncatedSeries([1, 2])
     assert s.coefficient(0) == 1
     with pytest.raises(ValueError, match="beyond truncation"):
         s.coefficient(2)
 
 
 def test_pochhammer_example():
-    assert pochhammer_at_one_minus(2, 3) == TruncatedSeries([0, 0, 2, -1], 0, 3)
+    assert poch_at_one_minus(2, 3) == [0, 0, 2, -1]
 
 
 def test_pochhammer_valuation_and_leading_coefficient():
     for n in range(0, 9):
-        s = pochhammer_at_one_minus(n, 12)
-        for j in range(n):
-            assert s.coefficient(j) == 0
-        assert s.coefficient(n) == factorial(n)
+        s = poch_at_one_minus(n, 12)
+        assert s[:n] == [0] * n
+        assert s[n] == factorial(n)
 
 
 def test_pochhammer_beyond_order_is_zero_series():
-    s = pochhammer_at_one_minus(7, 4)
-    assert all(c == 0 for c in s.coeffs)
+    assert poch_at_one_minus(7, 4) == [0] * 5
 
 
 def test_qbinomial_pinned():
-    assert qbinomial(4, 2) == poly(1, 1, 2, 1, 1)
-    assert qbinomial(3, 1) == poly(1, 1, 1)
-    assert qbinomial(5, 0) == poly(1)
-    assert qbinomial(5, 5) == poly(1)
+    assert qbinomial(4, 2) == [1, 1, 2, 1, 1]
+    assert qbinomial(3, 1) == [1, 1, 1]
+    assert qbinomial(5, 0) == [1]
+    assert qbinomial(5, 5) == [1]
 
 
 def test_qbinomial_out_of_range_is_zero():
-    assert qbinomial(3, 4) == poly()
-    assert qbinomial(3, -1) == poly()
+    assert qbinomial(3, 4) == []
+    assert qbinomial(3, -1) == []
 
 
 def test_qbinomial_base_power_two():
-    spread = qbinomial(4, 2, base_power=2)
-    assert spread == poly(1, 0, 1, 0, 2, 0, 1, 0, 1)
+    assert qbinomial(4, 2, base_power=2) == [1, 0, 1, 0, 2, 0, 1, 0, 1]
     with pytest.raises(ValueError):
         qbinomial(4, 2, base_power=3)
 
@@ -92,7 +91,7 @@ def test_qbinomial_base_power_two():
 def test_qbinomial_evaluates_to_binomial_at_one():
     for n in range(9):
         for k in range(n + 1):
-            assert sum(qbinomial(n, k).coeffs) == comb(n, k)
+            assert sum(qbinomial(n, k)) == comb(n, k)
 
 
 @settings(max_examples=40, deadline=None)
@@ -102,46 +101,37 @@ def test_qbinomial_evaluates_to_binomial_at_one():
 )
 def test_qbinomial_pascal_recurrences(n, k):
     k = min(k, n)
-    q = poly(0, 1)
-    lhs = qbinomial(n, k)
-    first = series_mul(qbinomial(n - 1, k), poly(*([0] * k + [1]))) if k >= 0 else poly()
-    assert lhs == qbinomial(n - 1, k - 1) + first
-    shifted = series_mul(qbinomial(n - 1, k - 1), poly(*([0] * (n - k) + [1])))
-    assert lhs == shifted + qbinomial(n - 1, k)
-    assert q is not None
+    lhs = poly(*qbinomial(n, k))
+    below, same = poly(*qbinomial(n - 1, k - 1)), poly(*qbinomial(n - 1, k))
+    assert lhs == add(below, shift(same, k))
+    assert lhs == add(shift(below, n - k), same)
 
 
 def test_substitute_positive_power():
-    assert substitute_one_minus(poly(0, 0, 1), 4) == TruncatedSeries([1, -2, 1, 0, 0], 0, 4)
+    assert subst_one_minus_int([0, 0, 1], 4) == [1, -2, 1, 0, 0]
+    assert subst_one_minus(poly(0, 0, 1), 4) == [1, -2, 1, 0, 0]
 
 
 def test_substitute_negative_power():
-    p = TruncatedSeries([1], -2, None)
-    expect = TruncatedSeries([j + 1 for j in range(6)], 0, 5)
-    assert substitute_one_minus(p, 5) == expect
+    assert subst_one_minus(poly(1, low=-2), 5) == [j + 1 for j in range(6)]
 
 
 def test_substitute_mixed_laurent():
     # 1/q + q: the geometric tail from 1/q must not be rescaled by the
     # polynomial part's evaluation.
-    p = TruncatedSeries([1, 0, 1], -1, None)
-    assert substitute_one_minus(p, 5) == TruncatedSeries([2, 0, 1, 1, 1, 1], 0, 5)
-
-
-def test_substitute_requires_exact():
-    with pytest.raises(ValueError, match="exact"):
-        substitute_one_minus(TruncatedSeries([1, 1], 0, 1), 3)
+    assert subst_one_minus(poly(1, 0, 1, low=-1), 5) == [2, 0, 1, 1, 1, 1]
 
 
 def test_substitute_matches_pochhammer():
     # (q;q)_n is a polynomial; substituting q = 1-u must agree with the
-    # dedicated pochhammer expansion.
+    # product of the 1 - (1-u)**k factors.
     for n in range(0, 7):
         prod = poly(1)
         for k in range(1, n + 1):
-            factor = [1] + [0] * (k - 1) + [-1]
-            prod = series_mul(prod, poly(*factor))
-        assert substitute_one_minus(prod, 10) == pochhammer_at_one_minus(n, 10)
+            prod = mul(prod, poly(1, *[0] * (k - 1), -1))
+        expect = poch_at_one_minus(n, 10)
+        assert subst_one_minus_int(dense(prod), 10) == expect
+        assert subst_one_minus(prod, 10) == expect
 
 
 small_polys = st.lists(
@@ -152,47 +142,44 @@ small_polys = st.lists(
 @settings(max_examples=30, deadline=None)
 @given(a=small_polys, b=small_polys, da=st.integers(-4, 0), db=st.integers(-4, 0))
 def test_substitute_is_multiplicative(a, b, da, db):
-    pa, pb = poly(*a).shift(da), poly(*b).shift(db)
-    direct = substitute_one_minus(series_mul(pa, pb), 8)
-    pieces = series_mul(substitute_one_minus(pa, 8), substitute_one_minus(pb, 8))
-    assert direct == pieces
+    pa, pb = poly(*a, low=da), poly(*b, low=db)
+    direct = subst_one_minus(mul(pa, pb), 8)
+    product = mul(poly(*subst_one_minus(pa, 8)), poly(*subst_one_minus(pb, 8)))
+    assert direct == [product.get(j, 0) for j in range(9)]
+    assert subst_one_minus_int(a, 8) == subst_one_minus(poly(*a), 8)
 
 
 def test_transform_g_fishburn_prefix():
-    xi = TruncatedSeries([1, 1, 2, 5, 15, 53], 0, 5)
-    assert transform_g(xi) == TruncatedSeries([1, 1, 1, 2, 5, 16], 0, 5)
+    xi = TruncatedSeries([1, 1, 2, 5, 15, 53])
+    assert transform_g(xi) == TruncatedSeries([1, 1, 1, 2, 5, 16])
 
 
 def test_transform_h_fishburn_prefix():
-    xi = TruncatedSeries([1, 1, 2, 5, 15, 53], 0, 5)
-    assert transform_h(xi) == TruncatedSeries([1, 2, 6, 26, 142, 946], 0, 5)
+    xi = TruncatedSeries([1, 1, 2, 5, 15, 53])
+    assert transform_h(xi) == TruncatedSeries([1, 2, 6, 26, 142, 946])
 
 
-def test_transforms_reject_exact_series():
-    with pytest.raises(ValueError, match="truncated"):
-        transform_g(poly(1, 1))
-
-
-def _compose_with(xi: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
+def _compose_with(xi: TruncatedSeries, inner: list) -> TruncatedSeries:
+    """xi(inner(q)) through q**order, by Horner's rule on reference polynomials."""
     n = xi.order
-    acc = TruncatedSeries([0] * (n + 1), 0, n)
+    acc = {}
     for j in range(n, -1, -1):
-        acc = series_mul(acc, inner).truncate(n)
-        acc = acc + TruncatedSeries([xi.coefficient(j)] + [0] * n, 0, n)
-    return acc
+        acc = {e: c for e, c in mul(acc, poly(*inner)).items() if e <= n}
+        acc = add(acc, poly(xi.coefficient(j)))
+    return TruncatedSeries([acc.get(e, 0) for e in range(n + 1)])
 
 
 def test_transform_h_matches_direct_composition():
     n = 18
-    xi = TruncatedSeries([Fraction(i**2 + 1, 1) for i in range(n + 1)], 0, n)
-    inner = TruncatedSeries([0] + [2 * (-1) ** (i - 1) for i in range(1, n + 1)], 0, n)
+    xi = TruncatedSeries([Fraction(i**2 + 1, 1) for i in range(n + 1)])
+    inner = [0] + [2 * (-1) ** (i - 1) for i in range(1, n + 1)]
     assert transform_h(xi) == _compose_with(xi, inner)
 
 
 def test_transform_g_matches_direct_composition():
     n = 15
-    xi = TruncatedSeries(list(range(1, n + 2)), 0, n)
-    inner = TruncatedSeries([0] + [(-1) ** (i - 1) for i in range(1, n + 1)], 0, n)
+    xi = TruncatedSeries(list(range(1, n + 2)))
+    inner = [0] + [(-1) ** (i - 1) for i in range(1, n + 1)]
     assert transform_g(xi) == _compose_with(xi, inner)
 
 
@@ -204,13 +191,13 @@ integer_series = st.lists(
 @settings(max_examples=40, deadline=None)
 @given(coeffs=integer_series)
 def test_transform_roundtrip(coeffs):
-    xi = TruncatedSeries(coeffs, 0, len(coeffs) - 1)
+    xi = TruncatedSeries(coeffs)
     assert binomial_transform(transform_g(xi)) == xi
     assert transform_g(binomial_transform(xi)) == xi
 
 
 def test_integer_coeffs_guard():
-    s = TruncatedSeries([1, Fraction(1, 2)], 0, 1)
+    s = TruncatedSeries([1, Fraction(1, 2)])
     with pytest.raises(ValueError, match="non-integer"):
         s.integer_coeffs()
-    assert TruncatedSeries([1, Fraction(4, 2)], 0, 1).integer_coeffs() == [1, 2]
+    assert TruncatedSeries([1, Fraction(4, 2)]).integer_coeffs() == [1, 2]

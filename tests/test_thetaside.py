@@ -6,8 +6,7 @@ import pytest
 import sympy
 from sympy.functions.combinatorial.numbers import stirling
 
-from habiro.exact import CyclotomicNumber, interval_eval
-from habiro.exact.exprs import Cos, Div, Mul, Neg, Pi, Sin, Sqrt, rat
+from habiro.exact import CyclotomicNumber, IntervalReal
 from habiro.thetaside import (
     BSequence,
     PeriodicFunction,
@@ -98,27 +97,21 @@ def test_g_value_exact_t1():
 
 
 def test_g_value_closed_form_chi_t():
+    pi = IntervalReal.pi(128)
     for t in range(1, 5):
         _, numeric = g_value(make_chi_t(t), 1, 1, prec=128)
-        closed = Neg(
-            Mul((Div(rat(1), Sqrt(rat(2 ** (t - 1)))), Sin(Div(Pi(), rat(2**t)))))
-        )
-        ref = interval_eval(closed, 128)
+        ref = -((pi / 2**t).sin() / IntervalReal.from_int(2 ** (t - 1), 128).sqrt())
         gap = numeric - ref
         assert gap.lo_fraction() <= 0 <= gap.hi_fraction()
         assert abs(gap).hi_fraction() < Fraction(1, 10**20)
 
 
 def test_g_value_closed_form_chi_m_ell():
+    pi = IntervalReal.pi(128)
     for m, ell in ((1, 0), (2, 0), (2, 1), (3, 2)):
         _, numeric = g_value(make_chi_m_ell(m, ell), 1, 1, prec=128)
-        closed = Neg(
-            Mul((
-                Div(rat(2), Sqrt(rat(2 * m + 1))),
-                Sin(Div(Mul((rat(ell + 1), Pi())), rat(2 * m + 1))),
-            ))
-        )
-        ref = interval_eval(closed, 128)
+        scale = 2 / IntervalReal.from_int(2 * m + 1, 128).sqrt()
+        ref = -(scale * (pi * Fraction(ell + 1, 2 * m + 1)).sin())
         gap = numeric - ref
         assert gap.lo_fraction() <= 0 <= gap.hi_fraction()
         assert abs(gap).hi_fraction() < Fraction(1, 10**20)
@@ -127,17 +120,15 @@ def test_g_value_closed_form_chi_m_ell():
 def test_g_value_closed_form_chi_k():
     # (8/sqrt(4k+2)) sin(pi l/2) cos(pi l/(2(2k+1))) vanishes at even l and
     # alternates in sign through odd l.
+    pi = IntervalReal.pi(128)
     for k in (1, 2, 3):
         f = make_chi_k(k)
         for freq in (2, 4, 6):
             exact, _ = g_value(f, 0, freq)
             assert exact.is_zero()
         _, numeric = g_value(f, 0, 1, prec=128)
-        closed = Mul((
-            Div(rat(8), Sqrt(rat(4 * k + 2))),
-            Cos(Div(Pi(), rat(2 * (2 * k + 1)))),
-        ))
-        ref = interval_eval(closed, 128)
+        scale = 8 / IntervalReal.from_int(4 * k + 2, 128).sqrt()
+        ref = scale * (pi / (2 * (2 * k + 1))).cos()
         gap = numeric - ref
         assert gap.lo_fraction() <= 0 <= gap.hi_fraction()
 
