@@ -181,7 +181,9 @@ def cmd_expand(args) -> int:
 
 
 def _direct_route(spec: FamilySpec, N: int, cache_dir) -> list[int]:
-    return cached_expansion(spec, N, cache_dir).integer_coeffs()
+    # Always expanded afresh: a stale or corrupt cache row must not stand in
+    # for one side of the oracle.  The cache is only checked and extended.
+    return cached_expansion(spec, N, cache_dir, fresh=True).integer_coeffs()
 
 
 def _theta_route(spec: FamilySpec, N: int) -> list[int]:

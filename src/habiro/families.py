@@ -341,6 +341,10 @@ def theta_q_expansion(ident: StrangeIdentity, order: int) -> TruncatedSeries:
 
 # -- disk cache ---------------------------------------------------------------
 
+# Written into every cache file.  A file with another value, or none, was
+# written by other code and is treated as absent.
+CACHE_FORMAT = 1
+
 
 def _read_cache(path: Path) -> dict | None:
     try:
@@ -348,6 +352,8 @@ def _read_cache(path: Path) -> dict | None:
             data = json.load(fh)
         coeffs = [int(s) for s in data["coefficients"]]
     except (OSError, ValueError, KeyError, TypeError):
+        return None
+    if data.get("format") != CACHE_FORMAT:
         return None
     if not isinstance(data.get("N"), int) or len(coeffs) != data["N"] + 1:
         return None
@@ -357,6 +363,7 @@ def _read_cache(path: Path) -> dict | None:
 
 def _write_cache(path: Path, spec: FamilySpec, N: int, coeffs: list[int]) -> None:
     payload = {
+        "format": CACHE_FORMAT,
         "family": spec.kind,
         "params": spec.params(),
         "N": N,
@@ -374,13 +381,16 @@ def _write_cache(path: Path, spec: FamilySpec, N: int, coeffs: list[int]) -> Non
         raise
 
 
-def cached_expansion(spec: FamilySpec, N: int, cache_dir: str | os.PathLike | None) -> TruncatedSeries:
+def cached_expansion(
+    spec: FamilySpec, N: int, cache_dir: str | os.PathLike | None, fresh: bool = False
+) -> TruncatedSeries:
     """Expansion at q = 1-u, reusing and extending a JSON cache directory.
 
-    A cached run covering the requested order is sliced without recomputation.
-    Extending a shorter cached run recomputes from scratch and insists the old
-    prefix matches exactly; a disagreement means stored data went bad and
-    raises instead of silently overwriting.
+    A cached run covering the requested order is sliced without recomputation,
+    unless fresh is set.  In every other case the expansion is computed from
+    scratch and must match the stored row where the two overlap; a
+    disagreement means stored data went bad and raises instead of silently
+    overwriting.  The fresh row is stored when it is longer than the stored one.
     """
     _check_order(N)
     if cache_dir is None:
@@ -389,11 +399,14 @@ def cached_expansion(spec: FamilySpec, N: int, cache_dir: str | os.PathLike | No
     data = _read_cache(path)
     if data is not None and (data.get("family") != spec.kind or data.get("params") != spec.params()):
         data = None
-    if data is not None and data["N"] >= N:
+    if not fresh and data is not None and data["N"] >= N:
         return TruncatedSeries(data["coefficients"][: N + 1])
-    fresh = expand_family(spec, N)
-    coeffs = fresh.integer_coeffs()
-    if data is not None and coeffs[: data["N"] + 1] != data["coefficients"]:
-        raise RuntimeError(f"cache file {path} disagrees with a fresh computation")
-    _write_cache(path, spec, N, coeffs)
-    return fresh
+    result = expand_family(spec, N)
+    coeffs = result.integer_coeffs()
+    if data is not None:
+        overlap = min(data["N"], N) + 1
+        if coeffs[:overlap] != data["coefficients"][:overlap]:
+            raise RuntimeError(f"cache file {path} disagrees with a fresh computation")
+    if data is None or data["N"] < N:
+        _write_cache(path, spec, N, coeffs)
+    return result

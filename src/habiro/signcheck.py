@@ -103,16 +103,15 @@ def bernoulli_sign_test(ident: StrangeIdentity, n: int) -> int:
         raise ValueError("sample index must be nonnegative")
     period = ident.f.period
     s = 2 * n + ident.nu + 1
-    acc = Fraction(0)
-    # residue 0 contributes at the right endpoint of the period window
-    for m, v in ident.f.entries:
-        acc += v * bernoulli_poly(s, Fraction(m if m else period, period))
-    total = acc if n % 2 else -acc
-    if total > 0:
-        return 1
-    if total < 0:
-        return -1
-    return 0
+    # Only the sign is needed, so the sum stays an unreduced num/den with
+    # den > 0.  Residue 0 contributes at the right endpoint of the period
+    # window, and B_s(1 - x) = (-1)**s B_s(x) pairs each residue with its mirror.
+    num, den = 0, 1
+    for m, v in ident.f.folded(-1 if s % 2 else 1):
+        term = v * bernoulli_poly(s, Fraction(m if m else period, period))
+        num, den = num * term.denominator + term.numerator * den, den * term.denominator
+    sign = (num > 0) - (num < 0)
+    return sign if n % 2 else -sign
 
 
 @dataclass(frozen=True)

@@ -10,14 +10,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, isqrt, lcm
+from math import isqrt, lcm
 
 from habiro.exact import (
     DEFAULT_PRECISION,
     CyclotomicNumber,
     IntervalReal,
     bernoulli_poly,
-    stirling_first,
 )
 from habiro.qseries import TruncatedSeries
 
@@ -76,6 +75,22 @@ class PeriodicFunction:
 
     def is_odd(self) -> bool:
         return all(self(-r) == -v for r, v in self.entries)
+
+    def folded(self, sign: int) -> tuple[tuple[int, Fraction], ...]:
+        """Entries to sum g(r/M) against when g(1 - x) = sign * g(x).
+
+        Each residue r above its mirror M - r is merged into the mirror with
+        the factor sign; weights that cancel are dropped.  Residue 0 stands
+        for the point x = 1 of the period window and has no mirror in it.
+        """
+        acc: dict[int, Fraction] = {}
+        for r, v in self.entries:
+            mirror = self.period - r
+            if mirror < r:
+                acc[mirror] = acc.get(mirror, 0) + sign * v
+            else:
+                acc[r] = acc.get(r, 0) + v
+        return tuple((r, v) for r, v in sorted(acc.items()) if v)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -246,26 +261,39 @@ def c_sequence(ident: StrangeIdentity, N: int) -> CSequence:
     if N < 0:
         raise ValueError("need a nonnegative count")
     period = ident.f.period
+    # s = 2n + nu + 1 keeps its parity, and B_s(1 - x) = (-1)**s B_s(x) lets
+    # each residue share the Bernoulli value of its mirror
+    weights = ident.f.folded(1 if ident.nu else -1)
     out = []
     for n in range(N + 1):
         s = 2 * n + ident.nu + 1
         acc = Fraction(0)
         # residue 0 contributes at the right endpoint of the period window
-        for m, v in ident.f.entries:
+        for m, v in weights:
             acc += v * bernoulli_poly(s, Fraction(m if m else period, period))
         sign = -1 if n % 2 == 0 else 1
         out.append(sign * Fraction(period) ** (s - 1) / s * acc)
     return CSequence(tuple(out))
 
 
+def _over_common_denominator(values) -> tuple[list[int], int]:
+    """Integers x_i and L with values[i] = x_i / L, L the lcm of the denominators."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def b_sequence(ident: StrangeIdentity, c: CSequence) -> BSequence:
     """Change of expansion point: B_n = b**-n sum_k C(n,k) a**(n-k) C_k."""
-    out = []
-    for n in range(len(c)):
-        acc = Fraction(0)
-        for k in range(n + 1):
-            acc += comb(n, k) * Fraction(ident.a) ** (n - k) * c[k]
-        out.append(acc / Fraction(ident.b) ** n)
+    # Over the lcm denominator L of C, T_0[k] = L C_k and
+    # T_n[k] = a T_(n-1)[k] + T_(n-1)[k+1] give
+    # T_n[k] = L sum_i C(n,i) a**(n-i) C_(k+i), so T_n[0] = L b**n B_n.
+    # Each step multiplies by the small integer a only.
+    row, den = _over_common_denominator(c.values)
+    out = [Fraction(row[0], den)]
+    for _ in range(1, len(c)):
+        row = [ident.a * x + y for x, y in zip(row, row[1:])]
+        den *= ident.b
+        out.append(Fraction(row[0], den))
     b = BSequence(tuple(out))
     if len(b) and b[0] != c[0]:
         raise AssertionError("B_0 must equal C_0")
@@ -273,19 +301,25 @@ def b_sequence(ident: StrangeIdentity, c: CSequence) -> BSequence:
 
 
 def xi_from_theta(b: BSequence, N: int) -> TruncatedSeries:
-    """Integer coefficient sequence from the B-expansion via Stirling weights."""
+    """Integer coefficient sequence from the B-expansion via Stirling weights.
+
+    xi_n = sum_j c(n, j) B_j / n!, with c the unsigned Stirling numbers of the
+    first kind, which are the coefficients of x (x+1) ... (x+n-1).
+    """
     if len(b) <= N:
         raise ValueError("B-sequence does not cover the requested range")
+    # Let Lam map x**j to L B_j, L the lcm denominator of B_0..B_N.  Then
+    # W_n[i] = Lam(x**i x (x+1) ... (x+n-1)) satisfies
+    # W_n[i] = W_(n-1)[i+1] + (n-1) W_(n-1)[i], and W_n[0] = L n! xi_n: the
+    # Stirling recurrence runs implicitly, multiplying by n - 1 only.
+    row, scale = _over_common_denominator(b.values[: N + 1])
     out: list[int] = []
     for n in range(N + 1):
-        if n == 0:
-            val = b[0]
-        else:
-            acc = Fraction(0)
-            for m in range(n):
-                acc += stirling_first(n, n - m) * b[n - m]
-            val = acc / factorial(n)
-        if val.denominator != 1:
+        if n:
+            row = [y + (n - 1) * x for x, y in zip(row, row[1:])]
+            scale *= n
+        val, rem = divmod(row[0], scale)
+        if rem:
             raise ValueError("strange-identity data inconsistent with integrality")
-        out.append(int(val))
+        out.append(val)
     return TruncatedSeries(out)

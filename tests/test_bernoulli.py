@@ -1,12 +1,16 @@
 """Bernoulli numbers and polynomials against an independent oracle."""
 
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 import sympy
+from bernoulli_ref import bernoulli_number_ref, bernoulli_poly_ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import habiro.exact.bernoulli as bernoulli_module
 from habiro.exact import bernoulli_number, bernoulli_poly
 
 
@@ -65,3 +69,59 @@ def test_reflection_identity(k, x):
 @given(k=st.integers(min_value=1, max_value=30), x=rationals)
 def test_forward_difference(k, x):
     assert bernoulli_poly(k, x + 1) - bernoulli_poly(k, x) == k * x ** (k - 1)
+
+
+# -- the integer kernel against the Fraction reference ----------------------
+
+HUGE = 3 * 2**151  # the period of torus32t(150)
+EVERY_K = range(301)
+SPREAD_K = sorted({*range(41), *range(41, 301, 13), 299, 300})
+POINTS = [
+    *((x, EVERY_K) for x in (0, 1, Fraction(191, 384), Fraction(-385, 384))),
+    *((x, SPREAD_K) for x in (2, -3, 17, Fraction(-7, 3), Fraction(-1, 2))),
+    *((Fraction(m, 384), SPREAD_K) for m in (1, 5, 383)),
+    *((Fraction(m, HUGE), SPREAD_K) for m in (1, 2**151 - 3, 2**152 + 3, HUGE - 1)),
+]
+
+
+def test_numbers_match_reference_through_300():
+    for k in range(301):
+        assert bernoulli_number(k) == bernoulli_number_ref(k)
+
+
+@pytest.mark.parametrize("x, ks", POINTS, ids=[str(i) for i in range(len(POINTS))])
+def test_poly_matches_fraction_horner(x, ks):
+    for k in ks:
+        got = bernoulli_poly(k, x)
+        assert type(got) is Fraction
+        assert got == bernoulli_poly_ref(k, x), k
+
+
+def test_table_shared_by_threads(monkeypatch):
+    # Start from a table through B_2 so that the threads race to grow it.
+    monkeypatch.setattr(bernoulli_module, "_table", bernoulli_module._build_table(2))
+    x = Fraction(5, 384)
+    ks = range(0, 241, 3)
+    want = {k: (bernoulli_number_ref(k), bernoulli_poly_ref(k, x)) for k in ks}
+    errors = []
+
+    def worker(offset):
+        try:
+            for k in ks[offset::4]:
+                assert bernoulli_poly(k, x) == want[k][1], k
+                assert bernoulli_number(k) == want[k][0], k
+        except Exception as err:  # reported by the main thread
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []

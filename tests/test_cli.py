@@ -6,6 +6,7 @@ import math
 import pytest
 
 import habiro.cli as cli
+import habiro.families as families
 from habiro.cli import main
 
 pytestmark = pytest.mark.usefixtures("isolated_cache")
@@ -153,6 +154,66 @@ def test_crosscheck_reports_first_mismatch(capsys, monkeypatch):
     data = json.loads(out)
     assert data["status"] == "mismatch"
     assert data["index"] == 3 and data["direct"] == "5" and data["theta"] == "6"
+
+
+def _counting_expand(monkeypatch):
+    calls = []
+    real = families.expand_family
+
+    def counted(spec, N):
+        calls.append((spec, N))
+        return real(spec, N)
+
+    monkeypatch.setattr(families, "expand_family", counted)
+    return calls
+
+
+def test_crosscheck_expands_fresh_even_when_cached(capsys, tmp_path, monkeypatch):
+    cache = ["--cache-dir", str(tmp_path)]
+    run(capsys, "expand", "--family", "torus2", "--m", "2", "--ell", "1", "-N", "15", *cache)
+    calls = _counting_expand(monkeypatch)
+    code, out, _ = run(capsys, "crosscheck", "--family", "torus2", "--m", "2", "--ell", "1",
+                       "-N", "10", *cache)
+    assert code == 0 and out == "pass: 11 coefficients agree\n"
+    assert [n for _, n in calls] == [10]
+    # the longer stored row is kept
+    assert json.loads((tmp_path / "torus2-m2-ell1.json").read_text())["N"] == 15
+
+
+def test_crosscheck_fills_the_cache_for_expand(capsys, tmp_path, monkeypatch):
+    cache = ["--cache-dir", str(tmp_path)]
+    code, _, _ = run(capsys, "crosscheck", "--family", "habiro-g", "--k", "2", "-N", "12", *cache)
+    assert code == 0
+    calls = _counting_expand(monkeypatch)
+    code, out, _ = run(capsys, "expand", "--family", "habiro-g", "--k", "2", "-N", "12", *cache)
+    assert code == 0 and calls == []
+    assert out.startswith("1, ")
+
+
+def test_crosscheck_rejects_a_tampered_cache_row(capsys, tmp_path):
+    cache = ["--cache-dir", str(tmp_path)]
+    run(capsys, "expand", "--family", "torus2", "--m", "2", "--ell", "1", "-N", "15", *cache)
+    path = tmp_path / "torus2-m2-ell1.json"
+    data = json.loads(path.read_text())
+    data["coefficients"][5] = "967"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "crosscheck", "--family", "torus2", "--m", "2", "--ell", "1",
+                         "-N", "10", *cache)
+    assert code == 1 and out == ""
+    assert str(path) in err and "disagrees" in err
+
+
+def test_crosscheck_overwrites_a_row_of_another_format(capsys, tmp_path):
+    cache = ["--cache-dir", str(tmp_path)]
+    path = tmp_path / "fishburn.json"
+    for version in ({}, {"format": 999}):
+        path.write_text(json.dumps({**version, "family": "fishburn", "params": {},
+                                    "N": 20, "coefficients": ["7"] * 21}))
+        code, out, err = run(capsys, "crosscheck", "--family", "fishburn", "-N", "8", *cache)
+        assert (code, out, err) == (0, "pass: 9 coefficients agree\n", "")
+        data = json.loads(path.read_text())
+        assert data["format"] == families.CACHE_FORMAT
+        assert data["N"] == 8 and data["coefficients"][:6] == ["1", "1", "2", "5", "15", "53"]
 
 
 # -- verify ------------------------------------------------------------------

@@ -274,6 +274,7 @@ def test_cache_round_trip_and_format(tmp_path):
     got = cached_expansion(spec, 6, tmp_path)
     assert got == expand_torus32t(2, 6)
     data = json.loads((tmp_path / "torus32t-t2.json").read_text())
+    assert data["format"] == families.CACHE_FORMAT
     assert data["family"] == "torus32t"
     assert data["params"] == {"t": 2}
     assert data["N"] == 6
@@ -325,6 +326,18 @@ def test_cache_heals_unreadable_or_stale_files(tmp_path):
     path.write_text(json.dumps(wrong))
     assert cached_expansion(spec, 3, tmp_path) == expand_torus2(2, 0, 3)
     assert json.loads(path.read_text())["params"] == {"m": 2, "ell": 0}
+
+
+def test_cache_rows_of_another_format_are_recomputed(tmp_path):
+    spec = FamilySpec.fishburn()
+    path = tmp_path / "fishburn.json"
+    for version in ({}, {"format": families.CACHE_FORMAT + 1}):
+        # Disagreeing coefficients count as absent, not as a disagreement.
+        path.write_text(json.dumps({**version, "family": "fishburn", "params": {},
+                                    "N": 9, "coefficients": ["7"] * 10}))
+        assert cached_expansion(spec, 6, tmp_path) == expand_fishburn(6)
+        data = json.loads(path.read_text())
+        assert data["format"] == families.CACHE_FORMAT and data["N"] == 6
 
 
 def test_cache_dir_none_computes_directly(tmp_path):

@@ -164,6 +164,7 @@ def test_sign_test_rejects_negative_index():
         FamilySpec.torus32t(2),
         FamilySpec.torus2(2, 1),
         FamilySpec.habiro_g(2),
+        FamilySpec.torus32t(60),
     ],
     ids=lambda s: s.label(),
 )

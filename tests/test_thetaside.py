@@ -1,14 +1,20 @@
 """Periodic weights and the C -> B -> xi route, against independent oracles."""
 
+import hashlib
+import json
 from fractions import Fraction
+from math import comb, factorial
+from pathlib import Path
 
 import pytest
 import sympy
 from sympy.functions.combinatorial.numbers import stirling
 
-from habiro.exact import CyclotomicNumber, IntervalReal
+from habiro.exact import CyclotomicNumber, IntervalReal, bernoulli_poly
+from habiro.families import FamilySpec, identity_for
 from habiro.thetaside import (
     BSequence,
+    CSequence,
     PeriodicFunction,
     StrangeIdentity,
     b_sequence,
@@ -68,6 +74,22 @@ def test_mean_zero_and_parity_sweep():
     for k in range(1, 9):
         f = make_chi_k(k)
         assert f.mean_is_zero() and f.is_odd()
+
+
+@pytest.mark.parametrize("sign, degrees", [(1, (2, 4, 10)), (-1, (1, 3, 9))])
+def test_folded_weights_give_the_same_bernoulli_sums(sign, degrees):
+    # B_s(1 - x) = (-1)**s B_s(x).  Residues 0 and 6 are their own mirrors
+    # here, and 3 and 9 cancel for sign = -1.
+    f = PeriodicFunction.from_values(
+        (Fraction(2), Fraction(1, 3), 0, Fraction(5), 0, Fraction(-7, 2), Fraction(4),
+         0, 0, Fraction(5), 0, Fraction(-1, 6)))
+    folded = f.folded(sign)
+    assert len(folded) == (5 if sign == 1 else 4)
+    for s in degrees:
+        def total(entries):
+            return sum(v * bernoulli_poly(s, Fraction(m or 12, 12)) for m, v in entries)
+
+        assert total(folded) == total(f.entries)
 
 
 def test_json_roundtrip():
@@ -221,10 +243,26 @@ def test_xi_torus_two_parameter():
     assert xi.integer_coeffs() == [2, 3, 9, 35, 168, 966, 6496, 50103, 436338]
 
 
+def test_b_and_xi_match_their_defining_sums():
+    ident = StrangeIdentity(9, 56, 1, make_chi_m_ell(3, 1))
+    c = CSequence(tuple(Fraction((-1) ** n * (n * n + 3), 7 * n + 2) for n in range(12)))
+    b = b_sequence(ident, c)
+    for n in range(12):
+        want = sum(comb(n, k) * Fraction(9) ** (n - k) * c[k] for k in range(n + 1)) / 56**n
+        assert b[n] == want
+    b = b_sequence(ident, c_sequence(ident, 30))
+    xi = xi_from_theta(b, 30)
+    for n in range(31):
+        want = sum(int(stirling(n, j, kind=1, signed=False)) * b[j] for j in range(n + 1))
+        assert xi.coefficient(n) == want / factorial(n)
+
+
 def test_xi_integrality_guard():
     bad = BSequence((Fraction(1), Fraction(1, 2)))
     with pytest.raises(ValueError, match="integrality"):
         xi_from_theta(bad, 1)
+    with pytest.raises(ValueError, match="integrality"):
+        xi_from_theta(BSequence((Fraction(1, 2),)), 0)
     with pytest.raises(ValueError, match="cover"):
         xi_from_theta(bad, 5)
 
@@ -234,3 +272,24 @@ def test_c_sign_stabilization_fishburn():
     # the threshold at 0, so every C value must already be positive.
     c = c_sequence(fishburn_identity(), 12)
     assert all(v > 0 for v in c.values)
+
+
+DIGESTS = json.loads((Path(__file__).parent / "data" / "theta_digests.json").read_text())
+
+
+def _digest(values) -> str:
+    return hashlib.sha256("\n".join(str(v) for v in values).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "member", DIGESTS["members"], ids=lambda m: FamilySpec(m["family"], **m["params"]).label()
+)
+def test_theta_route_matches_frozen_digests(member):
+    n = DIGESTS["N"]
+    ident = identity_for(FamilySpec(member["family"], **member["params"]))
+    c = c_sequence(ident, n)
+    b = b_sequence(ident, c)
+    xi = xi_from_theta(b, n)
+    assert _digest(c.values) == member["C"]
+    assert _digest(b.values) == member["B"]
+    assert _digest(xi.integer_coeffs()) == member["xi"]
