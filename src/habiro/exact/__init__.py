@@ -9,7 +9,6 @@ from habiro.exact.intervals import (
     PrecisionCapError,
     decide_sign,
 )
-from habiro.exact.stirling import stirling_first
 from habiro.exact.zeta import zeta_even, zeta_interval
 
 __all__ = [
@@ -22,7 +21,6 @@ __all__ = [
     "bernoulli_poly",
     "cyclotomic_poly",
     "decide_sign",
-    "stirling_first",
     "totient",
     "zeta_even",
     "zeta_interval",

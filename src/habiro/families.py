@@ -16,6 +16,7 @@ from fractions import Fraction
 from math import comb, isqrt
 from pathlib import Path
 
+# perfbench/tracing.py wraps mul_dense_int here, so it stays bound though unused.
 from habiro.qseries import (
     TruncatedSeries,
     mul_dense_int,
@@ -122,32 +123,62 @@ def _check_order(N: int) -> None:
         raise ValueError("truncation order must be nonnegative")
 
 
-def _add_shifted(a: list[int], b: list[int], shift: int, limit: int | None = None) -> list[int]:
-    """Add b, shifted up by the given exponent, into a copy of a."""
-    n = len(b) + shift
-    if limit is not None:
-        n = min(n, limit + 1)
-    out = a + [0] * (n - len(a)) if n > len(a) else list(a)
-    for i, c in enumerate(b):
-        if c and shift + i < n:
-            out[shift + i] += c
+# -- direct expansions at q = 1-u --------------------------------------------
+
+
+def _q_power(e: int, order: int) -> list[int]:
+    """Coefficients of q**e = (1-u)**e through the given order."""
+    out = [-c for c in one_minus_power_int(e, order)]
+    out[0] = 1
     return out
 
 
-# -- direct expansions at q = 1-u --------------------------------------------
+def _expand_nested(
+    N: int, levels: list[tuple[int, int, int, int]], outer: tuple[int, int, int]
+) -> TruncatedSeries:
+    """Coefficients through u**N of a nested sum, every level kept in u.
+
+    A level (d, b, alpha, beta) maps the inner sums p[n], 1 below the
+    innermost level, to sum_n [j + d, n]_{q**b} q**(alpha*n*n + beta*n) p[n];
+    levels are listed innermost first.  The outer factor (s, c, c0) gives
+    index n the weight q**(s*n) prod_{i <= n} (1 - q**(c*i + c0)), of
+    valuation n in u.  A level lowers an index by at most its d, so an entry
+    of index j is needed only through u**(N - j + D), D the sum of d over
+    the levels still to apply.  A level is a repeated q-difference: after J
+    steps of w[n] <- w[n+1] + q**(b*n) w[n], w[0] is sum_n [J, n]_{q**b} w[n].
+    """
+    _check_order(N)
+    D = sum(level[0] for level in levels)
+    p = [[1]] * (N + D + 1)
+    for d, b, alpha, beta in levels:
+        top = N + D
+        w = [mul_trunc_int(_q_power(alpha * n * n + beta * n, N), p[n], min(N, top - n))
+             for n in range(top + 1)]
+        p = []
+        for J in range(top + 1):
+            if J >= d:
+                p.append(w[0])
+            for n in range(top - J):
+                order = min(N, top - J - 1 - n)
+                moved = mul_trunc_int(_q_power(b * n, order), w[n], order)
+                w[n] = [x + y for x, y in zip(w[n + 1], moved)]
+            w.pop()
+        D -= d
+    s, c, c0 = outer
+    acc = [0] * (N + 1)
+    weight = [1] + [0] * N
+    q_s = _q_power(s, N)
+    for n in range(N + 1):
+        for j, v in enumerate(mul_trunc_int(weight[n:], p[n], N - n)):
+            acc[n + j] += v
+        step = [x - y for x, y in zip(q_s, _q_power(s + c * (n + 1) + c0, N))]
+        weight = mul_trunc_int(weight, step, N)
+    return TruncatedSeries(acc)
 
 
 def expand_fishburn(N: int) -> TruncatedSeries:
     """Coefficients through u**N of the Kontsevich element at q = 1-u."""
-    _check_order(N)
-    acc = [1] + [0] * N
-    term = [1] + [0] * N
-    # (q;q)_n has valuation n in u, so n > N contributes nothing.
-    for n in range(1, N + 1):
-        term = mul_trunc_int(term, one_minus_power_int(n, N), N)
-        for j in range(n, N + 1):
-            acc[j] += term[j]
-    return TruncatedSeries(acc)
+    return _expand_nested(N, [], (0, 1, 0))
 
 
 def _torus32t_constants(t: int) -> tuple[int, int, int, int]:
@@ -191,11 +222,12 @@ def expand_torus32t(t: int, N: int) -> TruncatedSeries:
             for l in range(1, m):
                 prod = mul_sparse_binomial_int(prod, l + base)
         # Sum over the residual index of partial products of the fresh factors.
-        q_part = list(prod)
-        total = list(prod)
+        q_part = prod
+        total = prod + [0] * sum(l + m * n for l in range(1, m))
         for l in range(1, m):
             q_part = mul_sparse_binomial_int(q_part, l + m * n)
-            total = _add_shifted(total, q_part, 0)
+            for e, c in enumerate(q_part):
+                total[e] += c
         survivors = [total[e] for e in range(a, len(total), m)]
         term = subst_one_minus_int(survivors, N)
         for j in range(N + 1):
@@ -215,36 +247,12 @@ def expand_torus2(m: int, ell: int, N: int) -> TruncatedSeries:
     k_i**2 (+ k_i past level ell) and binomial [k_{i+1} + delta(i, ell), k_i],
     and the outermost index contributes (q;q)_{k_m} with valuation k_m.
     """
-    _check_order(N)
     if m < 1:
         raise ValueError("m must be at least 1")
     if not 0 <= ell <= m - 1:
         raise ValueError(f"ell must lie in [0, {m - 1}]")
-    if m == 1:
-        return expand_fishburn(N)
-    bounds = [0] * (m + 1)
-    bounds[m] = N
-    for i in range(m - 1, 0, -1):
-        bounds[i] = bounds[i + 1] + (1 if i == ell else 0)
-    prev = [[1] for _ in range(bounds[1] + 1)]
-    for i in range(1, m):
-        d = 1 if i == ell else 0
-        lin = 1 if i > ell else 0
-        cur = []
-        for j in range(bounds[i + 1] + 1):
-            total: list[int] = []
-            for ki in range(j + d + 1):
-                piece = mul_dense_int(qbinomial(j + d, ki), prev[ki])
-                total = _add_shifted(total, piece, ki * ki + lin * ki)
-            cur.append(total)
-        prev = cur
-    poly: list[int] = []
-    poch = [1]
-    for km in range(N + 1):
-        if km:
-            poch = mul_sparse_binomial_int(poch, km)
-        poly = _add_shifted(poly, mul_dense_int(poch, prev[km]), 0)
-    return TruncatedSeries(subst_one_minus_int(poly, N))
+    levels = [(int(i == ell), 1, 1, int(i > ell)) for i in range(1, m)]
+    return _expand_nested(N, levels, (0, 1, 0))
 
 
 def expand_habiro_g(k: int, N: int) -> TruncatedSeries:
@@ -254,27 +262,9 @@ def expand_habiro_g(k: int, N: int) -> TruncatedSeries:
     the outermost contributes q**n (q;q**2)_n, whose valuation n cuts the
     outer sum at N.
     """
-    _check_order(N)
     if k < 1:
         raise ValueError("k must be at least 1")
-    prev = [[1] for _ in range(N + 1)]
-    for _ in range(1, k):
-        cur = []
-        for j in range(N + 1):
-            total: list[int] = []
-            for n in range(j + 1):
-                e = 2 * n * n + 2 * n
-                piece = mul_dense_int(qbinomial(j, n, base_power=2), prev[n])
-                total = _add_shifted(total, piece, e)
-            cur.append(total)
-        prev = cur
-    poly: list[int] = []
-    oddpoch = [1]
-    for nk in range(N + 1):
-        if nk:
-            oddpoch = mul_sparse_binomial_int(oddpoch, 2 * nk - 1)
-        poly = _add_shifted(poly, mul_dense_int(oddpoch, prev[nk]), nk)
-    return TruncatedSeries(subst_one_minus_int(poly, N))
+    return _expand_nested(N, [(0, 2, 2, 2)] * (k - 1), (1, 2, -1))
 
 
 def expand_habiro_g_qseries(k: int, order: int) -> TruncatedSeries:
@@ -289,23 +279,24 @@ def expand_habiro_g_qseries(k: int, order: int) -> TruncatedSeries:
         top = order if i == k - 1 else inner_bound
         cur = []
         for j in range(top + 1):
-            total: list[int] = []
+            total = [0] * (order + 1)
             for n in range(min(j, inner_bound) + 1):
                 e = 2 * n * n + 2 * n
                 if e > order:
                     break
                 piece = mul_trunc_int(prev[n], qbinomial(j, n, base_power=2), order - e)
-                total = _add_shifted(total, piece, e, limit=order)
+                for x, c in enumerate(piece, e):
+                    total[x] += c
             cur.append(total)
         prev = cur
-    poly: list[int] = []
+    poly = [0] * (order + 1)
     oddpoch = [1]
     for nk in range(order + 1):
         if nk:
             oddpoch = mul_sparse_binomial_int(oddpoch, 2 * nk - 1, limit=order)
         piece = mul_trunc_int(prev[nk], oddpoch, order - nk)
-        poly = _add_shifted(poly, piece, nk, limit=order)
-    poly += [0] * (order + 1 - len(poly))
+        for x, c in enumerate(piece, nk):
+            poly[x] += c
     return TruncatedSeries(poly)
 
 

@@ -94,6 +94,18 @@ def test_criterion_3_dual_routes():
     report(3, f"direct and theta routes agree through n=20 for {len(specs)} families in {elapsed:.2f}s")
 
 
+def test_criterion_3_dual_routes_at_n60():
+    start = time.perf_counter()
+    specs = [FamilySpec.torus2(m, ell) for m in (2, 3) for ell in range(m)]
+    specs += [FamilySpec.habiro_g(k) for k in (2, 3)]
+    for spec in specs:
+        ident = identity_for(spec)
+        theta = xi_from_theta(b_sequence(ident, c_sequence(ident, 60)), 60)
+        assert expand_family(spec, 60).integer_coeffs() == theta.integer_coeffs()
+    elapsed = time.perf_counter() - start
+    report(3, f"direct and theta routes agree through n=60 for {len(specs)} families in {elapsed:.2f}s")
+
+
 def test_criterion_4_bernoulli_spot_values():
     ident = identity_for(FamilySpec.fishburn())
     c = c_sequence(ident, 2)

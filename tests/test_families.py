@@ -246,7 +246,10 @@ SWEEP = [
     FamilySpec.fishburn(),
     FamilySpec.torus32t(2),
     FamilySpec.torus2(2, 1),
+    FamilySpec.torus2(3, 0),
+    FamilySpec.torus2(3, 1),
     FamilySpec.habiro_g(2),
+    FamilySpec.habiro_g(3),
 ]
 
 
