@@ -86,7 +86,7 @@ def make_profile(
     k = find_k_nu(ident.f, ident.nu)
     prec = min(precision, cap)
     while True:
-        _, numeric = g_value(ident.f, ident.nu, k, prec)
+        numeric = g_value(ident.f, ident.nu, k, prec)
         if not numeric.contains_zero():
             break
         if prec >= cap:

@@ -1,7 +1,7 @@
-"""Exact rational, interval and cyclotomic arithmetic used by every other layer."""
+"""Exact rational and interval arithmetic, and an exact zero test for sums of roots of unity."""
 
 from habiro.exact.bernoulli import bernoulli_number, bernoulli_poly
-from habiro.exact.cyclotomic import CyclotomicNumber, cyclotomic_poly, totient
+from habiro.exact.cyclotomic import root_sum_is_zero
 from habiro.exact.intervals import (
     DEFAULT_PRECISION,
     PRECISION_CAP,
@@ -12,16 +12,14 @@ from habiro.exact.intervals import (
 from habiro.exact.zeta import zeta_even, zeta_interval
 
 __all__ = [
-    "CyclotomicNumber",
     "DEFAULT_PRECISION",
     "IntervalReal",
     "PRECISION_CAP",
     "PrecisionCapError",
     "bernoulli_number",
     "bernoulli_poly",
-    "cyclotomic_poly",
     "decide_sign",
-    "totient",
+    "root_sum_is_zero",
     "zeta_even",
     "zeta_interval",
 ]

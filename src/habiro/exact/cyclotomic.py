@@ -1,17 +1,18 @@
-"""Exact arithmetic in cyclotomic fields, enough to certify vanishing.
+"""Exact vanishing test for rational sums of roots of unity.
 
-Elements are stored on the power basis 1, z, ..., z**(phi(C)-1) of the C-th
-cyclotomic field, so equality and zero tests are coefficient comparisons.
+With rad the product of the primes dividing C and s = C/rad, the C-th
+cyclotomic polynomial is Phi_rad(z**s), so 1, z, ..., z**(s-1) is a basis
+of Q(z) over Q(z**s) = Q(zeta_rad), z a primitive C-th root of unity.  A sum
+of c_e z**e therefore vanishes exactly when, for each residue i mod s, the
+polynomial sum_j c_(i+sj) x**j of degree < rad is divisible by Phi_rad.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
-from typing import Iterable, Mapping
-
-_lock = threading.Lock()
-_poly_cache: dict[int, dict[int, int]] = {}
+from functools import cache
+from math import prod
+from typing import Mapping
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -28,14 +29,6 @@ def factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
-
-
-def totient(n: int) -> int:
-    """Euler's totient."""
-    t = n
-    for p in factorize(n):
-        t = t // p * (p - 1)
-    return t
 
 
 def _dense_div_exact(num: list[int], den: list[int]) -> list[int]:
@@ -59,17 +52,20 @@ def _dense_div_exact(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
-def _cyclotomic_squarefree(s: int) -> list[int]:
+@cache
+def _cyclotomic_squarefree(s: int) -> tuple[int, ...]:
     """Dense coefficients of the s-th cyclotomic polynomial, s squarefree."""
-    if s == 1:
-        return [-1, 1]
-    poly = [0] * (s + 1)
-    poly[0] = -1
-    poly[s] = 1
+    poly = [-1] + [0] * (s - 1) + [1]
     for d in _divisors(s):
         if d < s:
             poly = _dense_div_exact(poly, _cyclotomic_squarefree(d))
-    return poly
+    return tuple(poly)
+
+
+@cache
+def _cofactor(s: int) -> tuple[int, ...]:
+    """Dense coefficients of (x**s - 1) / Phi_s, s squarefree."""
+    return tuple(_dense_div_exact([-1] + [0] * (s - 1) + [1], _cyclotomic_squarefree(s)))
 
 
 def _divisors(n: int) -> list[int]:
@@ -79,73 +75,23 @@ def _divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-def cyclotomic_poly(n: int) -> dict[int, int]:
-    """Sparse exponent-to-coefficient map of the n-th cyclotomic polynomial."""
-    if n < 1:
-        raise ValueError("argument must be positive")
-    with _lock:
-        cached = _poly_cache.get(n)
-        if cached is not None:
-            return dict(cached)
-    rad = 1
-    for p in factorize(n):
-        rad *= p
-    dense = _cyclotomic_squarefree(rad)
-    stretch = n // rad
-    sparse = {i * stretch: c for i, c in enumerate(dense) if c}
-    with _lock:
-        _poly_cache[n] = dict(sparse)
-    return sparse
+def root_sum_is_zero(conductor: int, terms: Mapping[int, Fraction | int]) -> bool:
+    """Whether sum c_e z**e vanishes, z a primitive conductor-th root of unity.
 
-
-class CyclotomicNumber:
-    """Rational linear combination of roots of unity of a fixed conductor."""
-
-    __slots__ = ("conductor", "coeffs")
-
-    def __init__(self, conductor: int, coeffs: Iterable[Fraction]):
-        self.conductor = conductor
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
-        if len(self.coeffs) != totient(conductor):
-            raise ValueError("coefficient vector has the wrong length")
-
-    @classmethod
-    def from_terms(
-        cls, conductor: int, terms: Mapping[int, Fraction | int]
-    ) -> "CyclotomicNumber":
-        """Build sum of c_e * z**e from exponent-to-coefficient terms."""
-        dense = [Fraction(0)] * conductor
-        for e, c in terms.items():
-            dense[e % conductor] += Fraction(c)
-        return cls(conductor, _reduce(dense, conductor))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CyclotomicNumber):
-            return NotImplemented
-        return self.conductor == other.conductor and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.conductor, self.coeffs))
-
-    def __repr__(self) -> str:
-        nz = {i: str(c) for i, c in enumerate(self.coeffs) if c}
-        return f"CyclotomicNumber(C={self.conductor}, {nz})"
-
-
-def _reduce(dense: list[Fraction], conductor: int) -> list[Fraction]:
-    """Reduce a degree < C polynomial in z modulo the C-th cyclotomic polynomial."""
-    phi = totient(conductor)
-    sparse = cyclotomic_poly(conductor)
-    lower = [(e, c) for e, c in sparse.items() if e < phi]
-    for e in range(len(dense) - 1, phi - 1, -1):
-        c = dense[e]
-        if c == 0:
-            continue
-        dense[e] = Fraction(0)
-        for ee, cc in lower:
-            dense[e - phi + ee] -= c * cc
-    return dense[:phi]
-
+    x**rad - 1 = Phi_rad * Psi with coprime factors, so Phi_rad divides a
+    group's polynomial P exactly when P * Psi vanishes mod x**rad - 1.  Each
+    term meets the rad - phi(rad) + 1 coefficients of Psi once, so the cost is
+    O(#terms * rad) whatever the size of conductor / rad.
+    """
+    rad = prod(factorize(conductor))
+    stretch = conductor // rad
+    psi = _cofactor(rad)
+    groups: dict[int, dict[int, Fraction | int]] = {}
+    for e, c in terms.items():
+        e %= conductor
+        row = groups.setdefault(e % stretch, {})
+        for j, d in enumerate(psi):
+            if d:
+                slot = (e // stretch + j) % rad
+                row[slot] = row.get(slot, 0) + c * d
+    return not any(any(row.values()) for row in groups.values())

@@ -93,9 +93,9 @@ def mul_sparse_binomial_int(a: list[int], c: int, limit: int | None = None) -> l
     """Multiply a dense integer polynomial by (1 - x**c), optionally truncated."""
     n = len(a) + c if limit is None else min(len(a) + c, limit + 1)
     out = a[:n] + [0] * (n - len(a))
-    for i in range(n - 1, c - 1, -1):
-        if i - c < len(a):
-            out[i] -= a[i - c]
+    # n <= len(a) + c, so a[i - c] exists for every i
+    for i in range(c, n):
+        out[i] -= a[i - c]
     return out
 
 

@@ -38,7 +38,7 @@ def m_bound(
     scale = 2 * f.support_size() * max(Fraction(1), f.max_abs())
     prec = min(precision, cap)
     while True:
-        gap = abs(g_value(f, nu, k, prec)[1])
+        gap = abs(g_value(f, nu, k, prec))
         if not gap.contains_zero():
             break
         if prec >= cap:

@@ -12,12 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
-from habiro.exact import (
-    DEFAULT_PRECISION,
-    CyclotomicNumber,
-    IntervalReal,
-    bernoulli_poly,
-)
+from habiro.exact import DEFAULT_PRECISION, IntervalReal, bernoulli_poly, root_sum_is_zero
 from habiro.qseries import TruncatedSeries
 
 
@@ -204,8 +199,8 @@ class BSequence:
         return len(self.values)
 
 
-def _g_exact(f: PeriodicFunction, nu: int, k: int) -> CyclotomicNumber:
-    """sqrt(M) * G as an exact cyclotomic number at conductor lcm(4, 2M)."""
+def _g_terms(f: PeriodicFunction, nu: int, k: int) -> tuple[int, dict[int, Fraction]]:
+    """sqrt(M) * G as (C, terms), C = lcm(4, 2M): the sum of terms[e] * exp(2 pi i e / C)."""
     period = f.period
     conductor = lcm(4, 2 * period)
     step = conductor // period
@@ -227,16 +222,15 @@ def _g_exact(f: PeriodicFunction, nu: int, k: int) -> CyclotomicNumber:
             q = (-e + rot) % conductor
             terms[p] = terms.get(p, Fraction(0)) + v
             terms[q] = terms.get(q, Fraction(0)) - v
-    return CyclotomicNumber.from_terms(conductor, terms)
+    return conductor, terms
 
 
 def g_value(
     f: PeriodicFunction, nu: int, k: int, prec: int = DEFAULT_PRECISION
-) -> tuple[CyclotomicNumber, IntervalReal]:
-    """Fourier coefficient G at frequency k: exact sqrt(M)-scaled value and enclosure."""
+) -> IntervalReal:
+    """Enclosure of the Fourier coefficient G at frequency k, at prec bits."""
     if nu not in (0, 1):
         raise ValueError("nu must be 0 or 1")
-    exact = _g_exact(f, nu, k)
     period = f.period
     pi = IntervalReal.pi(prec)
     total = IntervalReal.from_int(0, prec)
@@ -244,14 +238,13 @@ def g_value(
         arg = pi * Fraction(2 * ((m * k) % period), period)
         wave = arg.cos() if nu == 1 else arg.sin()
         total = total + wave * f(m)
-    numeric = total * 2 / IntervalReal.from_int(period, prec).sqrt()
-    return exact, numeric
+    return total * 2 / IntervalReal.from_int(period, prec).sqrt()
 
 
 def find_k_nu(f: PeriodicFunction, nu: int) -> int:
-    """Smallest k in 1..M with G nonzero, certified in the cyclotomic field."""
+    """Smallest k in 1..M with G nonzero, certified by the exact zero test."""
     for k in range(1, f.period + 1):
-        if not _g_exact(f, nu, k).is_zero():
+        if not root_sum_is_zero(*_g_terms(f, nu, k)):
             return k
     raise ValueError("no nonzero Fourier coefficient")
 

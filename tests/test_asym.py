@@ -1,5 +1,7 @@
 """Asymptotic profiles, log-domain main terms, and ratio diagnostics."""
 
+import time
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -212,3 +214,22 @@ def test_profile_from_identity_directly():
     ident = identity_for(FamilySpec.torus32t(3))
     p = make_profile(ident)
     assert p.period == 48 and p.k_nu == 1 and p.sign() == 1
+
+
+def test_deep_torus_profile_stays_small():
+    # torus32t(t) has period 3*2**(t+1); the exact zero test behind k_nu must
+    # not grow with that period.
+    signs = {(p.k_nu, p.g.is_negative(), p.sign())
+             for p in map(profile_for_family, map(FamilySpec.torus32t, range(2, 13)))}
+    assert signs == {(1, True, 1)}
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        p = profile_for_family(FamilySpec.torus32t(64))
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (p.k_nu, p.g.is_negative(), p.sign()) == (1, True, 1)
+    assert elapsed < 1.0
+    assert peak < 2**20

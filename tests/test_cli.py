@@ -341,3 +341,13 @@ def test_asym_plain_format(capsys):
                        "--samples", "16", "--format", "plain")
     assert code == 0
     assert out.startswith("n=16 digits=15 log_ratio=")
+
+
+def test_asym_deep_torus_member(capsys):
+    # period 3*2**31: k_nu comes from the sparse zero test, not a dense vector
+    code, out, _ = run(capsys, "asym", "--family", "torus32t", "--t", "30",
+                       "--samples", "10,20")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == '"n","digits","log_ratio"'
+    assert [line.split(",")[0] for line in lines[1:]] == ['"10"', '"20"']

@@ -12,6 +12,7 @@ from habiro.qseries import (
     TruncatedSeries,
     binomial_transform,
     mul_dense_int,
+    mul_sparse_binomial_int,
     mul_trunc_int,
     one_minus_power_int,
     qbinomial,
@@ -86,6 +87,18 @@ def test_qbinomial_base_power_two():
     assert qbinomial(4, 2, base_power=2) == [1, 0, 1, 0, 2, 0, 1, 0, 1]
     with pytest.raises(ValueError):
         qbinomial(4, 2, base_power=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=st.lists(st.integers(-50, 50), max_size=12),
+    c=st.integers(min_value=1, max_value=8),
+    limit=st.none() | st.integers(min_value=0, max_value=25),
+)
+def test_mul_sparse_binomial_matches_reference(a, c, limit):
+    ref = mul(poly(*a), add(poly(1), shift(poly(-1), c)))
+    width = len(a) + c if limit is None else min(len(a) + c, limit + 1)
+    assert mul_sparse_binomial_int(a, c, limit) == [ref.get(e, 0) for e in range(width)]
 
 
 def test_qbinomial_evaluates_to_binomial_at_one():
