@@ -103,14 +103,26 @@ def profile_for_family(
     return make_profile(identity_for(spec), precision, cap)
 
 
-def _assemble_log(
-    p: AsymptoticProfile, n: int, two_exponent: int, x_weight: int, precision: int
-) -> IntervalReal:
+# row kind -> (slope in n of the power of 2, weight of the exponential factor x).
+# The one-over-one-plus-q row g inverts the factor of the one-minus-q row xi;
+# the two-q-over-one-plus-q row h carries 2**(3n+nu) and no such factor.
+_MAIN_TERMS = {"xi": (2, 1), "g": (2, -1), "h": (3, 0)}
+
+
+def main_term_log(
+    p: AsymptoticProfile, n: int, precision: int = DEFAULT_PRECISION, which: str = "xi"
+) -> tuple[int, IntervalReal]:
+    """Sign and log magnitude of the leading asymptotic term of row `which` at n."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if which not in _MAIN_TERMS:
+        raise ValueError("which must be 'xi', 'g' or 'h'")
+    slope, x_weight = _MAIN_TERMS[which]
     pi = IntervalReal.pi(precision)
     M = IntervalReal.from_int(p.period, precision)
     total = (M / (pi * (2 * p.k_nu))).log() * (2 * n + p.nu + 1)
     total = total + abs(p.g).log()
-    total = total + IntervalReal.from_int(2, precision).log() * two_exponent
+    total = total + IntervalReal.from_int(2, precision).log() * (slope * n + p.nu)
     total = total + log_positive_int(factorial(n), precision)
     total = total + IntervalReal.from_int(n, precision).log() * Fraction(2 * p.nu - 1, 2)
     if x_weight:
@@ -120,33 +132,7 @@ def _assemble_log(
         total = total + x * x_weight
     total = total - IntervalReal.from_int(p.b, precision).log() * n
     total = total - (pi * M).log() * Fraction(1, 2)
-    return total
-
-
-def main_term_log(
-    p: AsymptoticProfile, n: int, precision: int = DEFAULT_PRECISION
-) -> tuple[int, IntervalReal]:
-    """Sign and log magnitude of the leading asymptotic term for coefficient n."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return p.sign(), _assemble_log(p, n, 2 * n + p.nu, 1, precision)
-
-
-def transform_main_term_log(
-    p: AsymptoticProfile, which: str, n: int, precision: int = DEFAULT_PRECISION
-) -> tuple[int, IntervalReal]:
-    """Leading term for the transformed coefficient rows.
-
-    The one-over-one-plus-q row inverts the exponential correction factor;
-    the two-q-over-one-plus-q row carries 2**(3n+nu) and no such factor.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if which == "g":
-        return p.sign(), _assemble_log(p, n, 2 * n + p.nu, -1, precision)
-    if which == "h":
-        return p.sign(), _assemble_log(p, n, 3 * n + p.nu, 0, precision)
-    raise ValueError("which must be 'g' or 'h'")
+    return p.sign(), total
 
 
 @dataclass(frozen=True)
@@ -169,20 +155,16 @@ def ratio_diagnostics(
     """Ratios of exact coefficients to the asymptotic main term at sampled n.
 
     With correction enabled the main term is multiplied by (1 - alpha1/n),
-    removing the first-order error term.
+    removing the first-order error term.  Every n must be at least 1, zero
+    coefficients included.
     """
-    if which not in ("xi", "g", "h"):
-        raise ValueError("which must be 'xi', 'g' or 'h'")
     out = []
     for n in ns:
+        sign, log_main = main_term_log(p, n, precision, which)
         c = exact.coefficient(n)
         if c == 0:
             out.append(RatioSample(n, None, True))
             continue
-        if which == "xi":
-            sign, log_main = main_term_log(p, n, precision)
-        else:
-            sign, log_main = transform_main_term_log(p, which, n, precision)
         ratio = (_log_abs_coeff(c, precision) - log_main).exp()
         if correction:
             factor = IntervalReal.from_int(1, precision) - p.alpha1 / IntervalReal.from_int(

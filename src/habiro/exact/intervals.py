@@ -194,9 +194,6 @@ class IntervalReal:
     def mid_float(self) -> float:
         return float((self.lo_fraction() + self.hi_fraction()) / 2)
 
-    def __float__(self) -> float:
-        return self.mid_float()
-
     def __repr__(self) -> str:
         return f"IntervalReal([{self.ival.a!s}, {self.ival.b!s}], prec={self.prec})"
 

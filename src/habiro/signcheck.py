@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+# perfbench/tracing.py wraps bernoulli_poly here, so it stays bound though unused.
 from habiro.exact import (
     DEFAULT_PRECISION,
     PRECISION_CAP,
@@ -22,7 +23,13 @@ from habiro.exact import (
     zeta_interval,
 )
 from habiro.families import FamilySpec, identity_for
-from habiro.thetaside import PeriodicFunction, StrangeIdentity, find_k_nu, g_value
+from habiro.thetaside import (
+    PeriodicFunction,
+    StrangeIdentity,
+    bernoulli_sum,
+    find_k_nu,
+    g_value,
+)
 
 VERDICTS = ("proved-positive", "condition-failed", "undecided-at-precision-cap")
 
@@ -35,7 +42,7 @@ def m_bound(
 ) -> IntervalReal:
     """Enclosure of the constant dominating every |G(k)| relative to |G(k_nu)|."""
     k = find_k_nu(f, nu)
-    scale = 2 * f.support_size() * max(Fraction(1), f.max_abs())
+    scale = 2 * len(f.entries) * max([Fraction(1), *(abs(v) for _, v in f.entries)])
     prec = min(precision, cap)
     while True:
         gap = abs(g_value(f, nu, k, prec))
@@ -98,18 +105,13 @@ def family_n_bound(
 
 
 def bernoulli_sign_test(ident: StrangeIdentity, n: int) -> int:
-    """Exact sign of the alternating Bernoulli-value sum at sample index n."""
+    """Exact sign of C_n, read from the unreduced Bernoulli sum of the weight.
+
+    C_n is (-1)**(n+1) times a positive scale times that sum at s = 2n + nu + 1.
+    """
     if n < 0:
         raise ValueError("sample index must be nonnegative")
-    period = ident.f.period
-    s = 2 * n + ident.nu + 1
-    # Only the sign is needed, so the sum stays an unreduced num/den with
-    # den > 0.  Residue 0 contributes at the right endpoint of the period
-    # window, and B_s(1 - x) = (-1)**s B_s(x) pairs each residue with its mirror.
-    num, den = 0, 1
-    for m, v in ident.f.folded(-1 if s % 2 else 1):
-        term = v * bernoulli_poly(s, Fraction(m if m else period, period))
-        num, den = num * term.denominator + term.numerator * den, den * term.denominator
+    num, _ = bernoulli_sum(ident.f, 2 * n + ident.nu + 1)
     sign = (num > 0) - (num < 0)
     return sign if n % 2 else -sign
 
@@ -149,25 +151,19 @@ def verdict_for_identity(
     params: dict,
     ident: StrangeIdentity,
     n_used: int,
-    strict_sign: bool = False,
 ) -> PositivityVerdict:
     """Run the leading sign tests and fold the results into a verdict.
 
     A zero test value counts as passing under the built-in families'
-    nonnegativity phrasing; strict_sign demands a definite sign instead.
+    nonnegativity phrasing.
     """
     checks = []
     notes = []
     for n in range(n_used):
         sign = bernoulli_sign_test(ident, n)
-        if sign == 0 and strict_sign:
-            ok = False
-            notes.append(f"sign test returned zero at n={n}; a definite sign is required")
-        else:
-            ok = sign >= 0
-            if sign == 0:
-                notes.append(f"sign test returned zero at n={n}; accepted as nonnegative")
-        checks.append((n, sign, ok))
+        if sign == 0:
+            notes.append(f"sign test returned zero at n={n}; accepted as nonnegative")
+        checks.append((n, sign, sign >= 0))
     verdict = "proved-positive" if all(ok for _, _, ok in checks) else "condition-failed"
     return PositivityVerdict(family, params, n_used, tuple(checks), verdict, "; ".join(notes))
 

@@ -7,7 +7,6 @@ sum that must land on integers.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
@@ -45,22 +44,8 @@ class PeriodicFunction:
         object.__setattr__(self, "entries", tuple(kept))
         object.__setattr__(self, "_map", dict(kept))
 
-    @classmethod
-    def from_values(cls, values) -> "PeriodicFunction":
-        """Build from one value per residue class, zeros included."""
-        return cls(len(values), tuple(enumerate(values)))
-
     def __call__(self, n: int) -> Fraction:
         return self._map.get(n % self.period, Fraction(0))
-
-    def support(self) -> list[int]:
-        return [r for r, _ in self.entries]
-
-    def support_size(self) -> int:
-        return len(self.entries)
-
-    def max_abs(self) -> Fraction:
-        return max((abs(v) for _, v in self.entries), default=Fraction(0))
 
     def mean_is_zero(self) -> bool:
         return sum(v for _, v in self.entries) == 0
@@ -86,16 +71,6 @@ class PeriodicFunction:
             else:
                 acc[r] = acc.get(r, 0) + v
         return tuple((r, v) for r, v in sorted(acc.items()) if v)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"M": self.period, "entries": [[r, str(v)] for r, v in self.entries]}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "PeriodicFunction":
-        data = json.loads(text)
-        return cls(int(data["M"]), tuple((int(r), Fraction(s)) for r, s in data["entries"]))
 
 
 def _four_residues(period: int, minus: tuple[int, int], plus: tuple[int, int],
@@ -173,31 +148,6 @@ class StrangeIdentity:
                         f"identity parameters inconsistent: negative exponent at n={n}"
                     )
 
-    def exponent(self, n: int) -> int:
-        return (n * n - self.a) // self.b
-
-
-@dataclass(frozen=True)
-class CSequence:
-    values: tuple[Fraction, ...]
-
-    def __getitem__(self, n: int) -> Fraction:
-        return self.values[n]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
-class BSequence:
-    values: tuple[Fraction, ...]
-
-    def __getitem__(self, n: int) -> Fraction:
-        return self.values[n]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 def _g_terms(f: PeriodicFunction, nu: int, k: int) -> tuple[int, dict[int, Fraction]]:
     """sqrt(M) * G as (C, terms), C = lcm(4, 2M): the sum of terms[e] * exp(2 pi i e / C)."""
@@ -207,17 +157,15 @@ def _g_terms(f: PeriodicFunction, nu: int, k: int) -> tuple[int, dict[int, Fract
     terms: dict[int, Fraction] = {}
     if nu == 1:
         # 2cos(2 pi e / C) = z**e + z**-e
-        for m in f.support():
+        for m, v in f.entries:
             e = (m * k * step) % conductor
-            v = f(m)
             terms[e] = terms.get(e, Fraction(0)) + v
             terms[-e % conductor] = terms.get(-e % conductor, Fraction(0)) + v
     else:
         # 2sin(2 pi e / C) = z**(e + 3C/4) - z**(-e + 3C/4)
         rot = 3 * conductor // 4
-        for m in f.support():
+        for m, v in f.entries:
             e = (m * k * step) % conductor
-            v = f(m)
             p = (e + rot) % conductor
             q = (-e + rot) % conductor
             terms[p] = terms.get(p, Fraction(0)) + v
@@ -234,39 +182,59 @@ def g_value(
     period = f.period
     pi = IntervalReal.pi(prec)
     total = IntervalReal.from_int(0, prec)
-    for m in f.support():
+    for m, v in f.entries:
         arg = pi * Fraction(2 * ((m * k) % period), period)
         wave = arg.cos() if nu == 1 else arg.sin()
-        total = total + wave * f(m)
+        total = total + wave * v
     return total * 2 / IntervalReal.from_int(period, prec).sqrt()
 
 
 def find_k_nu(f: PeriodicFunction, nu: int) -> int:
-    """Smallest k in 1..M with G nonzero, certified by the exact zero test."""
+    """Smallest k in 1..M with G nonzero, certified by the exact zero test.
+
+    k = M stands for frequency 0, so every cosine coefficient (nu = 1)
+    vanishes exactly when f is odd and every sine coefficient exactly when f
+    is even; that case is reported without a scan over the period.
+    """
+    if (f.is_odd() if nu == 1 else f.is_even()):
+        raise ValueError("no nonzero Fourier coefficient")
     for k in range(1, f.period + 1):
         if not root_sum_is_zero(*_g_terms(f, nu, k)):
             return k
     raise ValueError("no nonzero Fourier coefficient")
 
 
-def c_sequence(ident: StrangeIdentity, N: int) -> CSequence:
-    """L-value rationals C_0..C_N from Bernoulli polynomials at support points."""
+def bernoulli_sum(f: PeriodicFunction, s: int) -> tuple[int, int]:
+    """sum_(m=1..M) f(m) B_s(m/M) as an unreduced (num, den) with den > 0.
+
+    B_s(1 - x) = (-1)**s B_s(x) lets each residue share the Bernoulli value
+    of its mirror.  Residue 0 contributes at the right endpoint x = 1 of the
+    period window.  Callers that need only the sign skip the reduction.
+    """
+    period = f.period
+    num, den = 0, 1
+    for m, v in f.folded(-1 if s % 2 else 1):
+        b = bernoulli_poly(s, Fraction(m if m else period, period))
+        d = v.denominator * b.denominator
+        num, den = num * d + v.numerator * b.numerator * den, den * d
+    return num, den
+
+
+def c_sequence(ident: StrangeIdentity, N: int) -> tuple[Fraction, ...]:
+    """L-value rationals C_0..C_N, scaled Bernoulli sums of the weight.
+
+    C_n = (-1)**(n+1) M**(s-1) / s * sum_(m=1..M) f(m) B_s(m/M), s = 2n + nu + 1.
+    """
     if N < 0:
         raise ValueError("need a nonnegative count")
     period = ident.f.period
-    # s = 2n + nu + 1 keeps its parity, and B_s(1 - x) = (-1)**s B_s(x) lets
-    # each residue share the Bernoulli value of its mirror
-    weights = ident.f.folded(1 if ident.nu else -1)
     out = []
     for n in range(N + 1):
         s = 2 * n + ident.nu + 1
-        acc = Fraction(0)
-        # residue 0 contributes at the right endpoint of the period window
-        for m, v in weights:
-            acc += v * bernoulli_poly(s, Fraction(m if m else period, period))
+        num, den = bernoulli_sum(ident.f, s)
         sign = -1 if n % 2 == 0 else 1
-        out.append(sign * Fraction(period) ** (s - 1) / s * acc)
-    return CSequence(tuple(out))
+        out.append(Fraction(sign * period ** (s - 1) * num, s * den))
+    return tuple(out)
 
 
 def _over_common_denominator(values) -> tuple[list[int], int]:
@@ -275,25 +243,25 @@ def _over_common_denominator(values) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def b_sequence(ident: StrangeIdentity, c: CSequence) -> BSequence:
+def b_sequence(ident: StrangeIdentity, c: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     """Change of expansion point: B_n = b**-n sum_k C(n,k) a**(n-k) C_k."""
     # Over the lcm denominator L of C, T_0[k] = L C_k and
     # T_n[k] = a T_(n-1)[k] + T_(n-1)[k+1] give
     # T_n[k] = L sum_i C(n,i) a**(n-i) C_(k+i), so T_n[0] = L b**n B_n.
     # Each step multiplies by the small integer a only.
-    row, den = _over_common_denominator(c.values)
+    row, den = _over_common_denominator(c)
     out = [Fraction(row[0], den)]
     for _ in range(1, len(c)):
         row = [ident.a * x + y for x, y in zip(row, row[1:])]
         den *= ident.b
         out.append(Fraction(row[0], den))
-    b = BSequence(tuple(out))
+    b = tuple(out)
     if len(b) and b[0] != c[0]:
         raise AssertionError("B_0 must equal C_0")
     return b
 
 
-def xi_from_theta(b: BSequence, N: int) -> TruncatedSeries:
+def xi_from_theta(b: tuple[Fraction, ...], N: int) -> TruncatedSeries:
     """Integer coefficient sequence from the B-expansion via Stirling weights.
 
     xi_n = sum_j c(n, j) B_j / n!, with c the unsigned Stirling numbers of the
@@ -305,7 +273,7 @@ def xi_from_theta(b: BSequence, N: int) -> TruncatedSeries:
     # W_n[i] = Lam(x**i x (x+1) ... (x+n-1)) satisfies
     # W_n[i] = W_(n-1)[i+1] + (n-1) W_(n-1)[i], and W_n[0] = L n! xi_n: the
     # Stirling recurrence runs implicitly, multiplying by n - 1 only.
-    row, scale = _over_common_denominator(b.values[: N + 1])
+    row, scale = _over_common_denominator(b[: N + 1])
     out: list[int] = []
     for n in range(N + 1):
         if n:

@@ -20,7 +20,7 @@ from habiro.families import (
     theta_q_expansion,
 )
 from habiro.qseries import binomial_transform, transform_g, transform_h
-from habiro.signcheck import family_n_bound, infinite_family_check, verify_positivity
+from habiro.signcheck import family_n_bound, infinite_family_check, n_max, verify_positivity
 from habiro.thetaside import (
     _g_terms,
     b_sequence,
@@ -111,7 +111,7 @@ def test_criterion_3_dual_routes_at_n60():
 def test_criterion_4_bernoulli_spot_values():
     ident = identity_for(FamilySpec.fishburn())
     c = c_sequence(ident, 2)
-    assert c.values == (Fraction(1), Fraction(23), Fraction(1681))
+    assert c == (Fraction(1), Fraction(23), Fraction(1681))
     report(4, "fishburn C-sequence spot values 1, 23, 1681 exact")
 
 
@@ -124,20 +124,18 @@ def test_criterion_5_bound_tables_and_sweeps():
         row = TABLES["n_bound_torus2"][str(m)]
         for ell, want in enumerate(row):
             assert family_n_bound(FamilySpec.torus2(m, ell)) == want
-    swept = 0
-    for t in range(1, 51):
-        assert verify_positivity(FamilySpec.torus32t(t)).verdict == "proved-positive"
-        swept += 1
-    for m in range(1, 21):
-        for ell in range(m):
-            assert verify_positivity(FamilySpec.torus2(m, ell)).verdict == "proved-positive"
-            swept += 1
-    for k in range(1, 51):
-        assert verify_positivity(FamilySpec.habiro_g(k)).verdict == "proved-positive"
-        swept += 1
+    specs = [FamilySpec.torus32t(t) for t in range(1, 51)]
+    specs += [FamilySpec.torus2(m, ell) for m in range(1, 21) for ell in range(m)]
+    specs += [FamilySpec.habiro_g(k) for k in range(1, 51)]
+    for spec in specs:
+        assert verify_positivity(spec).verdict == "proved-positive"
+        # the family's sharpened check count never exceeds the general bound
+        ident = identity_for(spec)
+        assert family_n_bound(spec) <= n_max(ident.f, ident.nu)
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0
-    report(5, f"bound tables exact and {swept} positivity verdicts proved in {elapsed:.2f}s")
+    report(5, f"bound tables exact, {len(specs)} positivity verdicts proved and "
+              f"within the general bound in {elapsed:.2f}s")
 
 
 def test_criterion_6_nested_vs_theta_expansion():

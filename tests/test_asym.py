@@ -13,7 +13,6 @@ from habiro.asym import (
     make_profile,
     profile_for_family,
     ratio_diagnostics,
-    transform_main_term_log,
 )
 from habiro.exact import IntervalReal
 from habiro.families import FamilySpec, expand_fishburn, identity_for
@@ -131,8 +130,8 @@ def test_transform_ratios_against_main(spec):
         Fraction(p.b * p.k_nu**2, 2 * p.period**2), PREC
     )
     _, lm = main_term_log(p, n, PREC)
-    sg, lg = transform_main_term_log(p, "g", n, PREC)
-    sh, lh = transform_main_term_log(p, "h", n, PREC)
+    sg, lg = main_term_log(p, n, PREC, "g")
+    sh, lh = main_term_log(p, n, PREC, "h")
     assert sg == sh == p.sign()
     assert overlaps(lg - lm, -(x + x))
     assert overlaps(lh - lm, IntervalReal.from_int(2, PREC).log() * n - x)
@@ -140,8 +139,8 @@ def test_transform_ratios_against_main(spec):
 
 def test_transform_rejects_unknown_kind():
     p = profile_for_family(FamilySpec.fishburn())
-    with pytest.raises(ValueError, match="'g' or 'h'"):
-        transform_main_term_log(p, "xi", 5)
+    with pytest.raises(ValueError, match="'xi', 'g' or 'h'"):
+        main_term_log(p, 5, which="one-minus-q")
 
 
 # -- ratio diagnostics -------------------------------------------------------

@@ -306,6 +306,14 @@ def test_asym_demands_covering_order(capsys):
     assert code == 1 and "cover" in err
 
 
+@pytest.mark.parametrize("samples", ["-5,10", "0,10"])
+def test_asym_rejects_sample_index_below_one(capsys, samples):
+    # a negative index must not pass for a zero coefficient
+    code, out, err = run(capsys, "asym", "--family", "fishburn", f"--samples={samples}")
+    assert code == 1 and out == ""
+    assert "n must be at least 1" in err
+
+
 def test_asym_transform_diagnostics_converge(capsys):
     code, out, _ = run(capsys, "asym", "--family", "torus2", "--m", "2", "--ell", "1",
                        "--transform", "inv-one-plus-q", "--samples", "32,64",

@@ -27,6 +27,7 @@ from habiro.thetaside import (
     make_chi_t,
 )
 from tests.test_families import TABLES
+from tests.test_thetaside import periodic
 
 PREC = 96
 
@@ -100,18 +101,7 @@ def test_n_max_odd_weight_is_one(k):
 
 
 def test_n_max_zero_for_tame_weight():
-    assert n_max(PeriodicFunction.from_values((1, -1)), 1) == 0
-
-
-def test_family_bound_never_exceeds_generic_bound():
-    cases = [
-        (FamilySpec.torus32t(2), make_chi_t(2), 1),
-        (FamilySpec.torus32t(5), make_chi_t(5), 1),
-        (FamilySpec.torus2(3, 1), make_chi_m_ell(3, 1), 1),
-        (FamilySpec.habiro_g(2), make_chi_k(2), 0),
-    ]
-    for spec, f, nu in cases:
-        assert family_n_bound(spec) <= n_max(f, nu)
+    assert n_max(periodic((1, -1)), 1) == 0
 
 
 def test_family_n_bound_matches_reference_tables():
@@ -228,16 +218,13 @@ def test_condition_failed_for_flipped_weight():
     assert v.checks == ((0, -1, False),)
 
 
-def test_strict_zero_downgrades_custom_verdict():
+def test_zero_sign_test_counts_as_nonnegative():
     # mean zero and vanishing first moment make the n = 0 quantity exactly zero
-    zero_ident = StrangeIdentity(0, 1, 0, PeriodicFunction.from_values((0, 1, -2, 1)))
+    zero_ident = StrangeIdentity(0, 1, 0, periodic((0, 1, -2, 1)))
     assert bernoulli_sign_test(zero_ident, 0) == 0
     lax = verdict_for_identity("custom", {}, zero_ident, 1)
-    strict = verdict_for_identity("custom", {}, zero_ident, 1, strict_sign=True)
     assert lax.checks[0][1] == 0 and lax.verdict == "proved-positive"
     assert "zero" in lax.note
-    assert strict.verdict == "condition-failed"
-    assert "zero" in strict.note
 
 
 def test_precision_cap_becomes_undecided_verdict(monkeypatch):

@@ -13,8 +13,6 @@ from sympy.functions.combinatorial.numbers import stirling
 from habiro.exact import IntervalReal, bernoulli_poly, root_sum_is_zero
 from habiro.families import FamilySpec, identity_for
 from habiro.thetaside import (
-    BSequence,
-    CSequence,
     PeriodicFunction,
     StrangeIdentity,
     _g_terms,
@@ -31,26 +29,31 @@ from habiro.thetaside import (
 H = Fraction(1, 2)
 
 
+def periodic(values) -> PeriodicFunction:
+    """The weight with one value per residue class, zeros included."""
+    return PeriodicFunction(len(values), tuple(enumerate(values)))
+
+
 def test_chi_t_pinned_residues():
     f = make_chi_t(1)
     assert f.period == 12
-    assert {m: f(m) for m in f.support()} == {1: -H, 11: -H, 5: H, 7: H}
+    assert dict(f.entries) == {1: -H, 11: -H, 5: H, 7: H}
     f = make_chi_t(2)
     assert f.period == 24
-    assert {m: f(m) for m in f.support()} == {5: -H, 19: -H, 11: H, 13: H}
+    assert dict(f.entries) == {5: -H, 19: -H, 11: H, 13: H}
 
 
 def test_chi_m_ell_pinned_residues():
     assert make_chi_m_ell(1, 0) == make_chi_t(1)
     f = make_chi_m_ell(2, 0)
     assert f.period == 20
-    assert {m: f(m) for m in f.support()} == {3: -H, 17: -H, 7: H, 13: H}
+    assert dict(f.entries) == {3: -H, 17: -H, 7: H, 13: H}
 
 
 def test_chi_k_pinned_residues():
     f = make_chi_k(1)
     assert f.period == 6
-    assert {m: f(m) for m in f.support()} == {1: 1, 2: 1, 4: -1, 5: -1}
+    assert dict(f.entries) == {1: 1, 2: 1, 4: -1, 5: -1}
 
 
 def test_parameter_validation():
@@ -81,7 +84,7 @@ def test_mean_zero_and_parity_sweep():
 def test_folded_weights_give_the_same_bernoulli_sums(sign, degrees):
     # B_s(1 - x) = (-1)**s B_s(x).  Residues 0 and 6 are their own mirrors
     # here, and 3 and 9 cancel for sign = -1.
-    f = PeriodicFunction.from_values(
+    f = periodic(
         (Fraction(2), Fraction(1, 3), 0, Fraction(5), 0, Fraction(-7, 2), Fraction(4),
          0, 0, Fraction(5), 0, Fraction(-1, 6)))
     folded = f.folded(sign)
@@ -93,19 +96,14 @@ def test_folded_weights_give_the_same_bernoulli_sums(sign, degrees):
         assert total(folded) == total(f.entries)
 
 
-def test_json_roundtrip():
-    f = make_chi_m_ell(3, 1)
-    assert PeriodicFunction.from_json(f.to_json()) == f
-
-
 def test_identity_validation():
     StrangeIdentity(1, 24, 1, make_chi_t(1))
     StrangeIdentity(1, 3, 0, make_chi_k(1))
     with pytest.raises(ValueError, match="non-integral exponent"):
         StrangeIdentity(2, 24, 1, make_chi_t(1))
     with pytest.raises(ValueError, match="nonzero mean"):
-        StrangeIdentity(0, 1, 0, PeriodicFunction.from_values((Fraction(1), Fraction(0))))
-    neg = PeriodicFunction.from_values((Fraction(1, 2), Fraction(-1, 2)))
+        StrangeIdentity(0, 1, 0, periodic((Fraction(1), Fraction(0))))
+    neg = periodic((Fraction(1, 2), Fraction(-1, 2)))
     with pytest.raises(ValueError, match="negative exponent"):
         StrangeIdentity(4, 1, 0, neg)
 
@@ -179,7 +177,28 @@ def test_find_k_nu():
     for k in range(1, 6):
         assert find_k_nu(make_chi_k(k), 0) == 1
     with pytest.raises(ValueError, match="no nonzero Fourier coefficient"):
-        find_k_nu(PeriodicFunction.from_values((0, 0, 0, 0)), 1)
+        find_k_nu(periodic((0, 0, 0, 0)), 1)
+
+
+def test_wrong_parity_is_reported_without_a_scan(monkeypatch):
+    import habiro.thetaside as thetaside
+
+    calls = []
+
+    def counting(conductor, terms):
+        calls.append(conductor)
+        return root_sum_is_zero(conductor, terms)
+
+    monkeypatch.setattr(thetaside, "root_sum_is_zero", counting)
+    wrong = [(make_chi_t(t), 0) for t in (1, 6, 12)] + [(make_chi_k(k), 1) for k in (1, 2, 5)]
+    for f, nu in wrong:
+        with pytest.raises(ValueError, match="no nonzero Fourier coefficient"):
+            find_k_nu(f, nu)
+    assert calls == []
+    # the matching parity still goes through the exact zero test
+    assert find_k_nu(make_chi_t(12), 1) == 1
+    assert find_k_nu(make_chi_k(5), 0) == 1
+    assert len(calls) == 2
 
 
 FISHBURN_C = (1, 23, 1681, 257543, 67637281, 27138236663)
@@ -193,7 +212,7 @@ def fishburn_identity() -> StrangeIdentity:
 
 def test_c_sequence_fishburn():
     c = c_sequence(fishburn_identity(), 5)
-    assert c.values == tuple(Fraction(v) for v in FISHBURN_C)
+    assert c == tuple(Fraction(v) for v in FISHBURN_C)
 
 
 def test_c_sequence_matches_sympy_oracle():
@@ -212,15 +231,15 @@ def test_c_sequence_matches_sympy_oracle():
 def test_b_sequence_fishburn():
     ident = fishburn_identity()
     b = b_sequence(ident, c_sequence(ident, 7))
-    assert b.values == tuple(Fraction(v) for v in FISHBURN_B)
+    assert b == tuple(Fraction(v) for v in FISHBURN_B)
 
 
 def test_b_sequence_zero_a_reduces_to_scaling():
-    f = PeriodicFunction.from_values((Fraction(-1), Fraction(1)))
+    f = periodic((Fraction(-1), Fraction(1)))
     ident = StrangeIdentity(0, 1, 0, f)
     c = c_sequence(ident, 5)
     b = b_sequence(ident, c)
-    assert b.values == c.values
+    assert b == c
 
 
 def test_xi_fishburn():
@@ -249,7 +268,7 @@ def test_xi_torus_two_parameter():
 
 def test_b_and_xi_match_their_defining_sums():
     ident = StrangeIdentity(9, 56, 1, make_chi_m_ell(3, 1))
-    c = CSequence(tuple(Fraction((-1) ** n * (n * n + 3), 7 * n + 2) for n in range(12)))
+    c = tuple(Fraction((-1) ** n * (n * n + 3), 7 * n + 2) for n in range(12))
     b = b_sequence(ident, c)
     for n in range(12):
         want = sum(comb(n, k) * Fraction(9) ** (n - k) * c[k] for k in range(n + 1)) / 56**n
@@ -262,11 +281,11 @@ def test_b_and_xi_match_their_defining_sums():
 
 
 def test_xi_integrality_guard():
-    bad = BSequence((Fraction(1), Fraction(1, 2)))
+    bad = (Fraction(1), Fraction(1, 2))
     with pytest.raises(ValueError, match="integrality"):
         xi_from_theta(bad, 1)
     with pytest.raises(ValueError, match="integrality"):
-        xi_from_theta(BSequence((Fraction(1, 2),)), 0)
+        xi_from_theta((Fraction(1, 2),), 0)
     with pytest.raises(ValueError, match="cover"):
         xi_from_theta(bad, 5)
 
@@ -275,7 +294,7 @@ def test_c_sign_stabilization_fishburn():
     # Required sign (-1)**nu * G = +1 here, and the bound module later pins
     # the threshold at 0, so every C value must already be positive.
     c = c_sequence(fishburn_identity(), 12)
-    assert all(v > 0 for v in c.values)
+    assert all(v > 0 for v in c)
 
 
 DIGESTS = json.loads((Path(__file__).parent / "data" / "theta_digests.json").read_text())
@@ -294,6 +313,6 @@ def test_theta_route_matches_frozen_digests(member):
     c = c_sequence(ident, n)
     b = b_sequence(ident, c)
     xi = xi_from_theta(b, n)
-    assert _digest(c.values) == member["C"]
-    assert _digest(b.values) == member["B"]
+    assert _digest(c) == member["C"]
+    assert _digest(b) == member["B"]
     assert _digest(xi.integer_coeffs()) == member["xi"]
