@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb, isqrt
 from pathlib import Path
 
-# perfbench/tracing.py wraps mul_dense_int here, so it stays bound though unused.
+# perfbench/tracing.py wraps mul_dense_int and subst_one_minus_int here, so both stay bound.
 from habiro.qseries import (
     TruncatedSeries,
     mul_dense_int,
@@ -181,63 +181,59 @@ def expand_fishburn(N: int) -> TruncatedSeries:
     return _expand_nested(N, [], (0, 1, 0))
 
 
-def _torus32t_constants(t: int) -> tuple[int, int, int, int]:
-    """Return (m, a, h_prime, h_doubleprime) for the rank-t element, t >= 2."""
-    m = 2 ** (t - 1)
-    if t % 2 == 0:
-        hpp = (2**t - 1) // 3
-        hp = (2**t - 4) // 3
-        a = (2 ** (t - 1) + 1) // 3
-    else:
-        hpp = (2**t - 2) // 3
-        hp = (2**t - 5) // 3
-        a = (2**t + 1) // 3
-    return m, a, hp, hpp
+# Largest cost expand_torus32t accepts: m*m*(N+1) window products, m = 2**(t-1),
+# of about (N+1)**2 + 200 steps each (the constant is the fixed cost of a call).
+# A step takes 10-50 ns in CPython on a 2-core x86-64 VM, more at large N where
+# the coefficients are long: 9 s at t=12, N=0 and 49 s at t=3, N=395.
+TORUS32T_BUDGET = 10**9
 
 
 def expand_torus32t(t: int, N: int) -> TruncatedSeries:
     """Coefficients through u**N of the rank-t torus-knot element at q = 1-u.
 
-    The multi-index sum collapses, level by level, into products of sparse
-    binomials in x = q**(1/m): only exponents congruent to a single residue
-    class mod m survive the defining congruence, so the expansion extracts
-    that class and substitutes q = 1-u once per outer index.
+    With m = 2**(t-1) and x = q**(1/m) the element is (-1)**h'' q**(-h')
+    sum_k [x**a] (x;x)_k, where [x**a] keeps the exponents a mod m and divides
+    by x**a; (x;x)_k has u-valuation at least k // m, so k < m(N+1) suffices.
+    The product is held as m residue-class series: sum_{r<m} x**r P_r(q), each
+    P_r a window in u, exact since Z[x] = sum_r x**r Z[q] and truncation in u is
+    a ring map.  Multiplying by 1 - x**c, c = c1*m + c0, subtracts
+    q**(c1 + [r + c0 >= m]) P_r from class (r + c0) mod m; [x**a] is class a.
+    Sizes over TORUS32T_BUDGET raise ValueError before any work is done.
     """
     _check_order(N)
     if t < 1:
         raise ValueError("t must be at least 1")
     if t == 1:
         return expand_fishburn(N)
-    m, a, hp, hpp = _torus32t_constants(t)
-    # Residue extraction below matches the defining congruence only when
-    # 3*a == 1 mod m; anything else means the constants are corrupt.
-    if (3 * a) % m != 1 or not 0 <= a < m:
-        raise RuntimeError("congruence filter violated")
+    # The first test keeps a huge t from building a huge integer.
+    if (2 * (t - 1) > TORUS32T_BUDGET.bit_length()
+            or 4 ** (t - 1) * (N + 1) * ((N + 1) ** 2 + 200) > TORUS32T_BUDGET):
+        raise ValueError(f"torus32t direct expansion at t={t}, N={N} exceeds its cost budget "
+                         f"4**(t-1)*(N+1)*((N+1)**2 + 200) <= {TORUS32T_BUDGET:.0e}; "
+                         "the theta route (asym without -N) has no such limit")
+    # The defining congruence keeps the exponents e with 3*e == 1 mod m.
+    m, hpp = 2 ** (t - 1), (2**t - 1) // 3
+    a = pow(3, -1, m)
+    # Class 0 starts as (-1)**h'' q**(-h') = (-1)**h'' (1-u)**(-h'), h' = h'' - 1.
+    sign = (-1) ** hpp
+    classes = [[sign] + [sign * comb(hpp + j - 2, j) for j in range(1, N + 1)]]
+    classes += [[0] * (N + 1) for _ in range(m - 1)]
     acc = [0] * (N + 1)
-    prod = [1]
-    for n in range(N + 1):
-        if n:
-            prod = mul_sparse_binomial_int(prod, m * n)
-            base = m * (n - 1)
-            for l in range(1, m):
-                prod = mul_sparse_binomial_int(prod, l + base)
-        # Sum over the residual index of partial products of the fresh factors.
-        q_part = prod
-        total = prod + [0] * sum(l + m * n for l in range(1, m))
-        for l in range(1, m):
-            q_part = mul_sparse_binomial_int(q_part, l + m * n)
-            for e, c in enumerate(q_part):
-                total[e] += c
-        survivors = [total[e] for e in range(a, len(total), m)]
-        term = subst_one_minus_int(survivors, N)
-        for j in range(N + 1):
-            acc[j] += term[j]
-    # Prefactor q**(-h') becomes (1-u)**(-h'), with sign (-1)**h''.
-    neg_power = [1] + [comb(hp + j - 1, j) for j in range(1, N + 1)]
-    out = mul_trunc_int(acc, neg_power, N)
-    if hpp % 2:
-        out = [-c for c in out]
-    return TruncatedSeries(out)
+    q_hi = _q_power(0, N)
+    for c1 in range(N + 1):
+        q_lo, q_hi = q_hi, _q_power(c1 + 1, N)
+        for c0 in range(m):
+            if c1 or c0:
+                # Read every class before writing any; mul_trunc_int skips
+                # the leading zeros a class has from its valuation.
+                moved = [mul_trunc_int(p, q_hi if r + c0 >= m else q_lo, N)
+                         for r, p in enumerate(classes)]
+                for r, p in enumerate(moved):
+                    dst = (r + c0) % m
+                    classes[dst] = [x - y for x, y in zip(classes[dst], p)]
+            for j, v in enumerate(classes[a]):
+                acc[j] += v
+    return TruncatedSeries(acc)
 
 
 def expand_torus2(m: int, ell: int, N: int) -> TruncatedSeries:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 # perfbench/tracing.py wraps bernoulli_poly here, so it stays bound though unused.
@@ -68,10 +69,11 @@ def n_max(
     cap: int = PRECISION_CAP,
 ) -> int:
     """Smallest N with bound * (zeta(2n + nu + 1) - 1) < 1 for every n >= N."""
+    bound = cache(lambda prec: m_bound(f, nu, prec, cap))  # one per precision, not per n
 
     def tail(n: int):
         s = 2 * n + nu + 1
-        return lambda prec: m_bound(f, nu, prec, cap) * (zeta_interval(s, prec) - 1)
+        return lambda prec: bound(prec) * (zeta_interval(s, prec) - 1)
 
     n = 0 if nu == 1 else 1  # s = 1 has a divergent zeta value, so n = 0 never qualifies
     while not _holds_below_one(tail(n), precision, f"tail bound at n={n}", cap):

@@ -100,6 +100,7 @@ def test_criterion_3_dual_routes_at_n60():
     start = time.perf_counter()
     specs = [FamilySpec.torus2(m, ell) for m in (2, 3) for ell in range(m)]
     specs += [FamilySpec.habiro_g(k) for k in (2, 3)]
+    specs += [FamilySpec.torus32t(t) for t in (2, 3, 4)]
     for spec in specs:
         ident = identity_for(spec)
         theta = xi_from_theta(b_sequence(ident, c_sequence(ident, 60)), 60)

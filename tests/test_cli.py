@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import pytest
 
@@ -134,6 +135,16 @@ def test_crosscheck_passes(capsys):
     code, out, _ = run(capsys, "crosscheck", "--family", "torus32t", "--t", "3",
                        "-N", "15")
     assert code == 0 and out.startswith("pass")
+
+
+@pytest.mark.parametrize("command", ["crosscheck", "expand"])
+def test_torus32t_over_budget_exits_one_at_once(capsys, command):
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--family", "torus32t", "--t", "20", "-N", "10")
+    elapsed = time.perf_counter() - start
+    assert code == 1 and out == ""
+    assert "t=20, N=10 exceeds its cost budget" in err
+    assert elapsed < 0.5
 
 
 def test_crosscheck_reports_first_mismatch(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Family expansions: nested-sum routes, reductions, invariants, disk cache."""
 
+import hashlib
 import json
 from itertools import product
 from math import comb
@@ -146,6 +147,32 @@ def test_torus32t_fast_path_matches_literal_enumeration(t, N):
 def test_torus32t_pinned_prefixes():
     assert expand_torus32t(2, 6).integer_coeffs() == [1, 3, 11, 50, 280, 1890, 15008]
     assert expand_torus32t(3, 4).integer_coeffs() == [1, 7, 49, 420, 4515]
+
+
+TORUS32T_DIGESTS = json.loads(
+    (Path(__file__).parent / "data" / "torus32t_digests.json").read_text()
+)
+
+
+@pytest.mark.parametrize(
+    "member", TORUS32T_DIGESTS["members"], ids=lambda m: f"t{m['t']}-N{m['N']}"
+)
+def test_torus32t_matches_frozen_digests(member):
+    coeffs = expand_torus32t(member["t"], member["N"]).integer_coeffs()
+    assert len(coeffs) == member["N"] + 1
+    digest = hashlib.sha256("\n".join(str(c) for c in coeffs).encode()).hexdigest()
+    assert digest == member["digest"]
+
+
+def test_torus32t_over_budget_raises_before_expanding(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("expansion started")
+
+    monkeypatch.setattr(families, "mul_trunc_int", forbidden)
+    monkeypatch.setattr(families, "_q_power", forbidden)
+    for t, N in [(20, 10), (13, 0), (2, 1000), (10**6, 0)]:
+        with pytest.raises(ValueError, match=f"t={t}, N={N} exceeds its cost budget"):
+            expand_torus32t(t, N)
 
 
 def test_torus2_pinned_prefixes():

@@ -104,6 +104,26 @@ def test_n_max_zero_for_tame_weight():
     assert n_max(periodic((1, -1)), 1) == 0
 
 
+def test_n_max_builds_the_bound_once_per_precision(monkeypatch):
+    import habiro.signcheck as sc
+
+    calls, precs = [], set()
+    real_find, real_bound = sc.find_k_nu, sc.m_bound
+
+    def counting_find(*args):
+        calls.append(args)
+        return real_find(*args)
+
+    def noting_bound(f, nu, precision, cap):
+        precs.add(precision)
+        return real_bound(f, nu, precision, cap)
+
+    monkeypatch.setattr(sc, "find_k_nu", counting_find)
+    monkeypatch.setattr(sc, "m_bound", noting_bound)
+    assert n_max(make_chi_t(50), 1) == 24
+    assert len(calls) == len(precs)
+
+
 def test_family_n_bound_matches_reference_tables():
     table = TABLES["n_bound_torus32t"]
     lo, hi = table["t_range"]
