@@ -11,12 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from habiro.exact import (
-    DEFAULT_PRECISION,
-    PRECISION_CAP,
-    IntervalReal,
-    PrecisionCapError,
-)
+from habiro.exact import DEFAULT_PRECISION, PRECISION_CAP, IntervalReal, signed_enclosure
 from habiro.families import FamilySpec, identity_for
 from habiro.qseries import TruncatedSeries
 from habiro.thetaside import StrangeIdentity, find_k_nu, g_value
@@ -84,14 +79,8 @@ def make_profile(
 ) -> AsymptoticProfile:
     """Build the asymptotic profile of an identity, refining until G is signed."""
     k = find_k_nu(ident.f, ident.nu)
-    prec = min(precision, cap)
-    while True:
-        numeric = g_value(ident.f, ident.nu, k, prec)
-        if not numeric.contains_zero():
-            break
-        if prec >= cap:
-            raise PrecisionCapError("Fourier coefficient enclosure kept straddling zero", prec)
-        prec = min(2 * prec, cap)
+    numeric = signed_enclosure(lambda p: g_value(ident.f, ident.nu, k, p), min(precision, cap),
+                               cap, "Fourier coefficient enclosure kept straddling zero")
     return AsymptoticProfile(
         ident.f.period, ident.a, ident.b, ident.nu, k, numeric, _alpha1(ident, k, precision)
     )

@@ -218,31 +218,32 @@ def cmd_crosscheck(args) -> int:
     return 2
 
 
+# family -> the parameter verify sweeps over a range
+_VARIED = {"fishburn": "", "torus32t": "t", "torus2": "m", "habiro-g": "k"}
+
+
 def _verify_specs(args) -> tuple[str, list[FamilySpec]]:
-    """Expand the range flags into concrete specs plus the varied-parameter name."""
+    """Expand the range flags into concrete specs plus the varied-parameter name.
+
+    Every spec goes through FamilySpec, which rejects a missing parameter and
+    one the family does not take.
+    """
     kind = args.family
-    if kind == "fishburn":
-        if any(getattr(args, name) is not None for name in ("t", "m", "ell", "k")):
-            raise ValueError("family fishburn does not take parameters")
-        return "", [FamilySpec.fishburn()]
-    if kind == "torus32t":
-        if args.t is None:
-            raise ValueError("family torus32t needs parameter t")
-        lo, hi = args.t
-        return "t", [FamilySpec.torus32t(t) for t in range(lo, hi + 1)]
-    if kind == "torus2":
-        if args.m is None:
-            raise ValueError("family torus2 needs parameter m")
-        lo, hi = args.m
-        specs = []
-        for m in range(lo, hi + 1):
-            ells = range(m) if args.ell is None else [args.ell]
-            specs.extend(FamilySpec.torus2(m, ell) for ell in ells)
-        return "m", specs
-    if args.k is None:
-        raise ValueError("family habiro-g needs parameter k")
-    lo, hi = args.k
-    return "k", [FamilySpec.habiro_g(k) for k in range(lo, hi + 1)]
+    varied = _VARIED[kind]
+    given = {name: getattr(args, name) for name in ("t", "m", "ell", "k")
+             if getattr(args, name) is not None}
+    span = given.pop(varied, None)
+    if span is None:
+        # fishburn; any other family lacks its varied parameter and is rejected
+        return varied, [FamilySpec(kind, **given)]
+    specs = []
+    for v in range(span[0], span[1] + 1):
+        if kind == "torus2" and args.ell is None:
+            # every ell of m; m < 1 still reaches FamilySpec, which rejects it
+            specs.extend(FamilySpec(kind, m=v, ell=ell, **given) for ell in range(max(v, 1)))
+        else:
+            specs.append(FamilySpec(kind, **given, **{varied: v}))
+    return varied, specs
 
 
 def cmd_verify(args) -> int:

@@ -8,6 +8,7 @@ from habiro.exact.intervals import (
     IntervalReal,
     PrecisionCapError,
     decide_sign,
+    signed_enclosure,
 )
 from habiro.exact.zeta import zeta_even, zeta_interval
 
@@ -20,6 +21,7 @@ __all__ = [
     "bernoulli_poly",
     "decide_sign",
     "root_sum_is_zero",
+    "signed_enclosure",
     "zeta_even",
     "zeta_interval",
 ]

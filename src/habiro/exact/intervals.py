@@ -198,25 +198,31 @@ class IntervalReal:
         return f"IntervalReal([{self.ival.a!s}, {self.ival.b!s}], prec={self.prec})"
 
 
+def signed_enclosure(
+    fn: Callable[[int], IntervalReal], start: int, cap: int, message: str
+) -> IntervalReal:
+    """First enclosure fn(prec) that excludes zero, doubling prec from start.
+
+    fn(prec) must return an enclosure that narrows as prec grows.  Raises
+    PrecisionCapError(message, cap) if the enclosure at the cap still holds
+    zero, which is the reported outcome rather than a guess.
+    """
+    prec = start
+    while True:
+        x = fn(prec)
+        if x.is_negative() or x.is_positive():
+            return x
+        if prec >= cap:
+            raise PrecisionCapError(message, cap)
+        prec = min(2 * prec, cap)
+
+
 def decide_sign(
     fn: Callable[[int], IntervalReal],
     start: int = DEFAULT_PRECISION,
     cap: int = PRECISION_CAP,
     what: str = "quantity",
 ) -> int:
-    """Determine the sign of a provably nonzero quantity by precision doubling.
-
-    fn(prec) must return an enclosure that narrows as prec grows.  Raises
-    PrecisionCapError if the sign is still ambiguous at the cap, which is the
-    reported outcome rather than a guess.
-    """
-    prec = start
-    while True:
-        x = fn(prec)
-        if x.is_negative():
-            return -1
-        if x.is_positive():
-            return 1
-        if prec >= cap:
-            raise PrecisionCapError(f"sign of {what} undecided at {cap} bits", cap)
-        prec = min(2 * prec, cap)
+    """Sign of a provably nonzero quantity, by signed_enclosure."""
+    x = signed_enclosure(fn, start, cap, f"sign of {what} undecided at {cap} bits")
+    return -1 if x.is_negative() else 1

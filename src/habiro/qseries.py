@@ -158,7 +158,26 @@ def qbinomial(n: int, k: int, base_power: int = 1) -> list[int]:
     return spread
 
 
-# -- transforms of coefficient windows ----------------------------------------
+# -- binomial changes of variable ---------------------------------------------
+
+
+def _pascal_heads(row: Sequence[Coeff], weights) -> list[Coeff]:
+    """Head of row before and after each step row <- [w*x + y for adjacent x, y].
+
+    After k steps with weight w the head is sum_i C(k, i) w**(k-i) row[i], so
+    one pass over a triangle gives every binomial sum of the row.
+    """
+    row = list(row)
+    heads = row[:1]
+    for w in weights:
+        row = [w * x + y for x, y in zip(row, row[1:])]
+        heads.append(row[0])
+    return heads
+
+
+def _binomial_row(xi: TruncatedSeries, tail: Sequence[Coeff], w: int) -> TruncatedSeries:
+    """xi_0, then sum_(i<n) C(n-1, i) w**(n-1-i) tail[i] for n = 1..len(tail)."""
+    return TruncatedSeries(xi.coeffs[:1] + tuple(_pascal_heads(tail, [w] * (len(tail) - 1))))
 
 
 def transform_g(xi: TruncatedSeries) -> TruncatedSeries:
@@ -166,27 +185,12 @@ def transform_g(xi: TruncatedSeries) -> TruncatedSeries:
 
     Alternating binomial transform: g(n) = sum_l (-1)**l C(n-1,l) xi(n-l).
     """
-    N = xi.order
-    out = [xi.coefficient(0)]
-    for n in range(1, N + 1):
-        acc = 0
-        for l in range(n):
-            term = comb(n - 1, l) * xi.coefficient(n - l)
-            acc = acc + term if l % 2 == 0 else acc - term
-        out.append(acc)
-    return TruncatedSeries(out)
+    return _binomial_row(xi, xi.coeffs[1:], -1)
 
 
 def binomial_transform(xi: TruncatedSeries) -> TruncatedSeries:
     """Unsigned binomial transform, the two-sided inverse of transform_g."""
-    N = xi.order
-    out = [xi.coefficient(0)]
-    for n in range(1, N + 1):
-        acc = 0
-        for l in range(n):
-            acc += comb(n - 1, l) * xi.coefficient(n - l)
-        out.append(acc)
-    return TruncatedSeries(out)
+    return _binomial_row(xi, xi.coeffs[1:], 1)
 
 
 def transform_h(xi: TruncatedSeries) -> TruncatedSeries:
@@ -195,12 +199,4 @@ def transform_h(xi: TruncatedSeries) -> TruncatedSeries:
     Equivalently the composition of the series with 2q/(1+q), whose n-th power
     has coefficients 2**n (-1)**(m-n) C(m-1, m-n).
     """
-    N = xi.order
-    out = [xi.coefficient(0)]
-    for m in range(1, N + 1):
-        acc = 0
-        for n in range(1, m + 1):
-            term = (1 << n) * comb(m - 1, m - n) * xi.coefficient(n)
-            acc = acc + term if (m - n) % 2 == 0 else acc - term
-        out.append(acc)
-    return TruncatedSeries(out)
+    return _binomial_row(xi, [2**n * c for n, c in enumerate(xi.coeffs[1:], 1)], -1)

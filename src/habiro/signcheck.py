@@ -21,6 +21,7 @@ from habiro.exact import (
     PrecisionCapError,
     bernoulli_poly,
     decide_sign,
+    signed_enclosure,
     zeta_interval,
 )
 from habiro.families import FamilySpec, identity_for
@@ -44,16 +45,10 @@ def m_bound(
     """Enclosure of the constant dominating every |G(k)| relative to |G(k_nu)|."""
     k = find_k_nu(f, nu)
     scale = 2 * len(f.entries) * max([Fraction(1), *(abs(v) for _, v in f.entries)])
-    prec = min(precision, cap)
-    while True:
-        gap = abs(g_value(f, nu, k, prec))
-        if not gap.contains_zero():
-            break
-        if prec >= cap:
-            raise PrecisionCapError("Fourier coefficient enclosure kept straddling zero", prec)
-        prec = min(2 * prec, cap)
-    return IntervalReal.from_rational(scale, prec) / (
-        gap * IntervalReal.from_int(f.period, prec).sqrt()
+    gap = abs(signed_enclosure(lambda p: g_value(f, nu, k, p), min(precision, cap), cap,
+                               "Fourier coefficient enclosure kept straddling zero"))
+    return IntervalReal.from_rational(scale, gap.prec) / (
+        gap * IntervalReal.from_int(f.period, gap.prec).sqrt()
     )
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from habiro.exact import DEFAULT_PRECISION, IntervalReal, bernoulli_poly, root_sum_is_zero
-from habiro.qseries import TruncatedSeries
+from habiro.qseries import TruncatedSeries, _pascal_heads
 
 
 @dataclass(frozen=True)
@@ -250,12 +250,8 @@ def b_sequence(ident: StrangeIdentity, c: tuple[Fraction, ...]) -> tuple[Fractio
     # T_n[k] = L sum_i C(n,i) a**(n-i) C_(k+i), so T_n[0] = L b**n B_n.
     # Each step multiplies by the small integer a only.
     row, den = _over_common_denominator(c)
-    out = [Fraction(row[0], den)]
-    for _ in range(1, len(c)):
-        row = [ident.a * x + y for x, y in zip(row, row[1:])]
-        den *= ident.b
-        out.append(Fraction(row[0], den))
-    b = tuple(out)
+    heads = _pascal_heads(row, [ident.a] * (len(c) - 1))
+    b = tuple(Fraction(x, den * ident.b**n) for n, x in enumerate(heads))
     if len(b) and b[0] != c[0]:
         raise AssertionError("B_0 must equal C_0")
     return b
@@ -275,11 +271,9 @@ def xi_from_theta(b: tuple[Fraction, ...], N: int) -> TruncatedSeries:
     # Stirling recurrence runs implicitly, multiplying by n - 1 only.
     row, scale = _over_common_denominator(b[: N + 1])
     out: list[int] = []
-    for n in range(N + 1):
-        if n:
-            row = [y + (n - 1) * x for x, y in zip(row, row[1:])]
-            scale *= n
-        val, rem = divmod(row[0], scale)
+    for n, head in enumerate(_pascal_heads(row, range(N))):
+        scale *= max(n, 1)  # L n!
+        val, rem = divmod(head, scale)
         if rem:
             raise ValueError("strange-identity data inconsistent with integrality")
         out.append(val)

@@ -57,6 +57,25 @@ def test_parameter_errors_exit_one(capsys):
     assert code == 1 and "truncation order" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--family", "torus32t", "--t", "1:3", "--k", "7"], "torus32t does not take parameter k"),
+        (["--family", "habiro-g", "--k", "1:2", "--m", "4"], "habiro-g does not take parameter m"),
+        (["--family", "torus2", "--m", "2:3", "--t", "9"], "torus2 does not take parameter t"),
+        (["--family", "habiro-g", "--k", "1:2", "--ell", "0"], "habiro-g does not take parameter ell"),
+        (["--family", "fishburn", "--t", "2"], "fishburn does not take parameter t"),
+        (["--family", "torus32t"], "torus32t needs parameter t"),
+        (["--family", "torus2", "--ell", "1"], "torus2 needs parameter m"),
+        (["--family", "torus2", "--m", "0:2"], "m must be at least 1"),
+    ],
+)
+def test_verify_rejects_bad_parameters(capsys, argv, message):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 1 and out == ""
+    assert message in err
+
+
 # -- expand ------------------------------------------------------------------
 
 
@@ -287,6 +306,13 @@ def test_verify_tiny_precision_cap_is_undecided(capsys):
 
 
 # -- asym --------------------------------------------------------------------
+
+
+def test_asym_tiny_precision_cap_exits_three(capsys):
+    code, out, err = run(capsys, "asym", "--family", "torus32t", "--t", "3",
+                         "--samples", "10", "--precision-cap", "4")
+    assert code == 3 and out == ""
+    assert "Fourier coefficient enclosure kept straddling zero" in err
 
 
 def test_asym_csv_ratios_shrink(capsys):

@@ -4,9 +4,10 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from laurent import add, mul, poly, shift, subst_one_minus
+from transform_ref import binomial_transform_ref, transform_g_ref, transform_h_ref
 
 from habiro.qseries import (
     TruncatedSeries,
@@ -207,6 +208,28 @@ def test_transform_roundtrip(coeffs):
     xi = TruncatedSeries(coeffs)
     assert binomial_transform(transform_g(xi)) == xi
     assert transform_g(binomial_transform(xi)) == xi
+
+
+TRANSFORM_REFS = [
+    (transform_g, transform_g_ref),
+    (binomial_transform, binomial_transform_ref),
+    (transform_h, transform_h_ref),
+]
+coefficient = st.integers(-10**6, 10**6) | st.fractions(max_denominator=50).filter(
+    lambda x: abs(x.numerator) <= 10**6
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeffs=st.lists(coefficient, min_size=1, max_size=80))
+@example(coeffs=[7])
+@example(coeffs=[Fraction(-3, 4)])
+@example(coeffs=[2, 5])
+@example(coeffs=[Fraction(1, 3), -1])
+def test_transforms_match_their_defining_sums(coeffs):
+    xi = TruncatedSeries(coeffs)
+    for transform, ref in TRANSFORM_REFS:
+        assert transform(xi) == TruncatedSeries(ref(coeffs))
 
 
 def test_integer_coeffs_guard():

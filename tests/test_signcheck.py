@@ -80,6 +80,12 @@ def test_m_bound_never_below_one():
         assert m_bound(f, nu).lo_fraction() > Fraction(99, 100)
 
 
+def test_m_bound_cap_raises_with_the_cap_precision():
+    with pytest.raises(PrecisionCapError, match="kept straddling zero") as exc:
+        m_bound(make_chi_t(3), 1, cap=4)
+    assert exc.value.precision == 4
+
+
 # -- check-count bounds ------------------------------------------------------
 
 
