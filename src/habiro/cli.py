@@ -65,6 +65,16 @@ def _samples(text: str) -> list[int]:
     return out
 
 
+def _precision_cap(text: str) -> int:
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"precision cap must be at least 1 bit: {text!r}")
+    return cap
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="habiro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -81,7 +91,7 @@ def _build_parser() -> _Parser:
                 p.add_argument(f"--{name}", type=int, default=None)
         p.add_argument("--format", choices=FORMATS, default=None)
         p.add_argument("--cache-dir", default=None)
-        p.add_argument("--precision-cap", type=int, default=PRECISION_CAP)
+        p.add_argument("--precision-cap", type=_precision_cap, default=PRECISION_CAP)
 
     p = sub.add_parser("expand", help="coefficient sequence of a family")
     common(p)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from mpmath import iv
@@ -21,8 +22,14 @@ def zeta_even(k: int) -> tuple[Fraction, int]:
     return Fraction(r), k
 
 
+# Positivity sweeps ask for the same (s, prec) for every family member; the
+# bound keeps a long-running process from holding every enclosure it ever made.
+@lru_cache(maxsize=1024)
 def zeta_interval(s: int, prec: int = DEFAULT_PRECISION) -> IntervalReal:
-    """Enclosure of zeta(s) for an integer s >= 2."""
+    """Enclosure of zeta(s) for an integer s >= 2, memoized per (s, prec).
+
+    Callers share the returned IntervalReal, which no operation mutates.
+    """
     if s < 2:
         raise ValueError("argument must be an integer >= 2")
     if s % 2 == 0:

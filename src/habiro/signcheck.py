@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import gcd
 
 # perfbench/tracing.py wraps bernoulli_poly here, so it stays bound though unused.
@@ -52,9 +52,15 @@ def m_bound(
     )
 
 
+@lru_cache(maxsize=64)
+def _one(prec: int) -> IntervalReal:
+    """The exact 1 at a working precision, built once per precision."""
+    return IntervalReal.from_int(1, prec)
+
+
 def _holds_below_one(value, precision: int, what: str, cap: int) -> bool:
     """Rigorously decide value(prec) < 1, treating equality as failure."""
-    return decide_sign(lambda p: value(p) - 1, min(precision, cap), cap, what) < 0
+    return decide_sign(lambda p: value(p) - _one(p), min(precision, cap), cap, what) < 0
 
 
 def n_max(
@@ -88,12 +94,10 @@ def family_n_bound(
     else:
         angle = Fraction(spec.ell + 1, 2 * spec.m + 1)
 
-    def excess(n: int):
-        def value(prec: int) -> IntervalReal:
-            theta = IntervalReal.pi(prec) * angle
-            return zeta_interval(2 * n + 2, prec) - theta.sin()
+    sin_theta = cache(lambda prec: (IntervalReal.pi(prec) * angle).sin())  # one per precision
 
-        return value
+    def excess(n: int):
+        return lambda prec: zeta_interval(2 * n + 2, prec) - sin_theta(prec)
 
     n = 0
     while not _holds_below_one(excess(n), precision, f"check-count bound at n={n}", cap):
@@ -168,13 +172,19 @@ def verdict_for_identity(
 def verify_positivity(
     spec: FamilySpec, precision: int = DEFAULT_PRECISION, cap: int = PRECISION_CAP
 ) -> PositivityVerdict:
-    """Certify that every coefficient of a built-in family is positive."""
+    """Certify that every coefficient of a built-in family is positive.
+
+    The member's identity is built only when a sign test runs: with a check
+    count of 0 the tail bound alone proves positivity.
+    """
     try:
         n_used = family_n_bound(spec, precision, cap)
     except PrecisionCapError as err:
         return PositivityVerdict(
             spec.kind, spec.params(), 0, (), "undecided-at-precision-cap", str(err)
         )
+    if n_used == 0:
+        return PositivityVerdict(spec.kind, spec.params(), 0, (), "proved-positive")
     return verdict_for_identity(spec.kind, spec.params(), identity_for(spec), n_used)
 
 

@@ -305,6 +305,19 @@ def test_verify_tiny_precision_cap_is_undecided(capsys):
     assert "undecided-at-precision-cap" in out
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+@pytest.mark.parametrize("command", [
+    ["verify", "--family", "torus32t", "--t", "3"],
+    ["asym", "--family", "fishburn", "--samples", "10"],
+])
+def test_precision_cap_below_one_is_a_usage_error(capsys, command, cap):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--precision-cap", cap])
+    out = capsys.readouterr()
+    assert exc.value.code == 1 and out.out == ""
+    assert f"precision cap must be at least 1 bit: '{cap}'" in out.err
+
+
 # -- asym --------------------------------------------------------------------
 
 

@@ -1,11 +1,14 @@
 """Tail-bound constants, check counts, sign tests, and positivity verdicts."""
 
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from habiro.exact import IntervalReal, PrecisionCapError, bernoulli_poly
+import habiro.exact.zeta as zeta_module
+import habiro.signcheck as sc
+from habiro.exact import IntervalReal, PrecisionCapError, bernoulli_poly, zeta_interval
 from habiro.families import FamilySpec, expand_family, identity_for
 from habiro.signcheck import (
     FamilyCertificate,
@@ -26,6 +29,7 @@ from habiro.thetaside import (
     make_chi_m_ell,
     make_chi_t,
 )
+from tests.n_bound_ref import family_n_bound_ref
 from tests.test_families import TABLES
 from tests.test_thetaside import periodic
 
@@ -111,8 +115,6 @@ def test_n_max_zero_for_tame_weight():
 
 
 def test_n_max_builds_the_bound_once_per_precision(monkeypatch):
-    import habiro.signcheck as sc
-
     calls, precs = [], set()
     real_find, real_bound = sc.find_k_nu, sc.m_bound
 
@@ -145,6 +147,73 @@ def test_family_n_bound_fixed_cases():
     assert family_n_bound(FamilySpec.fishburn()) == 0
     for k in (1, 7, 50):
         assert family_n_bound(FamilySpec.habiro_g(k)) == 1
+
+
+def _n_bound_outcome(fn, spec, cap):
+    try:
+        return fn(spec, cap=cap)
+    except PrecisionCapError as err:
+        return str(err), err.precision
+
+
+def test_family_n_bound_matches_unshared_reference_at_every_cap():
+    # The shared zeta, sin and 1 enclosures are the intervals the reference
+    # builds afresh, so every check count and every cap failure is the same.
+    specs = [FamilySpec.fishburn(),
+             *(FamilySpec.torus32t(t) for t in range(1, 41)),
+             *(FamilySpec.torus2(m, ell) for m in range(1, 13) for ell in range(m))]
+    capped = 0
+    for cap in (4, 8, 16, 32, 64, 128, 4096):
+        for spec in specs:
+            want = _n_bound_outcome(family_n_bound_ref, spec, cap)
+            assert _n_bound_outcome(family_n_bound, spec, cap) == want, (spec, cap)
+            capped += isinstance(want, tuple)
+    assert capped > 0  # the low caps do reach the PrecisionCapError path
+    for t in (100, 150):
+        spec = FamilySpec.torus32t(t)
+        assert family_n_bound(spec) == family_n_bound_ref(spec)
+
+
+def test_family_n_bound_builds_sin_once_per_precision(monkeypatch):
+    real_sin = IntervalReal.sin
+    real_zeta = sc.zeta_interval
+    sin_precs, zeta_precs = [], set()
+
+    def counting_sin(self):
+        sin_precs.append(self.prec)
+        return real_sin(self)
+
+    def noting_zeta(s, prec):
+        zeta_precs.add(prec)
+        return real_zeta(s, prec)
+
+    monkeypatch.setattr(IntervalReal, "sin", counting_sin)
+    monkeypatch.setattr(sc, "zeta_interval", noting_zeta)
+    assert family_n_bound(FamilySpec.torus32t(100)) == 49
+    assert len(zeta_precs) > 1  # the loop escalates past the start precision
+    assert sorted(sin_precs) == sorted(zeta_precs)
+
+
+def test_zeta_body_runs_once_per_distinct_argument_pair(monkeypatch):
+    real_even = zeta_module.zeta_even
+    real_zeta = sc.zeta_interval
+    body_args, requested = Counter(), Counter()
+
+    def counting_even(k):
+        body_args[k] += 1
+        return real_even(k)
+
+    def noting_zeta(s, prec):
+        requested[s, prec] += 1
+        return real_zeta(s, prec)
+
+    monkeypatch.setattr(zeta_module, "zeta_even", counting_even)
+    monkeypatch.setattr(sc, "zeta_interval", noting_zeta)
+    zeta_interval.cache_clear()
+    for t in (100, 101):  # two members of one verify window
+        family_n_bound(FamilySpec.torus32t(t))
+    assert sum(requested.values()) > len(requested)  # the members share arguments
+    assert body_args == Counter(s for s, _ in requested)
 
 
 # -- exact sign tests --------------------------------------------------------
@@ -217,6 +286,23 @@ def test_verdict_with_no_checks_needed():
     assert v.n_used == 0 and v.checks == () and v.verdict == "proved-positive"
 
 
+def test_identity_is_built_only_when_a_sign_test_runs(monkeypatch):
+    built = []
+
+    def noting_identity(spec):
+        built.append(spec)
+        return identity_for(spec)
+
+    monkeypatch.setattr(sc, "identity_for", noting_identity)
+    for spec in (FamilySpec.fishburn(), FamilySpec.torus2(1, 0), FamilySpec.torus32t(2)):
+        v = verify_positivity(spec)
+        assert v.n_used == 0 and v.verdict == "proved-positive"
+    assert built == []
+    v = verify_positivity(FamilySpec.torus32t(3))
+    assert v.n_used == 1 and v.checks == ((0, 1, True),)
+    assert built == [FamilySpec.torus32t(3)]
+
+
 def test_verdict_sweeps():
     for t in range(1, 13):
         assert verify_positivity(FamilySpec.torus32t(t)).verdict == "proved-positive"
@@ -254,8 +340,6 @@ def test_zero_sign_test_counts_as_nonnegative():
 
 
 def test_precision_cap_becomes_undecided_verdict(monkeypatch):
-    import habiro.signcheck as sc
-
     def boom(spec, precision, cap):
         raise PrecisionCapError("sign of check-count bound undecided", cap)
 
