@@ -1,36 +1,37 @@
-"""Arbitrary-precision real intervals on top of mpmath's iv context.
+"""Arbitrary-precision real intervals on raw mpmath libmpi endpoint pairs.
 
-Every value carries the binary precision it was computed at.  Mixed-precision
-arithmetic is sound (endpoints are rounded outward), but operations run at the
-larger of the two operand precisions so refinement is monotone.
+An interval is a (lo, hi) pair of raw mpf tuples together with the binary
+precision it was computed at.  Each operation calls the libmpi function that
+mpmath's iv context wraps, at the same precision and rounding, without
+entering that context.  Mixed-precision arithmetic is sound (endpoints are
+rounded outward), but operations run at the larger of the two operand
+precisions so refinement is monotone.
 """
 
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from fractions import Fraction
 from typing import Callable
 
-from mpmath import iv
-from mpmath.libmp import fnan, fninf, finf, fzero, mpf_ge, mpf_gt, mpf_le, mpf_lt
+from mpmath.libmp import (
+    fnan, fninf, finf, from_int, fzero, mpf_ge, mpf_gt, mpf_le, mpf_lt, mpf_pi,
+    mpi_add, mpi_cos, mpi_div, mpi_exp, mpi_log, mpi_mul, mpi_neg, mpi_pow,
+    mpi_sin, mpi_sqrt, mpi_sub, mpi_to_str, repr_dps, round_ceiling, round_floor,
+)
 
 DEFAULT_PRECISION = 64
 PRECISION_CAP = 4096
 
-# The iv context is global mutable state, so every use is serialized.
-_iv_lock = threading.RLock()
+# mpmath memoizes pi and log 2 in two attributes, written value first and
+# precision second, so a thread could read them half-updated while another
+# asks for a new precision; every libmpi call is serialized.
+_lock = threading.Lock()
 
 
-@contextmanager
-def _at_precision(prec: int):
-    with _iv_lock:
-        old = iv.prec
-        iv.prec = prec
-        try:
-            yield
-        finally:
-            iv.prec = old
+def int_endpoints(n: int, prec: int):
+    """The integer n as a raw endpoint pair, rounded outward to prec bits."""
+    return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
 
 
 class PrecisionCapError(ArithmeticError):
@@ -51,6 +52,12 @@ def _raw_to_fraction(t) -> Fraction:
     return -v if sign else v
 
 
+def _quotient(q: Fraction, prec: int):
+    """Enclosure of q as the quotient of its two integer enclosures."""
+    with _lock:
+        return mpi_div(int_endpoints(q.numerator, prec), int_endpoints(q.denominator, prec), prec)
+
+
 class IntervalReal:
     """Enclosure of a real number together with its working precision."""
 
@@ -64,29 +71,23 @@ class IntervalReal:
 
     @classmethod
     def from_int(cls, n: int, prec: int = DEFAULT_PRECISION) -> "IntervalReal":
-        with _at_precision(prec):
-            return cls(iv.mpf(n), prec)
+        return cls(int_endpoints(n, prec), prec)
 
     @classmethod
     def from_rational(cls, q: Fraction | int, prec: int = DEFAULT_PRECISION) -> "IntervalReal":
-        q = Fraction(q)
-        with _at_precision(prec):
-            return cls(iv.mpf(q.numerator) / iv.mpf(q.denominator), prec)
+        return cls(_quotient(Fraction(q), prec), prec)
 
     @classmethod
     def pi(cls, prec: int = DEFAULT_PRECISION) -> "IntervalReal":
-        with _at_precision(prec):
-            return cls(+iv.pi, prec)
+        with _lock:
+            return cls((mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling)), prec)
 
     @classmethod
     def from_endpoints(cls, lo: Fraction | int, hi: Fraction | int, prec: int = DEFAULT_PRECISION) -> "IntervalReal":
         lo, hi = Fraction(lo), Fraction(hi)
         if lo > hi:
             raise ValueError("endpoints out of order")
-        with _at_precision(prec):
-            a = iv.mpf(lo.numerator) / iv.mpf(lo.denominator)
-            b = iv.mpf(hi.numerator) / iv.mpf(hi.denominator)
-            return cls(iv.mpf([a.a, b.b]), prec)
+        return cls((_quotient(lo, prec)[0], _quotient(hi, prec)[1]), prec)
 
     # -- coercion ----------------------------------------------------------
 
@@ -97,105 +98,101 @@ class IntervalReal:
             return IntervalReal.from_rational(other, self.prec)
         return None
 
-    def _binop(self, other, op) -> "IntervalReal":
+    def _binop(self, other, op, reflected: bool = False) -> "IntervalReal":
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
         prec = max(self.prec, rhs.prec)
-        with _at_precision(prec):
-            return IntervalReal(op(self.ival, rhs.ival), prec)
+        a, b = (rhs.ival, self.ival) if reflected else (self.ival, rhs.ival)
+        with _lock:
+            return IntervalReal(op(a, b, prec), prec)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
+        return self._binop(other, mpi_add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
+        return self._binop(other, mpi_sub)
 
     def __rsub__(self, other):
-        return self._binop(other, lambda a, b: b - a)
+        return self._binop(other, mpi_sub, reflected=True)
 
     def __mul__(self, other):
-        return self._binop(other, lambda a, b: a * b)
+        return self._binop(other, mpi_mul)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self._binop(other, lambda a, b: a / b)
+        return self._binop(other, mpi_div)
 
     def __rtruediv__(self, other):
-        return self._binop(other, lambda a, b: b / a)
+        return self._binop(other, mpi_div, reflected=True)
 
     def __neg__(self):
-        with _at_precision(self.prec):
-            return IntervalReal(-self.ival, self.prec)
+        return self._fn(mpi_neg)
 
     def __abs__(self):
-        if mpf_ge(self._lo_raw(), fzero):
+        if mpf_ge(self.ival[0], fzero):
             return self
-        if mpf_le(self._hi_raw(), fzero):
+        if mpf_le(self.ival[1], fzero):
             return -self
         lo = self.lo_fraction()
         hi = self.hi_fraction()
         return IntervalReal.from_endpoints(Fraction(0), max(-lo, hi), self.prec)
 
     def pow_int(self, k: int) -> "IntervalReal":
-        with _at_precision(self.prec):
-            return IntervalReal(self.ival ** k, self.prec)
+        # Like iv's **, the exponent is an interval at the working precision;
+        # mpi_pow takes mpi_pow_int exactly when that interval is the integer k.
+        with _lock:
+            return IntervalReal(mpi_pow(self.ival, int_endpoints(k, self.prec), self.prec), self.prec)
 
-    def _fn(self, name: str) -> "IntervalReal":
-        with _at_precision(self.prec):
-            return IntervalReal(getattr(iv, name)(self.ival), self.prec)
+    def _fn(self, f) -> "IntervalReal":
+        with _lock:
+            return IntervalReal(f(self.ival, self.prec), self.prec)
 
     def sqrt(self) -> "IntervalReal":
-        return self._fn("sqrt")
+        return self._fn(mpi_sqrt)
 
     def log(self) -> "IntervalReal":
-        return self._fn("log")
+        return self._fn(mpi_log)
 
     def exp(self) -> "IntervalReal":
-        return self._fn("exp")
+        return self._fn(mpi_exp)
 
     def sin(self) -> "IntervalReal":
-        return self._fn("sin")
+        return self._fn(mpi_sin)
 
     def cos(self) -> "IntervalReal":
-        return self._fn("cos")
+        return self._fn(mpi_cos)
 
     # -- inspection --------------------------------------------------------
 
-    def _lo_raw(self):
-        return self.ival._mpi_[0]
-
-    def _hi_raw(self):
-        return self.ival._mpi_[1]
-
     def lo_fraction(self) -> Fraction:
-        return _raw_to_fraction(self._lo_raw())
+        return _raw_to_fraction(self.ival[0])
 
     def hi_fraction(self) -> Fraction:
-        return _raw_to_fraction(self._hi_raw())
+        return _raw_to_fraction(self.ival[1])
 
     def width_fraction(self) -> Fraction:
         return self.hi_fraction() - self.lo_fraction()
 
     def contains_zero(self) -> bool:
-        return mpf_le(self._lo_raw(), fzero) and mpf_ge(self._hi_raw(), fzero)
+        return mpf_le(self.ival[0], fzero) and mpf_ge(self.ival[1], fzero)
 
     def is_positive(self) -> bool:
-        return mpf_gt(self._lo_raw(), fzero)
+        return mpf_gt(self.ival[0], fzero)
 
     def is_negative(self) -> bool:
-        return mpf_lt(self._hi_raw(), fzero)
+        return mpf_lt(self.ival[1], fzero)
 
     def mid_float(self) -> float:
         return float((self.lo_fraction() + self.hi_fraction()) / 2)
 
     def __repr__(self) -> str:
-        return f"IntervalReal([{self.ival.a!s}, {self.ival.b!s}], prec={self.prec})"
+        return f"IntervalReal({mpi_to_str(self.ival, repr_dps(self.prec))}, prec={self.prec})"
 
 
 def signed_enclosure(

@@ -1,4 +1,4 @@
-"""Riemann zeta at integer arguments: exact even values, enclosures otherwise."""
+"""Riemann zeta at integer arguments: exact even values, raw libmpi enclosures otherwise."""
 
 from __future__ import annotations
 
@@ -6,10 +6,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from mpmath import iv
+from mpmath.libmp import fone, fzero, mpi_add, mpi_div, mpi_mul, mpi_pow
 
 from habiro.exact.bernoulli import bernoulli_number
-from habiro.exact.intervals import DEFAULT_PRECISION, IntervalReal, _at_precision
+from habiro.exact.intervals import DEFAULT_PRECISION, IntervalReal, _lock, int_endpoints
 
 
 def zeta_even(k: int) -> tuple[Fraction, int]:
@@ -47,9 +47,9 @@ def _zeta_euler_maclaurin(s: int, prec: int) -> IntervalReal:
     """
     work = prec + 24
     cutoff = max(8, (35 * work) // 100)
-    with _at_precision(work):
+    with _lock:
         while True:
-            val = _em_attempt(s, cutoff, -work)
+            val = _em_attempt(s, cutoff, work)
             if val is not None:
                 return IntervalReal(val, work)
             cutoff *= 2
@@ -58,38 +58,41 @@ def _zeta_euler_maclaurin(s: int, prec: int) -> IntervalReal:
 def _mag_exp(x) -> int:
     """Upper bound on log2 of the magnitude of an interval value."""
     out = -(10**9)
-    for sign, man, exp, bc in x._mpi_:
+    for sign, man, exp, bc in x:
         if man:
             out = max(out, exp + bc)
     return out
 
 
-def _em_attempt(s: int, cutoff: int, target_exp: int):
-    """One Euler-Maclaurin evaluation; None if the series bottoms out too early.
+def _em_attempt(s: int, cutoff: int, prec: int):
+    """One Euler-Maclaurin evaluation at prec bits; None if the series bottoms out too early.
 
     The integrand x**(-s) is completely monotone, so the remainder after J
     correction terms is bounded by the first omitted term and shares its sign;
     hulling that term with 0 (multiplication by [0, 1]) closes the enclosure.
     """
-    partial = iv.mpf(0)
+    def power(n: int, k: int):
+        return mpi_pow(int_endpoints(n, prec), int_endpoints(k, prec), prec)
+
+    partial = (fzero, fzero)
     for n in range(1, cutoff):
-        partial += iv.mpf(n) ** (-s)
-    kk = iv.mpf(cutoff)
-    acc = partial + kk ** (1 - s) / (s - 1) + kk ** (-s) / 2
-    unit = iv.mpf([0, 1])
+        partial = mpi_add(partial, power(n, -s), prec)
+    acc = mpi_add(partial, mpi_div(power(cutoff, 1 - s), int_endpoints(s - 1, prec), prec), prec)
+    acc = mpi_add(acc, mpi_div(power(cutoff, -s), int_endpoints(2, prec), prec), prec)
     prev_mag = None
     j = 1
     rising = s  # s * (s+1) * ... * (s + 2j - 2), updated incrementally
     while True:
         b = bernoulli_number(2 * j)
         coeff = Fraction(b * rising, factorial(2 * j))
-        term = (iv.mpf(coeff.numerator) / iv.mpf(coeff.denominator)) * kk ** (-s - 2 * j + 1)
+        term = mpi_div(int_endpoints(coeff.numerator, prec), int_endpoints(coeff.denominator, prec), prec)
+        term = mpi_mul(term, power(cutoff, -s - 2 * j + 1), prec)
         mag = _mag_exp(term)
-        if mag < target_exp:
-            return acc + term * unit
+        if mag < -prec:
+            return mpi_add(acc, mpi_mul(term, (fzero, fone), prec), prec)
         if prev_mag is not None and mag > prev_mag:
             return None
-        acc += term
+        acc = mpi_add(acc, term, prec)
         prev_mag = mag
         rising *= (s + 2 * j - 1) * (s + 2 * j)
         j += 1

@@ -1,12 +1,15 @@
-"""Interval arithmetic wrapper: soundness and sign decisions."""
+"""Interval arithmetic: soundness, sign decisions, and identical endpoints to mpmath's iv context."""
 
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from habiro.exact import IntervalReal, PrecisionCapError, decide_sign
+from habiro.exact import PRECISION_CAP, IntervalReal, PrecisionCapError, decide_sign, zeta_interval
+from interval_ref import IntervalRef, zeta_odd_ref
 
 PI_REF = Fraction("3.14159265358979323846264338327950288419716939937510582097494459230781640628")
 
@@ -120,3 +123,123 @@ def test_sum_and_difference_soundness(a, b):
     d = x - y
     assert s.lo_fraction() <= a + b <= s.hi_fraction()
     assert d.lo_fraction() <= a - b <= d.hi_fraction()
+
+
+def test_repr_shows_both_endpoints_and_precision():
+    assert repr(IntervalReal.from_int(3, 64)) == "IntervalReal([3.0, 3.0], prec=64)"
+
+
+# -- identical endpoints to the iv context -----------------------------------
+
+precisions = st.integers(min_value=2, max_value=1024)
+scalars = st.one_of(
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.fractions(min_value=Fraction(-(10**12)), max_value=Fraction(10**12), max_denominator=10**15),
+)
+
+
+@st.composite
+def operands(draw):
+    """The same value built by one constructor in IntervalReal and in the iv reference."""
+    prec = draw(precisions)
+    kind = draw(st.sampled_from(["from_int", "from_rational", "pi", "from_endpoints"]))
+    if kind == "from_int":
+        args = (draw(st.integers(min_value=-(10**40), max_value=10**40)),)
+    elif kind == "from_rational":
+        args = (draw(scalars),)
+    elif kind == "pi":
+        args = ()
+    else:
+        args = tuple(sorted((draw(scalars), draw(scalars))))
+    return getattr(IntervalReal, kind)(*args, prec), getattr(IntervalRef, kind)(*args, prec)
+
+
+def _outcome(compute):
+    """Raw endpoints and precision of compute(), or the fact that it has no real value.
+
+    A log or square root of a negative number raises mpmath's ComplexResult (a
+    ValueError) on both sides; a power the iv context makes complex leaves the
+    reference without real endpoints (AttributeError).
+    """
+    try:
+        x = compute()
+        endpoints = x.ival if isinstance(x, IntervalReal) else x.endpoints
+        return endpoints, x.prec
+    except (ValueError, AttributeError):
+        return "no real value"
+
+
+def _same(ours, ref):
+    assert _outcome(ours) == _outcome(ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=operands())
+def test_constructors_match_iv(pair):
+    ours, ref = pair
+    assert (ours.ival, ours.prec) == (ref.endpoints, ref.prec)
+
+
+binary = st.sampled_from([
+    lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b, lambda a, b: a / b,
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=operands(), y=operands(), op=binary, c=scalars)
+def test_operators_match_iv_at_mixed_precisions(x, y, op, c):
+    _same(lambda: op(x[0], y[0]), lambda: op(x[1], y[1]))
+    _same(lambda: op(x[0], c), lambda: op(x[1], c))
+    _same(lambda: op(c, x[0]), lambda: op(c, x[1]))
+
+
+unary = st.sampled_from([
+    lambda a: -a, abs, lambda a: a.sqrt(), lambda a: a.log(), lambda a: a.exp(),
+    lambda a: a.sin(), lambda a: a.cos(),
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=operands(), fn=unary, k=st.integers(min_value=-40, max_value=40))
+def test_functions_match_iv(x, fn, k):
+    _same(lambda: fn(x[0]), lambda: fn(x[1]))
+    _same(lambda: x[0].pow_int(k), lambda: x[1].pow_int(k))
+
+
+@pytest.mark.parametrize("s", range(3, 42, 2))
+def test_zeta_loop_matches_iv(s):
+    for p in (16, 64, 128, 256):
+        ours = zeta_interval.__wrapped__(s, p)
+        ref = zeta_odd_ref(s, p)
+        assert (ours.ival, ours.prec) == (ref.endpoints, ref.prec)
+
+
+def test_threads_get_the_serial_enclosures():
+    # mpmath memoizes pi and log 2 at the highest precision asked so far.  The
+    # threads ask for rising precisions above the cap, above any the package
+    # uses, so the memo is rebuilt while the other threads read it.
+    start = 2 * PRECISION_CAP
+    arg = Fraction(10**6 + 1, 3)
+
+    def enclosures(offset):
+        out = []
+        for step in range(4):
+            prec = int(start * 1.1**step) + offset
+            x = IntervalReal.from_rational(arg, prec)
+            out.append((IntervalReal.pi(prec).ival, x.sin().ival, x.log().ival))
+        return out
+
+    results = {}
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda i=i: results.__setitem__(i, enclosures(i)))
+                   for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old)
+    assert all(results[i] == enclosures(i) for i in range(4))
