@@ -6,8 +6,9 @@ arithmetic in the quadratic-cost part of the recurrence.
 
 B_0..B_K are memoized as one table.  Beside the Fractions it holds integer
 numerators over the prefix denominators P_j = lcm(den B_0, ..., den B_j), so
-that a Bernoulli polynomial value is an integer sum over the one denominator
-P_k q**k, reduced to a Fraction once.
+that Bernoulli polynomial values at several points p_i/q come out of one
+integer kernel as numerators over the one denominator P_k q**k, never
+reduced: a caller that needs only a sign, or a sum of values, runs no gcd.
 """
 
 from __future__ import annotations
@@ -81,31 +82,37 @@ def bernoulli_number(k: int) -> Fraction:
     return _table_through(k).values[k]
 
 
-def bernoulli_poly(k: int, x: Fraction | int) -> Fraction:
-    """Evaluate the Bernoulli polynomial B_k(x) exactly."""
+def bernoulli_poly(k: int, ps: list[int], q: int) -> tuple[list[int], int]:
+    """Integers n_i and D = P_k q**k with B_k(p_i/q) = n_i / D, unreduced."""
     if k < 0:
         raise ValueError("Bernoulli index must be nonnegative")
-    x = Fraction(x)
-    p, q = x.numerator, x.denominator
+    if q < 1:
+        raise ValueError("denominator must be positive")
+    if k < 2:  # B_0 = 1 and B_1(p/q) = (2p - q) / 2q
+        return ([2 * p - q for p in ps], 2 * q) if k else ([1] * len(ps), 1)
     table = _table_through(k)
     nums, growth = table.numerators, table.growth
-    # P_k q**k B_k(p/q) = sum_j C(k,j) (P_k B_j) q**j p**(k-j).  B_j vanishes
-    # for odd j >= 3, so the even j run a Horner loop in p**2 whose
-    # accumulator after step j is the sum over even i <= j of
-    # C(k,i) (P_j B_i) q**i p**(j-i): each step scales it by p**2 and by
-    # P_j / P_(j-2).  The binomials and the powers of q**2 are kept
-    # incrementally, and the j = 1 term goes apart.
-    pp, qq = p * p, q * q
-    acc = 0
-    binom = 1
-    qpow = 1
-    for j in range(0, k + 1, 2):
-        acc = acc * (pp * growth[j]) + binom * nums[j] * qpow
+    # P_k q**k B_k(p/q) = sum_j C(k,j) (P_k B_j) q**j p**(k-j) is step k of a
+    # Horner loop in p whose accumulator after step j is the sum over i <= j
+    # of C(k,i) (P_j B_i) q**i p**(j-i); step 2 leaves 6p**2 - 3kpq + C(k,2) q**2.
+    # B_j vanishes for odd j >= 3, so the even j >= 4 take two steps at once,
+    # scaling by p**2 and by P_j / P_(j-2).  Their terms C(k,j) (P_j B_j) q**j
+    # are shared by the points; with q = q1 2**e the power of 2 is a shift.
+    e = (q & -q).bit_length() - 1
+    q1sq = (q >> e) ** 2
+    terms = []
+    binom = k * (k - 1) * (k - 2) * (k - 3) // 24
+    q1pow = q1sq * q1sq
+    for j in range(4, k + 1, 2):
+        terms.append((binom * nums[j] * q1pow) << (e * j))
         binom = binom * (k - j) * (k - j - 1) // ((j + 1) * (j + 2))
-        qpow *= qq
-    den = table.denominators[k]
-    if k % 2:
-        acc *= p * (den // table.denominators[k - 1])
-    if k:
-        acc -= k * (den // 2) * q * p ** (k - 1)
-    return Fraction(acc, den * q**k)
+        q1pow *= q1sq
+    step2 = k * (k - 1) // 2 * q * q
+    out = []
+    for p in ps:
+        pp = p * p
+        acc = 6 * pp - 3 * k * p * q + step2
+        for g, t in zip(growth[4 : k + 1 : 2], terms):
+            acc = acc * (pp * g) + t
+        out.append(acc * p if k % 2 else acc)  # odd step k has no term; P_k = P_(k-1)
+    return out, table.denominators[k] * q**k

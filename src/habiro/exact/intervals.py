@@ -94,7 +94,9 @@ class IntervalReal:
     def _coerce(self, other):
         if isinstance(other, IntervalReal):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
+            return IntervalReal.from_int(other, self.prec)
+        if isinstance(other, Fraction):
             return IntervalReal.from_rational(other, self.prec)
         return None
 

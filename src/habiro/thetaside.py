@@ -209,15 +209,16 @@ def bernoulli_sum(f: PeriodicFunction, s: int) -> tuple[int, int]:
 
     B_s(1 - x) = (-1)**s B_s(x) lets each residue share the Bernoulli value
     of its mirror.  Residue 0 contributes at the right endpoint x = 1 of the
-    period window.  Callers that need only the sign skip the reduction.
+    period window.  One kernel call gives every value over the one
+    denominator D = P_s M**s; the weights go over their lcm L, and the sum
+    is returned over L D, never reduced, so a sign test runs no gcd.
     """
     period = f.period
-    num, den = 0, 1
-    for m, v in f.folded(-1 if s % 2 else 1):
-        b = bernoulli_poly(s, Fraction(m if m else period, period))
-        d = v.denominator * b.denominator
-        num, den = num * d + v.numerator * b.numerator * den, den * d
-    return num, den
+    entries = f.folded(-1 if s % 2 else 1)
+    values, den = bernoulli_poly(s, [m or period for m, _ in entries], period)
+    scale = lcm(*(v.denominator for _, v in entries))
+    num = sum(v.numerator * (scale // v.denominator) * b for (_, v), b in zip(entries, values))
+    return num, scale * den
 
 
 def c_sequence(ident: StrangeIdentity, N: int) -> tuple[Fraction, ...]:

@@ -1,13 +1,16 @@
 """Reference Bernoulli numbers and polynomials for the exactness tests.
 
 The numbers come from the classical recurrence sum_{j<=n} C(n+1, j) B_j = 0
-in Fractions, and the polynomials from a Horner loop over Fractions.  Nothing
-here calls habiro.exact: this is the reference the integer kernel is compared
-against.
+in Fractions, and the polynomials from a Horner loop over Fractions.  The
+references call nothing in habiro.exact: they are what the integer kernel is
+compared against.  `bernoulli_at` is the kernel itself at one point, reduced,
+for tests that check a single value.
 """
 
 from fractions import Fraction
 from math import comb
+
+from habiro.exact import bernoulli_poly
 
 _numbers = [Fraction(1)]
 
@@ -31,3 +34,10 @@ def bernoulli_poly_ref(k: int, x) -> Fraction:
     for j in range(k + 1):
         acc = acc * x + comb(k, j) * bernoulli_number_ref(j)
     return acc
+
+
+def bernoulli_at(k: int, x) -> Fraction:
+    """B_k(x) from the multi-point kernel at the one point x, as a Fraction."""
+    x = Fraction(x)
+    nums, den = bernoulli_poly(k, [x.numerator], x.denominator)
+    return Fraction(nums[0], den)

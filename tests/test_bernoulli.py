@@ -3,10 +3,11 @@
 import sys
 import threading
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import sympy
-from bernoulli_ref import bernoulli_number_ref, bernoulli_poly_ref
+from bernoulli_ref import bernoulli_at, bernoulli_number_ref, bernoulli_poly_ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,14 +37,14 @@ def test_against_sympy_sweep():
 
 
 def test_poly_pinned_values():
-    assert bernoulli_poly(1, Fraction(1, 3)) == Fraction(-1, 6)
-    assert bernoulli_poly(0, Fraction(7, 5)) == 1
-    assert bernoulli_poly(2, Fraction(1, 12)) == Fraction(13, 144)
+    assert bernoulli_at(1, Fraction(1, 3)) == Fraction(-1, 6)
+    assert bernoulli_at(0, Fraction(7, 5)) == 1
+    assert bernoulli_at(2, Fraction(1, 12)) == Fraction(13, 144)
 
 
 def test_poly_at_zero_is_number():
     for k in range(0, 25):
-        assert bernoulli_poly(k, 0) == bernoulli_number(k)
+        assert bernoulli_at(k, 0) == bernoulli_number(k)
 
 
 def test_poly_against_sympy():
@@ -51,7 +52,7 @@ def test_poly_against_sympy():
     for k in range(0, 12):
         for q in (Fraction(1, 2), Fraction(-2, 7), Fraction(5, 12)):
             ref = sympy.bernoulli(k, x).subs(x, sympy.Rational(q.numerator, q.denominator))
-            assert bernoulli_poly(k, q) == Fraction(str(sympy.Rational(ref)))
+            assert bernoulli_at(k, q) == Fraction(str(sympy.Rational(ref)))
 
 
 rationals = st.fractions(
@@ -62,13 +63,13 @@ rationals = st.fractions(
 @settings(max_examples=40, deadline=None)
 @given(k=st.integers(min_value=0, max_value=40), x=rationals)
 def test_reflection_identity(k, x):
-    assert bernoulli_poly(k, 1 - x) == (-1) ** k * bernoulli_poly(k, x)
+    assert bernoulli_at(k, 1 - x) == (-1) ** k * bernoulli_at(k, x)
 
 
 @settings(max_examples=40, deadline=None)
 @given(k=st.integers(min_value=1, max_value=30), x=rationals)
 def test_forward_difference(k, x):
-    assert bernoulli_poly(k, x + 1) - bernoulli_poly(k, x) == k * x ** (k - 1)
+    assert bernoulli_at(k, x + 1) - bernoulli_at(k, x) == k * x ** (k - 1)
 
 
 # -- the integer kernel against the Fraction reference ----------------------
@@ -92,9 +93,46 @@ def test_numbers_match_reference_through_300():
 @pytest.mark.parametrize("x, ks", POINTS, ids=[str(i) for i in range(len(POINTS))])
 def test_poly_matches_fraction_horner(x, ks):
     for k in ks:
-        got = bernoulli_poly(k, x)
+        got = bernoulli_at(k, x)
         assert type(got) is Fraction
         assert got == bernoulli_poly_ref(k, x), k
+
+
+# -- the multi-point kernel: unreduced integers over P_k q**k -----------------
+
+periods = st.one_of(
+    st.integers(min_value=1, max_value=150).map(lambda t: 3 * 2 ** (t + 1)),  # torus32t
+    st.integers(min_value=1, max_value=500).map(lambda m: 4 * (2 * m + 1)),  # torus2
+    st.integers(min_value=0, max_value=10**6).map(lambda n: 2 * n + 1),
+)
+
+
+@st.composite
+def kernel_args(draw):
+    q = draw(periods)
+    inner = draw(st.lists(st.integers(min_value=0, max_value=q), max_size=4))
+    return draw(st.integers(min_value=0, max_value=80)), [0, *inner, q], q
+
+
+@settings(max_examples=60, deadline=None)
+@given(args=kernel_args())
+def test_kernel_matches_reference_unreduced(args):
+    k, ps, q = args
+    nums, den = bernoulli_poly(k, ps, q)
+    prefix = lcm(*(bernoulli_number_ref(j).denominator for j in range(k + 1)))
+    assert den == prefix * q**k
+    assert len(nums) == len(ps)
+    for p, n in zip(ps, nums):
+        assert type(n) is int
+        assert Fraction(n, den) == bernoulli_poly_ref(k, Fraction(p, q)), (k, p, q)
+        assert bernoulli_poly(k, [p], q) == ([n], den)
+
+
+def test_kernel_rejects_bad_arguments():
+    with pytest.raises(ValueError):
+        bernoulli_poly(-1, [1], 2)
+    with pytest.raises(ValueError):
+        bernoulli_poly(4, [1], 0)
 
 
 def test_table_shared_by_threads(monkeypatch):
@@ -108,7 +146,7 @@ def test_table_shared_by_threads(monkeypatch):
     def worker(offset):
         try:
             for k in ks[offset::4]:
-                assert bernoulli_poly(k, x) == want[k][1], k
+                assert bernoulli_at(k, x) == want[k][1], k
                 assert bernoulli_number(k) == want[k][0], k
         except Exception as err:  # reported by the main thread
             errors.append(err)

@@ -1,8 +1,10 @@
 """Command-line behavior: outputs, formats, exit codes, cache wiring."""
 
+import hashlib
 import json
 import math
 import time
+from pathlib import Path
 
 import pytest
 
@@ -295,6 +297,17 @@ def test_verify_json_rows(capsys):
     assert [r["params"] for r in rows] == [{"t": 3}, {"t": 4}]
     assert all(r["verdict"] == "proved-positive" for r in rows)
     assert rows[0]["N_used"] == 1 and rows[0]["checks"] == [[0, 1, True]]
+
+
+VERIFY_DIGESTS = json.loads(
+    (Path(__file__).parent / "data" / "verify_digests.json").read_text())["runs"]
+
+
+@pytest.mark.parametrize("entry", VERIFY_DIGESTS, ids=lambda e: " ".join(e["args"]))
+def test_verify_json_matches_frozen_digest(capsys, entry):
+    code, out, err = run(capsys, "verify", *entry["args"], "--format", "json")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == entry["digest"]
 
 
 def test_verify_tiny_precision_cap_is_undecided(capsys):

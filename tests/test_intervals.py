@@ -132,8 +132,11 @@ def test_repr_shows_both_endpoints_and_precision():
 # -- identical endpoints to the iv context -----------------------------------
 
 precisions = st.integers(min_value=2, max_value=1024)
+# An int operand is coerced by from_int and the reference's by a division by
+# an exact [1, 1]; integers wider than the precision are rounded by both.
 scalars = st.one_of(
     st.integers(min_value=-(10**40), max_value=10**40),
+    st.integers(min_value=-(2**3000), max_value=2**3000),
     st.fractions(min_value=Fraction(-(10**12)), max_value=Fraction(10**12), max_denominator=10**15),
 )
 

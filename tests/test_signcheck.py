@@ -8,7 +8,7 @@ import pytest
 
 import habiro.exact.zeta as zeta_module
 import habiro.signcheck as sc
-from habiro.exact import IntervalReal, PrecisionCapError, bernoulli_poly, zeta_interval
+from habiro.exact import IntervalReal, PrecisionCapError, zeta_interval
 from habiro.families import FamilySpec, expand_family, identity_for
 from habiro.signcheck import (
     FamilyCertificate,
@@ -29,6 +29,7 @@ from habiro.thetaside import (
     make_chi_m_ell,
     make_chi_t,
 )
+from tests.bernoulli_ref import bernoulli_at
 from tests.n_bound_ref import family_n_bound_ref
 from tests.test_families import TABLES
 from tests.test_thetaside import periodic
@@ -223,7 +224,7 @@ def test_sign_test_doubled_torus_t3():
     # B_2(13/48) > B_2(19/48), so the n = 0 quantity is positive
     ident = identity_for(FamilySpec.torus32t(3))
     assert bernoulli_sign_test(ident, 0) == 1
-    gap = bernoulli_poly(2, Fraction(13, 48)) - bernoulli_poly(2, Fraction(19, 48))
+    gap = bernoulli_at(2, Fraction(13, 48)) - bernoulli_at(2, Fraction(19, 48))
     assert gap > 0
 
 
@@ -231,7 +232,7 @@ def test_sign_test_doubled_torus_t3():
 def test_sign_test_odd_weight_first_moment(k):
     ident = identity_for(FamilySpec.habiro_g(k))
     inner = sum(
-        v * bernoulli_poly(1, Fraction(m, ident.f.period)) for m, v in ident.f.entries
+        v * bernoulli_at(1, Fraction(m, ident.f.period)) for m, v in ident.f.entries
     )
     assert inner == -1
     assert bernoulli_sign_test(ident, 0) == 1
