@@ -6,9 +6,13 @@ arithmetic in the quadratic-cost part of the recurrence.
 
 B_0..B_K are memoized as one table.  Beside the Fractions it holds integer
 numerators over the prefix denominators P_j = lcm(den B_0, ..., den B_j), so
-that Bernoulli polynomial values at several points p_i/q come out of one
-integer kernel as numerators over the one denominator P_k q**k, never
-reduced: a caller that needs only a sign, or a sum of values, runs no gcd.
+that Bernoulli polynomial values at several points p_i/q and several indices
+k come out of one integer kernel call, for each k as numerators over the one
+denominator P_k q**k, never reduced: a caller that needs only a sign, or a
+sum of values, runs no gcd.  Indices 2 apart, such as the s = 2n + nu + 1 of
+the L-values C_0..C_N, share their terms: each index rescales the terms of
+the one before by small integers, so the index-free part (P_j B_j) q**j of
+each term is built once per call, not once per index.
 """
 
 from __future__ import annotations
@@ -82,37 +86,61 @@ def bernoulli_number(k: int) -> Fraction:
     return _table_through(k).values[k]
 
 
-def bernoulli_poly(k: int, ps: list[int], q: int) -> tuple[list[int], int]:
-    """Integers n_i and D = P_k q**k with B_k(p_i/q) = n_i / D, unreduced."""
-    if k < 0:
-        raise ValueError("Bernoulli index must be nonnegative")
+def bernoulli_poly(ks: list[int], ps: list[int], q: int) -> list[tuple[list[int], int]]:
+    """For each k in ks, the integers n_i and D = P_k q**k with B_k(p_i/q) = n_i / D.
+
+    The indices must be nonnegative, strictly ascending and of one parity.
+    The values come unreduced, one (n_i, D) pair per index, in the order of ks.
+    """
+    if not ks or ks[0] < 0 or (
+        len(ks) > 1 and any(b <= a or (b - a) % 2 for a, b in zip(ks, ks[1:]))
+    ):
+        raise ValueError("Bernoulli indices must be nonnegative, strictly ascending, of one parity")
     if q < 1:
         raise ValueError("denominator must be positive")
-    if k < 2:  # B_0 = 1 and B_1(p/q) = (2p - q) / 2q
-        return ([2 * p - q for p in ps], 2 * q) if k else ([1] * len(ps), 1)
-    table = _table_through(k)
-    nums, growth = table.numerators, table.growth
+    table = _table_through(ks[-1])
     # P_k q**k B_k(p/q) = sum_j C(k,j) (P_k B_j) q**j p**(k-j) is step k of a
     # Horner loop in p whose accumulator after step j is the sum over i <= j
     # of C(k,i) (P_j B_i) q**i p**(j-i); step 2 leaves 6p**2 - 3kpq + C(k,2) q**2.
     # B_j vanishes for odd j >= 3, so the even j >= 4 take two steps at once,
     # scaling by p**2 and by P_j / P_(j-2).  Their terms C(k,j) (P_j B_j) q**j
     # are shared by the points; with q = q1 2**e the power of 2 is a shift.
+    # An index 2 above the one before it takes that index's terms times
+    # C(k,j) / C(k-2,j) = k(k-1) / ((k-j)(k-j-1)), plus one new term, so a
+    # run of indices builds each (P_j B_j) q1**j once.
+    nums, growth = table.numerators, table.growth
     e = (q & -q).bit_length() - 1
     q1sq = (q >> e) ** 2
-    terms = []
-    binom = k * (k - 1) * (k - 2) * (k - 3) // 24
-    q1pow = q1sq * q1sq
-    for j in range(4, k + 1, 2):
-        terms.append((binom * nums[j] * q1pow) << (e * j))
-        binom = binom * (k - j) * (k - j - 1) // ((j + 1) * (j + 2))
-        q1pow *= q1sq
-    step2 = k * (k - 1) // 2 * q * q
     out = []
-    for p in ps:
-        pp = p * p
-        acc = 6 * pp - 3 * k * p * q + step2
-        for g, t in zip(growth[4 : k + 1 : 2], terms):
-            acc = acc * (pp * g) + t
-        out.append(acc * p if k % 2 else acc)  # odd step k has no term; P_k = P_(k-1)
-    return out, table.denominators[k] * q**k
+    terms, qpow, prev = [], 1, 0
+    for k in ks:
+        qpow *= q ** (k - prev)
+        gap, prev = k - prev, k
+        den = table.denominators[k] * qpow
+        if k < 2:  # B_0 = 1 and B_1(p/q) = (2p - q) / 2q
+            out.append(([2 * p - q for p in ps] if k else [1] * len(ps), den))
+            continue
+        if terms and gap == 2:
+            up = k * (k - 1)
+            terms = [t * up // ((k - j) * (k - j - 1)) for j, t in zip(range(4, k, 2), terms)]
+            j = k - k % 2  # the new term's C(k,j) is k or 1
+            terms.append((nums[j] * q1pow * (k if k % 2 else 1)) << (e * j))
+            q1pow *= q1sq
+        else:
+            terms = []
+            binom = k * (k - 1) * (k - 2) * (k - 3) // 24
+            q1pow = q1sq * q1sq
+            for j in range(4, k + 1, 2):
+                terms.append((binom * nums[j] * q1pow) << (e * j))
+                binom = binom * (k - j) * (k - j - 1) // ((j + 1) * (j + 2))
+                q1pow *= q1sq
+        step2 = k * (k - 1) // 2 * q * q
+        values = []
+        for p in ps:
+            pp = p * p
+            acc = 6 * pp - 3 * k * p * q + step2
+            for g, t in zip(growth[4 : k + 1 : 2], terms):
+                acc = acc * (pp * g) + t
+            values.append(acc * p if k % 2 else acc)  # odd step k has no term; P_k = P_(k-1)
+        out.append((values, den))
+    return out

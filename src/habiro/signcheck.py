@@ -112,7 +112,7 @@ def bernoulli_sign_test(ident: StrangeIdentity, n: int) -> int:
     """
     if n < 0:
         raise ValueError("sample index must be nonnegative")
-    num, _ = bernoulli_sum(ident.f, 2 * n + ident.nu + 1)
+    [(num, _)] = bernoulli_sum(ident.f, [2 * n + ident.nu + 1])
     sign = (num > 0) - (num < 0)
     return sign if n % 2 else -sign
 

@@ -64,12 +64,11 @@ class PeriodicFunction:
         for the point x = 1 of the period window and has no mirror in it.
         """
         acc: dict[int, Fraction] = {}
-        for r, v in self.entries:
+        for r, v in self.entries:  # Fraction arithmetic only to mirror by -1 or to merge
             mirror = self.period - r
             if mirror < r:
-                acc[mirror] = acc.get(mirror, 0) + sign * v
-            else:
-                acc[r] = acc.get(r, 0) + v
+                r, v = mirror, (v if sign == 1 else sign * v)
+            acc[r] = acc[r] + v if r in acc else v
         return tuple((r, v) for r, v in sorted(acc.items()) if v)
 
 
@@ -204,21 +203,25 @@ def find_k_nu(f: PeriodicFunction, nu: int) -> int:
     raise ValueError("no nonzero Fourier coefficient")
 
 
-def bernoulli_sum(f: PeriodicFunction, s: int) -> tuple[int, int]:
-    """sum_(m=1..M) f(m) B_s(m/M) as an unreduced (num, den) with den > 0.
+def bernoulli_sum(f: PeriodicFunction, ss: list[int]) -> list[tuple[int, int]]:
+    """sum_(m=1..M) f(m) B_s(m/M) for each s in ss, as unreduced (num, den), den > 0.
 
-    B_s(1 - x) = (-1)**s B_s(x) lets each residue share the Bernoulli value
-    of its mirror.  Residue 0 contributes at the right endpoint x = 1 of the
-    period window.  One kernel call gives every value over the one
-    denominator D = P_s M**s; the weights go over their lcm L, and the sum
-    is returned over L D, never reduced, so a sign test runs no gcd.
+    The s ascend strictly and share one parity.  B_s(1 - x) = (-1)**s B_s(x)
+    lets each residue share the Bernoulli value of its mirror, so the weight
+    is folded once for all of ss.  Residue 0 contributes at the right
+    endpoint x = 1 of the period window.  One kernel call gives, for every s,
+    the values over the one denominator D = P_s M**s; the weights go over
+    their lcm L, and each sum is returned over L D, never reduced, so a sign
+    test runs no gcd.
     """
     period = f.period
-    entries = f.folded(-1 if s % 2 else 1)
-    values, den = bernoulli_poly(s, [m or period for m, _ in entries], period)
+    entries = f.folded(-1 if ss[0] % 2 else 1)
     scale = lcm(*(v.denominator for _, v in entries))
-    num = sum(v.numerator * (scale // v.denominator) * b for (_, v), b in zip(entries, values))
-    return num, scale * den
+    out = []
+    for values, den in bernoulli_poly(ss, [m or period for m, _ in entries], period):
+        num = sum(v.numerator * (scale // v.denominator) * b for (_, v), b in zip(entries, values))
+        out.append((num, scale * den))
+    return out
 
 
 def c_sequence(ident: StrangeIdentity, N: int) -> tuple[Fraction, ...]:
@@ -229,12 +232,13 @@ def c_sequence(ident: StrangeIdentity, N: int) -> tuple[Fraction, ...]:
     if N < 0:
         raise ValueError("need a nonnegative count")
     period = ident.f.period
+    ss = [2 * n + ident.nu + 1 for n in range(N + 1)]
     out = []
-    for n in range(N + 1):
-        s = 2 * n + ident.nu + 1
-        num, den = bernoulli_sum(ident.f, s)
+    cancel = period ** (ss[0] - 1)  # M**(s-1), divided out of the sum's den = L P_s M**s
+    for n, (s, (num, den)) in enumerate(zip(ss, bernoulli_sum(ident.f, ss))):
         sign = -1 if n % 2 == 0 else 1
-        out.append(Fraction(sign * period ** (s - 1) * num, s * den))
+        out.append(Fraction(sign * num, s * (den // cancel)))
+        cancel *= period * period
     return tuple(out)
 
 

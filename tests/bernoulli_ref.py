@@ -3,8 +3,8 @@
 The numbers come from the classical recurrence sum_{j<=n} C(n+1, j) B_j = 0
 in Fractions, and the polynomials from a Horner loop over Fractions.  The
 references call nothing in habiro.exact: they are what the integer kernel is
-compared against.  `bernoulli_at` is the kernel itself at one point, reduced,
-for tests that check a single value.
+compared against.  `bernoulli_at` is the kernel itself at one index and one
+point, reduced, for tests that check a single value.
 """
 
 from fractions import Fraction
@@ -37,7 +37,7 @@ def bernoulli_poly_ref(k: int, x) -> Fraction:
 
 
 def bernoulli_at(k: int, x) -> Fraction:
-    """B_k(x) from the multi-point kernel at the one point x, as a Fraction."""
+    """B_k(x) from the kernel at the one index k and the one point x, as a Fraction."""
     x = Fraction(x)
-    nums, den = bernoulli_poly(k, [x.numerator], x.denominator)
+    [(nums, den)] = bernoulli_poly([k], [x.numerator], x.denominator)
     return Fraction(nums[0], den)

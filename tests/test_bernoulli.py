@@ -98,7 +98,7 @@ def test_poly_matches_fraction_horner(x, ks):
         assert got == bernoulli_poly_ref(k, x), k
 
 
-# -- the multi-point kernel: unreduced integers over P_k q**k -----------------
+# -- the kernel: unreduced integers over P_k q**k, several indices and points --
 
 periods = st.one_of(
     st.integers(min_value=1, max_value=150).map(lambda t: 3 * 2 ** (t + 1)),  # torus32t
@@ -108,31 +108,65 @@ periods = st.one_of(
 
 
 @st.composite
-def kernel_args(draw):
+def kernel_points(draw):
     q = draw(periods)
     inner = draw(st.lists(st.integers(min_value=0, max_value=q), max_size=4))
-    return draw(st.integers(min_value=0, max_value=80)), [0, *inner, q], q
+    return [0, *inner, q], q
+
+
+def _prefix_denominator(k: int) -> int:
+    return lcm(*(bernoulli_number_ref(j).denominator for j in range(k + 1)))
 
 
 @settings(max_examples=60, deadline=None)
-@given(args=kernel_args())
-def test_kernel_matches_reference_unreduced(args):
-    k, ps, q = args
-    nums, den = bernoulli_poly(k, ps, q)
-    prefix = lcm(*(bernoulli_number_ref(j).denominator for j in range(k + 1)))
-    assert den == prefix * q**k
+@given(k=st.integers(min_value=0, max_value=80), points=kernel_points())
+def test_kernel_matches_reference_unreduced(k, points):
+    ps, q = points
+    [(nums, den)] = bernoulli_poly([k], ps, q)
+    assert den == _prefix_denominator(k) * q**k
     assert len(nums) == len(ps)
     for p, n in zip(ps, nums):
         assert type(n) is int
         assert Fraction(n, den) == bernoulli_poly_ref(k, Fraction(p, q)), (k, p, q)
-        assert bernoulli_poly(k, [p], q) == ([n], den)
+        assert bernoulli_poly([k], [p], q) == [([n], den)]
+
+
+@st.composite
+def index_lists(draw):
+    # mostly steps of 2, which rescale the terms of the index before, and
+    # some wider steps, which build them afresh
+    ks = [draw(st.integers(min_value=0, max_value=300))]
+    for step in draw(st.lists(st.sampled_from((2, 2, 2, 4, 38)), max_size=8)):
+        if ks[-1] + step > 300:
+            break
+        ks.append(ks[-1] + step)
+    return ks
+
+
+@settings(max_examples=40, deadline=None)
+@given(ks=index_lists(), points=kernel_points())
+def test_kernel_indices_match_one_index_calls(ks, points):
+    ps, q = points
+    got = bernoulli_poly(ks, ps, q)
+    assert len(got) == len(ks)
+    for k, (nums, den) in zip(ks, got):
+        assert bernoulli_poly([k], ps, q) == [(nums, den)]
+        assert den == _prefix_denominator(k) * q**k
+        for p, n in zip(ps, nums):
+            assert type(n) is int
+            assert Fraction(n, den) == bernoulli_at(k, Fraction(p, q)), (k, p, q)
 
 
 def test_kernel_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        bernoulli_poly(-1, [1], 2)
-    with pytest.raises(ValueError):
-        bernoulli_poly(4, [1], 0)
+    for ks, q in (
+        ([-1], 2), ([-2, 0], 2),  # negative index
+        ([], 2),  # no index
+        ([6, 4], 2), ([4, 4], 2),  # descending, repeated
+        ([4, 7], 2), ([1, 2, 3], 2),  # mixed parity
+        ([4], 0), ([0, 2], -3),  # q < 1
+    ):
+        with pytest.raises(ValueError):
+            bernoulli_poly(ks, [1], q)
 
 
 def test_table_shared_by_threads(monkeypatch):

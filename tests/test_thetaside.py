@@ -317,3 +317,11 @@ def test_theta_route_matches_frozen_digests(member):
     assert _digest(c) == member["C"]
     assert _digest(b) == member["B"]
     assert _digest(xi.integer_coeffs()) == member["xi"]
+
+
+def test_deep_c_sequence_matches_frozen_digest():
+    deep = DIGESTS["deep_C"]
+    ident = identity_for(FamilySpec(deep["family"], **deep["params"]))
+    c = c_sequence(ident, deep["N"])
+    assert len(c) == deep["N"] + 1
+    assert _digest(c) == deep["C"]
