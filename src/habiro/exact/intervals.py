@@ -16,7 +16,7 @@ from typing import Callable
 
 from mpmath.libmp import (
     fnan, fninf, finf, from_int, fzero, mpf_ge, mpf_gt, mpf_le, mpf_lt, mpf_pi,
-    mpi_add, mpi_cos, mpi_div, mpi_exp, mpi_log, mpi_mul, mpi_neg, mpi_pow,
+    mpi_abs, mpi_add, mpi_cos, mpi_div, mpi_exp, mpi_log, mpi_mul, mpi_neg, mpi_pow,
     mpi_sin, mpi_sqrt, mpi_sub, mpi_to_str, repr_dps, round_ceiling, round_floor,
 )
 
@@ -137,13 +137,7 @@ class IntervalReal:
         return self._fn(mpi_neg)
 
     def __abs__(self):
-        if mpf_ge(self.ival[0], fzero):
-            return self
-        if mpf_le(self.ival[1], fzero):
-            return -self
-        lo = self.lo_fraction()
-        hi = self.hi_fraction()
-        return IntervalReal.from_endpoints(Fraction(0), max(-lo, hi), self.prec)
+        return self._fn(mpi_abs)
 
     def pow_int(self, k: int) -> "IntervalReal":
         # Like iv's **, the exponent is an interval at the working precision;

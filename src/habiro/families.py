@@ -15,8 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
 from pathlib import Path
+from typing import Callable
 
-# perfbench/tracing.py wraps mul_dense_int and subst_one_minus_int here, so both stay bound.
+# perfbench/tracing.py wraps mul_dense_int, mul_sparse_binomial_int, qbinomial and
+# subst_one_minus_int here by name, so all four stay bound though nothing calls them.
 from habiro.qseries import (
     TruncatedSeries,
     mul_dense_int,
@@ -123,7 +125,7 @@ def _check_order(N: int) -> None:
         raise ValueError("truncation order must be nonnegative")
 
 
-# -- direct expansions at q = 1-u --------------------------------------------
+# -- direct expansions of the nested sums, at q = 1-u or in q -----------------
 
 
 def _q_power(e: int, order: int) -> list[int]:
@@ -133,26 +135,41 @@ def _q_power(e: int, order: int) -> list[int]:
     return out
 
 
-def _expand_nested(
-    N: int, levels: list[tuple[int, int, int, int]], outer: tuple[int, int, int]
-) -> TruncatedSeries:
-    """Coefficients through u**N of a nested sum, every level kept in u.
+def _q_monomial(e: int, order: int) -> list[int]:
+    """Coefficients of q**e through the given order, as a series in q itself."""
+    out = [0] * (order + 1)
+    if e <= order:
+        out[e] = 1
+    return out
 
+
+def _expand_nested(
+    N: int,
+    levels: list[tuple[int, int, int, int]],
+    outer: tuple[int, int, int],
+    power: Callable[[int, int], list[int]],
+) -> TruncatedSeries:
+    """Coefficients through x**N of a nested sum, every level kept in x.
+
+    The series variable x is set by power(e, order), the coefficients of q**e
+    in x through order: _q_power gives x = u where q = 1-u, _q_monomial x = q.
     A level (d, b, alpha, beta) maps the inner sums p[n], 1 below the
     innermost level, to sum_n [j + d, n]_{q**b} q**(alpha*n*n + beta*n) p[n];
     levels are listed innermost first.  The outer factor (s, c, c0) gives
     index n the weight q**(s*n) prod_{i <= n} (1 - q**(c*i + c0)), of
     valuation n in u.  A level lowers an index by at most its d, so an entry
-    of index j is needed only through u**(N - j + D), D the sum of d over
-    the levels still to apply.  A level is a repeated q-difference: after J
-    steps of w[n] <- w[n+1] + q**(b*n) w[n], w[0] is sum_n [J, n]_{q**b} w[n].
+    of index j is needed only through x**(N - j + D), D the sum of d over
+    the levels still to apply.  In q these cuts hold only when s >= 1, which
+    gives the weight valuation at least n there too.  A level is a repeated
+    q-difference: after J steps of w[n] <- w[n+1] + q**(b*n) w[n], w[0] is
+    sum_n [J, n]_{q**b} w[n].
     """
     _check_order(N)
     D = sum(level[0] for level in levels)
     p = [[1]] * (N + D + 1)
     for d, b, alpha, beta in levels:
         top = N + D
-        w = [mul_trunc_int(_q_power(alpha * n * n + beta * n, N), p[n], min(N, top - n))
+        w = [mul_trunc_int(power(alpha * n * n + beta * n, N), p[n], min(N, top - n))
              for n in range(top + 1)]
         p = []
         for J in range(top + 1):
@@ -160,25 +177,25 @@ def _expand_nested(
                 p.append(w[0])
             for n in range(top - J):
                 order = min(N, top - J - 1 - n)
-                moved = mul_trunc_int(_q_power(b * n, order), w[n], order)
+                moved = mul_trunc_int(power(b * n, order), w[n], order)
                 w[n] = [x + y for x, y in zip(w[n + 1], moved)]
             w.pop()
         D -= d
     s, c, c0 = outer
     acc = [0] * (N + 1)
     weight = [1] + [0] * N
-    q_s = _q_power(s, N)
+    q_s = power(s, N)
     for n in range(N + 1):
         for j, v in enumerate(mul_trunc_int(weight[n:], p[n], N - n)):
             acc[n + j] += v
-        step = [x - y for x, y in zip(q_s, _q_power(s + c * (n + 1) + c0, N))]
+        step = [x - y for x, y in zip(q_s, power(s + c * (n + 1) + c0, N))]
         weight = mul_trunc_int(weight, step, N)
     return TruncatedSeries(acc)
 
 
 def expand_fishburn(N: int) -> TruncatedSeries:
     """Coefficients through u**N of the Kontsevich element at q = 1-u."""
-    return _expand_nested(N, [], (0, 1, 0))
+    return _expand_nested(N, [], (0, 1, 0), _q_power)
 
 
 # Largest cost expand_torus32t accepts: m*m*(N+1) window products, m = 2**(t-1),
@@ -248,7 +265,11 @@ def expand_torus2(m: int, ell: int, N: int) -> TruncatedSeries:
     if not 0 <= ell <= m - 1:
         raise ValueError(f"ell must lie in [0, {m - 1}]")
     levels = [(int(i == ell), 1, 1, int(i > ell)) for i in range(1, m)]
-    return _expand_nested(N, levels, (0, 1, 0))
+    return _expand_nested(N, levels, (0, 1, 0), _q_power)
+
+
+# habiro-g's level (d, b, alpha, beta), applied k-1 times, and its outer factor (s, c, c0).
+_HABIRO_G = ((0, 2, 2, 2), (1, 2, -1))
 
 
 def expand_habiro_g(k: int, N: int) -> TruncatedSeries:
@@ -260,40 +281,16 @@ def expand_habiro_g(k: int, N: int) -> TruncatedSeries:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    return _expand_nested(N, [(0, 2, 2, 2)] * (k - 1), (1, 2, -1))
+    level, outer = _HABIRO_G
+    return _expand_nested(N, [level] * (k - 1), outer, _q_power)
 
 
 def expand_habiro_g_qseries(k: int, order: int) -> TruncatedSeries:
     """Plain q-expansion of the odd-pochhammer nested element through q**order."""
-    _check_order(order)
     if k < 1:
         raise ValueError("k must be at least 1")
-    # Inner indices enter through 2n**2, so only n with 2n**2 <= order matter.
-    inner_bound = isqrt(order // 2) + 1
-    prev = [[1] for _ in range(order + 1)]
-    for i in range(1, k):
-        top = order if i == k - 1 else inner_bound
-        cur = []
-        for j in range(top + 1):
-            total = [0] * (order + 1)
-            for n in range(min(j, inner_bound) + 1):
-                e = 2 * n * n + 2 * n
-                if e > order:
-                    break
-                piece = mul_trunc_int(prev[n], qbinomial(j, n, base_power=2), order - e)
-                for x, c in enumerate(piece, e):
-                    total[x] += c
-            cur.append(total)
-        prev = cur
-    poly = [0] * (order + 1)
-    oddpoch = [1]
-    for nk in range(order + 1):
-        if nk:
-            oddpoch = mul_sparse_binomial_int(oddpoch, 2 * nk - 1, limit=order)
-        piece = mul_trunc_int(prev[nk], oddpoch, order - nk)
-        for x, c in enumerate(piece, nk):
-            poly[x] += c
-    return TruncatedSeries(poly)
+    level, outer = _HABIRO_G
+    return _expand_nested(order, [level] * (k - 1), outer, _q_monomial)
 
 
 def expand_family(spec: FamilySpec, N: int) -> TruncatedSeries:

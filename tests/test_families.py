@@ -255,7 +255,7 @@ def test_direct_route_matches_theta_route(spec):
     assert expand_family(spec, N) == via_theta
 
 
-@pytest.mark.parametrize("k", (1, 2))
+@pytest.mark.parametrize("k", range(1, 6))
 def test_habiro_g_q_expansion_matches_partial_theta(k):
     ident = identity_for(FamilySpec.habiro_g(k))
     assert expand_habiro_g_qseries(k, 60) == theta_q_expansion(ident, 60)
