@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, TypeVar
 
 from mpmath.libmp import (
     fnan, fninf, finf, from_int, fzero, mpf_ge, mpf_gt, mpf_le, mpf_lt, mpf_pi,
@@ -27,6 +27,8 @@ PRECISION_CAP = 4096
 # precision second, so a thread could read them half-updated while another
 # asks for a new precision; every libmpi call is serialized.
 _lock = threading.Lock()
+
+T = TypeVar("T")
 
 
 def int_endpoints(n: int, prec: int):
@@ -191,6 +193,30 @@ class IntervalReal:
         return f"IntervalReal({mpi_to_str(self.ival, repr_dps(self.prec))}, prec={self.prec})"
 
 
+def _enclosure_sign(x: IntervalReal) -> int:
+    """-1 or 1 for an enclosure on one side of zero, 0 while it holds zero."""
+    return -1 if x.is_negative() else int(x.is_positive())
+
+
+def _first_decided(
+    fn: Callable[[int], T], start: int, cap: int, message: str, sign: Callable[[T], int]
+) -> tuple[T, int]:
+    """First value fn(prec) with a nonzero sign(value), and that sign, doubling prec from start.
+
+    Raises PrecisionCapError(message, cap) if the value at the cap is still
+    undecided (sign 0), which is the reported outcome rather than a guess.
+    """
+    prec = start
+    while True:
+        x = fn(prec)
+        s = sign(x)
+        if s:
+            return x, s
+        if prec >= cap:
+            raise PrecisionCapError(message, cap)
+        prec = min(2 * prec, cap)
+
+
 def signed_enclosure(
     fn: Callable[[int], IntervalReal], start: int, cap: int, message: str
 ) -> IntervalReal:
@@ -198,24 +224,21 @@ def signed_enclosure(
 
     fn(prec) must return an enclosure that narrows as prec grows.  Raises
     PrecisionCapError(message, cap) if the enclosure at the cap still holds
-    zero, which is the reported outcome rather than a guess.
+    zero.
     """
-    prec = start
-    while True:
-        x = fn(prec)
-        if x.is_negative() or x.is_positive():
-            return x
-        if prec >= cap:
-            raise PrecisionCapError(message, cap)
-        prec = min(2 * prec, cap)
+    return _first_decided(fn, start, cap, message, _enclosure_sign)[0]
 
 
 def decide_sign(
-    fn: Callable[[int], IntervalReal],
+    fn: Callable[[int], T],
     start: int = DEFAULT_PRECISION,
     cap: int = PRECISION_CAP,
     what: str = "quantity",
+    sign: Callable[[T], int] = _enclosure_sign,
 ) -> int:
-    """Sign of a provably nonzero quantity, by signed_enclosure."""
-    x = signed_enclosure(fn, start, cap, f"sign of {what} undecided at {cap} bits")
-    return -1 if x.is_negative() else 1
+    """Sign of a provably nonzero quantity, doubling prec from start as signed_enclosure does.
+
+    By default fn(prec) is an enclosure; with sign, fn(prec) is any value
+    that sign maps to -1 or 1 once decided and to 0 before.
+    """
+    return _first_decided(fn, start, cap, f"sign of {what} undecided at {cap} bits", sign)[1]

@@ -162,7 +162,9 @@ def _expand_nested(
     the levels still to apply.  In q these cuts hold only when s >= 1, which
     gives the weight valuation at least n there too.  A level is a repeated
     q-difference: after J steps of w[n] <- w[n+1] + q**(b*n) w[n], w[0] is
-    sum_n [J, n]_{q**b} w[n].
+    sum_n [J, n]_{q**b} w[n].  The entries past the last nonzero one stay
+    zero through every step, so the steps stop there; in q that skips every
+    n with alpha*n*n + beta*n above N.
     """
     _check_order(N)
     D = sum(level[0] for level in levels)
@@ -171,11 +173,12 @@ def _expand_nested(
         top = N + D
         w = [mul_trunc_int(power(alpha * n * n + beta * n, N), p[n], min(N, top - n))
              for n in range(top + 1)]
+        live = 1 + max((n for n, x in enumerate(w) if any(x)), default=0)
         p = []
         for J in range(top + 1):
             if J >= d:
                 p.append(w[0])
-            for n in range(top - J):
+            for n in range(min(top - J, live)):
                 order = min(N, top - J - 1 - n)
                 moved = mul_trunc_int(power(b * n, order), w[n], order)
                 w[n] = [x + y for x, y in zip(w[n + 1], moved)]

@@ -13,6 +13,8 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from math import gcd
 
+from mpmath.libmp import from_man_exp, mpf_ge, mpf_le, mpf_sub
+
 # perfbench/tracing.py wraps bernoulli_poly here, so it stays bound though unused.
 from habiro.exact import (
     DEFAULT_PRECISION,
@@ -82,10 +84,39 @@ def n_max(
     return n
 
 
+@lru_cache(maxsize=64)
+def _pi(prec: int) -> IntervalReal:
+    """The enclosure of pi at a working precision, built once per precision."""
+    return IntervalReal.pi(prec)
+
+
+@lru_cache(maxsize=64)
+def _cuts_from_one(prec: int) -> tuple:
+    """1 - 2**-prec and 1 + 2**(1-prec): the prec-bit neighbours of 1."""
+    return from_man_exp((1 << prec) - 1, -prec), from_man_exp((1 << (prec - 1)) + 1, 1 - prec)
+
+
+def _excess_sign(zeta_and_sin: tuple) -> int:
+    """Sign of the interval (zeta - S) - 1 IntervalReal builds at zeta's precision, 0 if it holds 0.
+
+    With p bits, mpmath's correctly rounded subtractions give that difference
+    a negative upper end exactly when zeta.hi - S.lo <= 1 - 2**-p, and a
+    positive lower end exactly when zeta.lo - S.hi >= 1 + 2**(1-p).  So S's
+    endpoints are compared with two exact cut points of zeta, and no interval
+    is built.
+    """
+    zeta, (s_lo, s_hi) = zeta_and_sin
+    below, above = _cuts_from_one(zeta.prec)
+    z_lo, z_hi = zeta.ival
+    if mpf_ge(s_lo, mpf_sub(z_hi, below)):
+        return -1
+    return int(mpf_le(s_hi, mpf_sub(z_lo, above)))
+
+
 def family_n_bound(
     spec: FamilySpec, precision: int = DEFAULT_PRECISION, cap: int = PRECISION_CAP
 ) -> int:
-    """Check count for a built-in family, from its sharpened tail inequality."""
+    """Check count for a built-in family: the first n with zeta(2n+2) - sin(pi*theta) < 1."""
     if spec.kind == "habiro-g":
         return 1
     if spec.kind in ("fishburn", "torus32t"):
@@ -94,13 +125,17 @@ def family_n_bound(
     else:
         angle = Fraction(spec.ell + 1, 2 * spec.m + 1)
 
-    sin_theta = cache(lambda prec: (IntervalReal.pi(prec) * angle).sin())  # one per precision
-
-    def excess(n: int):
-        return lambda prec: zeta_interval(2 * n + 2, prec) - sin_theta(prec)
-
+    sin_ends = {}  # sin(pi*theta)'s endpoints per precision visited
     n = 0
-    while not _holds_below_one(excess(n), precision, f"check-count bound at n={n}", cap):
+
+    def excess(prec: int) -> tuple:  # at the loop's current n
+        ends = sin_ends.get(prec)
+        if ends is None:
+            ends = sin_ends[prec] = (_pi(prec) * angle).sin().ival
+        return zeta_interval(2 * n + 2, prec), ends
+
+    while decide_sign(excess, min(precision, cap), cap, f"check-count bound at n={n}",
+                      _excess_sign) > 0:
         n += 1
     return n
 

@@ -170,9 +170,45 @@ def test_family_n_bound_matches_unshared_reference_at_every_cap():
             assert _n_bound_outcome(family_n_bound, spec, cap) == want, (spec, cap)
             capped += isinstance(want, tuple)
     assert capped > 0  # the low caps do reach the PrecisionCapError path
-    for t in (100, 150):
-        spec = FamilySpec.torus32t(t)
-        assert family_n_bound(spec) == family_n_bound_ref(spec)
+    # verify sweeps reach these members, whose ladders escalate past 64 bits
+    capped = 0
+    for cap in (64, 96, 128, 256, 4096):
+        for t in (62, 64, 65, 100, 126, 127, 150):
+            spec = FamilySpec.torus32t(t)
+            want = _n_bound_outcome(family_n_bound_ref, spec, cap)
+            assert _n_bound_outcome(family_n_bound, spec, cap) == want, (spec, cap)
+            capped += isinstance(want, tuple)
+    assert capped == 14
+
+
+def test_cut_points_classify_as_the_interval_difference():
+    # (zeta - S) - 1 built with IntervalReal, against the two exact cut points,
+    # at precisions low enough for the rounding of each subtraction to matter.
+    angles = {Fraction(ell + 1, 2 * m + 1) for m in range(1, 9) for ell in range(m)}
+    angles |= {Fraction(1, 2**t) for t in range(1, 21)}
+    seen = Counter()
+    for prec in (4, 5, 7, 8, 16, 32, 53, 64, 100):
+        for angle in sorted(angles):
+            sin = (IntervalReal.pi(prec) * angle).sin()
+            for n in range(31):
+                zeta = zeta_interval(2 * n + 2, prec)
+                diff = zeta - sin - IntervalReal.from_int(1, prec)
+                want = -1 if diff.is_negative() else int(diff.is_positive())
+                assert sc._excess_sign((zeta, sin.ival)) == want, (prec, angle, n)
+                seen[want] += 1
+    assert set(seen) == {-1, 0, 1}
+    # Point enclosures with zeta - S = 1 - k * 2**-prec land on and next to
+    # both cut points, where an off-by-one cut or a strict comparison errs.
+    for prec in (4, 8, 53):
+        for j in (1, 2, 3, 4):
+            z = 1 + Fraction(j, 2 ** (prec - 1))
+            zeta = IntervalReal.from_rational(z, prec)
+            for k in range(-4, 5):
+                s = IntervalReal.from_rational(z - 1 + Fraction(k, 2**prec), prec)
+                diff = zeta - s - IntervalReal.from_int(1, prec)
+                want = -1 if diff.is_negative() else int(diff.is_positive())
+                assert want == (-1 if k >= 1 else int(k <= -2)), (prec, j, k)
+                assert sc._excess_sign((zeta, s.ival)) == want, (prec, j, k)
 
 
 def test_family_n_bound_builds_sin_once_per_precision(monkeypatch):
