@@ -8,6 +8,7 @@ import io
 import json
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from habiro.asym import profile_for_family, ratio_diagnostics
@@ -75,6 +76,7 @@ def _precision_cap(text: str) -> int:
     return cap
 
 
+@cache  # parsing does not mutate the parser, so repeated main() calls share one
 def _build_parser() -> _Parser:
     parser = _Parser(prog="habiro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

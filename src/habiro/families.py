@@ -164,15 +164,20 @@ def _expand_nested(
     q-difference: after J steps of w[n] <- w[n+1] + q**(b*n) w[n], w[0] is
     sum_n [J, n]_{q**b} w[n].  The entries past the last nonzero one stay
     zero through every step, so the steps stop there; in q that skips every
-    n with alpha*n*n + beta*n above N.
+    n with alpha*n*n + beta*n above N.  A product with an all-zero factor is
+    not made; that happens only in q, where power(e, order) is zero for e
+    above the order and so is every entry of valuation above it.
     """
     _check_order(N)
     D = sum(level[0] for level in levels)
     p = [[1]] * (N + D + 1)
     for d, b, alpha, beta in levels:
         top = N + D
-        w = [mul_trunc_int(power(alpha * n * n + beta * n, N), p[n], min(N, top - n))
-             for n in range(top + 1)]
+        w = []
+        for n in range(top + 1):
+            factor, order = power(alpha * n * n + beta * n, N), min(N, top - n)
+            w.append(mul_trunc_int(factor, p[n], order) if any(factor) and any(p[n])
+                     else [0] * (order + 1))
         live = 1 + max((n for n, x in enumerate(w) if any(x)), default=0)
         p = []
         for J in range(top + 1):
@@ -180,8 +185,12 @@ def _expand_nested(
                 p.append(w[0])
             for n in range(min(top - J, live)):
                 order = min(N, top - J - 1 - n)
-                moved = mul_trunc_int(power(b * n, order), w[n], order)
-                w[n] = [x + y for x, y in zip(w[n + 1], moved)]
+                factor = power(b * n, order)
+                if any(factor) and any(w[n]):
+                    moved = mul_trunc_int(factor, w[n], order)
+                    w[n] = [x + y for x, y in zip(w[n + 1], moved)]
+                else:
+                    w[n] = w[n + 1][:order + 1]
             w.pop()
         D -= d
     s, c, c0 = outer

@@ -90,6 +90,16 @@ def _pi(prec: int) -> IntervalReal:
     return IntervalReal.pi(prec)
 
 
+@lru_cache(maxsize=4096)
+def _sin_pi(angle: Fraction, prec: int) -> tuple:
+    """sin(pi*angle)'s endpoints at a working precision, built once per (angle, precision).
+
+    The bound holds every angle of a `--m 1:40` torus2 sweep at each precision
+    it visits, so the members of repeated sweeps share their enclosures.
+    """
+    return (_pi(prec) * angle).sin().ival
+
+
 @lru_cache(maxsize=64)
 def _cuts_from_one(prec: int) -> tuple:
     """1 - 2**-prec and 1 + 2**(1-prec): the prec-bit neighbours of 1."""
@@ -125,14 +135,10 @@ def family_n_bound(
     else:
         angle = Fraction(spec.ell + 1, 2 * spec.m + 1)
 
-    sin_ends = {}  # sin(pi*theta)'s endpoints per precision visited
     n = 0
 
     def excess(prec: int) -> tuple:  # at the loop's current n
-        ends = sin_ends.get(prec)
-        if ends is None:
-            ends = sin_ends[prec] = (_pi(prec) * angle).sin().ival
-        return zeta_interval(2 * n + 2, prec), ends
+        return zeta_interval(2 * n + 2, prec), _sin_pi(angle, prec)
 
     while decide_sign(excess, min(precision, cap), cap, f"check-count bound at n={n}",
                       _excess_sign) > 0:

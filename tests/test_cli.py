@@ -48,6 +48,21 @@ def test_usage_errors_exit_one(argv):
     assert exc.value.code == 1
 
 
+def test_one_process_runs_commands_in_sequence(capsys):
+    # The parser is built once per process; one command's parse must not leak
+    # into the next, whether it failed or set a format.
+    assert cli._build_parser() is cli._build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["expand", "--family", "fishburn", "-N", "x"])
+    assert exc.value.code == 1
+    capsys.readouterr()
+    assert run(capsys, "expand", "--family", "fishburn", "-N", "5") == (
+        0, "1, 1, 2, 5, 15, 53\n", "")
+    code, out, _ = run(capsys, "expand", "--family", "fishburn", "-N", "3", "--format", "json")
+    assert code == 0 and json.loads(out)["coefficients"] == ["1", "1", "2", "5"]
+    assert run(capsys, "expand", "--family", "fishburn", "-N", "3") == (0, "1, 1, 2, 5\n", "")
+
+
 def test_parameter_errors_exit_one(capsys):
     code, _, err = run(capsys, "expand", "--family", "torus32t", "-N", "5")
     assert code == 1 and "needs parameter t" in err

@@ -157,28 +157,34 @@ def _n_bound_outcome(fn, spec, cap):
         return str(err), err.precision
 
 
+def _capped_outcomes_in_both_orders(specs, caps):
+    """Compare every outcome with the reference; return how many end at the cap.
+
+    The caps run upward and then downward, each from an empty sin memo, so a
+    low cap also runs with higher-precision enclosures already memoized.
+    """
+    capped = 0
+    for ordered in (caps, caps[::-1]):
+        sc._sin_pi.cache_clear()
+        for cap in ordered:
+            for spec in specs:
+                want = _n_bound_outcome(family_n_bound_ref, spec, cap)
+                assert _n_bound_outcome(family_n_bound, spec, cap) == want, (spec, cap)
+                capped += isinstance(want, tuple)
+    return capped
+
+
 def test_family_n_bound_matches_unshared_reference_at_every_cap():
     # The shared zeta, sin and 1 enclosures are the intervals the reference
     # builds afresh, so every check count and every cap failure is the same.
     specs = [FamilySpec.fishburn(),
              *(FamilySpec.torus32t(t) for t in range(1, 41)),
              *(FamilySpec.torus2(m, ell) for m in range(1, 13) for ell in range(m))]
-    capped = 0
-    for cap in (4, 8, 16, 32, 64, 128, 4096):
-        for spec in specs:
-            want = _n_bound_outcome(family_n_bound_ref, spec, cap)
-            assert _n_bound_outcome(family_n_bound, spec, cap) == want, (spec, cap)
-            capped += isinstance(want, tuple)
-    assert capped > 0  # the low caps do reach the PrecisionCapError path
+    # the low caps do reach the PrecisionCapError path
+    assert _capped_outcomes_in_both_orders(specs, (4, 8, 16, 32, 64, 128, 4096)) > 0
     # verify sweeps reach these members, whose ladders escalate past 64 bits
-    capped = 0
-    for cap in (64, 96, 128, 256, 4096):
-        for t in (62, 64, 65, 100, 126, 127, 150):
-            spec = FamilySpec.torus32t(t)
-            want = _n_bound_outcome(family_n_bound_ref, spec, cap)
-            assert _n_bound_outcome(family_n_bound, spec, cap) == want, (spec, cap)
-            capped += isinstance(want, tuple)
-    assert capped == 14
+    specs = [FamilySpec.torus32t(t) for t in (62, 64, 65, 100, 126, 127, 150)]
+    assert _capped_outcomes_in_both_orders(specs, (64, 96, 128, 256, 4096)) == 2 * 14
 
 
 def test_cut_points_classify_as_the_interval_difference():
@@ -226,9 +232,20 @@ def test_family_n_bound_builds_sin_once_per_precision(monkeypatch):
 
     monkeypatch.setattr(IntervalReal, "sin", counting_sin)
     monkeypatch.setattr(sc, "zeta_interval", noting_zeta)
+    sc._sin_pi.cache_clear()
     assert family_n_bound(FamilySpec.torus32t(100)) == 49
     assert len(zeta_precs) > 1  # the loop escalates past the start precision
     assert sorted(sin_precs) == sorted(zeta_precs)
+    # The memo is per (theta, precision), so a member bounded again, or another
+    # member with the same reduced theta (3/9 = 1/3), builds no sin at all.
+    sin_precs.clear()
+    assert family_n_bound(FamilySpec.torus32t(100)) == 49
+    assert sin_precs == []
+    family_n_bound(FamilySpec.torus2(1, 0))
+    assert sin_precs  # theta = 1/3 is new to the memo
+    sin_precs.clear()
+    family_n_bound(FamilySpec.torus2(4, 2))
+    assert sin_precs == []
 
 
 def test_zeta_body_runs_once_per_distinct_argument_pair(monkeypatch):
