@@ -91,13 +91,15 @@ def _pi(prec: int) -> IntervalReal:
 
 
 @lru_cache(maxsize=4096)
-def _sin_pi(angle: Fraction, prec: int) -> tuple:
-    """sin(pi*angle)'s endpoints at a working precision, built once per (angle, precision).
+def _sin_pi(num: int, den: int, prec: int) -> tuple:
+    """sin(pi*num/den)'s endpoints at a working precision, built once per (angle, precision).
 
-    The bound holds every angle of a `--m 1:40` torus2 sweep at each precision
-    it visits, so the members of repeated sweeps share their enclosures.
+    The angle is keyed by its reduced numerator and denominator: a Fraction
+    key would be rehashed on every lookup.  The bound holds every angle of a
+    `--m 1:40` torus2 sweep at each precision it visits, so the members of
+    repeated sweeps share their enclosures.
     """
-    return (_pi(prec) * angle).sin().ival
+    return (_pi(prec) * Fraction(num, den)).sin().ival
 
 
 @lru_cache(maxsize=64)
@@ -134,11 +136,12 @@ def family_n_bound(
         angle = Fraction(1, 2**t)
     else:
         angle = Fraction(spec.ell + 1, 2 * spec.m + 1)
+    num, den = angle.numerator, angle.denominator
 
     n = 0
 
     def excess(prec: int) -> tuple:  # at the loop's current n
-        return zeta_interval(2 * n + 2, prec), _sin_pi(angle, prec)
+        return zeta_interval(2 * n + 2, prec), _sin_pi(num, den, prec)
 
     while decide_sign(excess, min(precision, cap), cap, f"check-count bound at n={n}",
                       _excess_sign) > 0:

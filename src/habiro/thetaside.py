@@ -9,10 +9,35 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate, repeat, zip_longest
 from math import isqrt, lcm
+from operator import mul
+from typing import NamedTuple
 
 from habiro.exact import DEFAULT_PRECISION, IntervalReal, bernoulli_poly, root_sum_is_zero
 from habiro.qseries import TruncatedSeries, _pascal_heads
+
+# bernoulli_sum expands at a/q1 when 2**ANCHOR_E0 divides the period q = q1 2**e.
+# Measured on torus32t weights (q1 = 3), CPU time on a 2-core x86-64 VM with
+# CPython 3.11: with the coefficients of _anchor_terms memoized, the expansion
+# is faster than the Horner kernel from e = 48 for one member's single-index
+# sign tests (0.45 against 0.68 ms; 0.31 against 0.29 ms at e = 32), and
+# already at e = 8 for a run of 131 indices (4.7 against 11.8 ms).  Built
+# cold, it catches up only between e = 96 and 128 in both shapes (the run: 90
+# against 61 ms at e = 64, 88 against 122 ms at e = 128).  At 64 no cold call
+# is more than 1.5x slower, and every member of a sweep from t = 63 up shares
+# the memo.
+ANCHOR_E0 = 64
+
+
+class _Fold(NamedTuple):
+    """A weight folded for one parity of s, as bernoulli_sum reads it."""
+
+    points: tuple[int, ...]  # the residues, M standing for residue 0
+    weights: tuple[int, ...]  # the folded values times scale
+    scale: int  # the lcm of the folded values' denominators
+    anchor: tuple | None  # (e, q1, ((a, d, w), ...)) with p = a 2**e + d, if e >= ANCHOR_E0
 
 
 @dataclass(frozen=True)
@@ -43,6 +68,7 @@ class PeriodicFunction:
         kept.sort()
         object.__setattr__(self, "entries", tuple(kept))
         object.__setattr__(self, "_map", dict(kept))
+        object.__setattr__(self, "_folds", {})  # sign -> _Fold, filled by _fold
 
     def __call__(self, n: int) -> Fraction:
         return self._map.get(n % self.period, Fraction(0))
@@ -70,6 +96,34 @@ class PeriodicFunction:
                 r, v = mirror, (v if sign == 1 else sign * v)
             acc[r] = acc[r] + v if r in acc else v
         return tuple((r, v) for r, v in sorted(acc.items()) if v)
+
+    def _fold(self, sign: int) -> _Fold:
+        """folded(sign) over integers, with its anchor pattern, built once per sign."""
+        fold = self._folds.get(sign)
+        if fold is None:
+            entries = self.folded(sign)
+            scale = lcm(*(v.denominator for _, v in entries))
+            points = tuple(m or self.period for m, _ in entries)
+            weights = tuple(v.numerator * (scale // v.denominator) for _, v in entries)
+            fold = self._folds[sign] = _Fold(
+                points, weights, scale, _anchor_pattern(self.period, points, weights))
+        return fold
+
+
+def _anchor_pattern(period: int, points: tuple[int, ...], weights: tuple[int, ...]):
+    """(e, q1, ((a, d, w), ...)) for period q1 2**e, e >= ANCHOR_E0, else None.
+
+    Each point p is a 2**e + d with |d| <= 2**(e-1), so p/q = a/q1 + d/q.
+    """
+    e = (period & -period).bit_length() - 1
+    if e < ANCHOR_E0 or not points:
+        return None
+    half = 1 << (e - 1)
+    pattern = []
+    for p, w in zip(points, weights):
+        a = (p + half) >> e
+        pattern.append((a, p - (a << e), w))
+    return e, period >> e, tuple(pattern)
 
 
 def _four_residues(period: int, minus: tuple[int, int], plus: tuple[int, int],
@@ -203,24 +257,93 @@ def find_k_nu(f: PeriodicFunction, nu: int) -> int:
     raise ValueError("no nonzero Fourier coefficient")
 
 
+# (q1, a) -> (N_0..N_K, steps) with N_i = P_i q1**i B_i(a/q1) and steps[i] =
+# P_i / P_(i-1), P_i the prefix lcm of the Bernoulli denominators.  An entry is
+# replaced, never mutated, when it grows; at most _ANCHOR_TABLES are kept.
+_anchor_tables: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+_ANCHOR_TABLES = 64
+
+
+def _anchor_table(q1: int, a: int, top: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """N_i(a) and the steps through index top or beyond, grown by doubling."""
+    table = _anchor_tables.get((q1, a))
+    if table is None or len(table[0]) <= top:
+        top = max(top, 1, 2 * (len(table[0]) - 1) if table else 0)
+        nums, dens = [0] * (top + 1), [0] * (top + 1)
+        for first in (0, 1):  # one kernel call per parity
+            ks = list(range(first, top + 1, 2))
+            for k, ([n], d) in zip(ks, bernoulli_poly(ks, [a], q1)):
+                nums[k], dens[k] = n, d
+        steps = (1, *(dens[i] // (dens[i - 1] * q1) for i in range(1, top + 1)))
+        if (q1, a) not in _anchor_tables and len(_anchor_tables) >= _ANCHOR_TABLES:
+            _anchor_tables.pop(next(iter(_anchor_tables)))
+        table = _anchor_tables[(q1, a)] = (tuple(nums), steps)
+    return table
+
+
+@lru_cache(maxsize=256)
+def _anchor_terms(s: int, q1: int, pattern: tuple) -> tuple[tuple[int, ...], int]:
+    """U_0..U_s and P_s, the expansion of index s at the anchors a/q1 of a pattern.
+
+    B_s(x + y) = sum_i C(s,i) B_i(x) y**(s-i) at x = a/q1, y = d/q gives
+    P_s q**s sum_p w_p B_s(p/q) = sum_i U_i 2**(e i) with
+    U_i = C(s,i) (P_s/P_i) sum_p w_p N_i(a_p) d_p**(s-i).  Nothing here
+    depends on e, so every period q1 2**e with the same pattern shares it.
+    """
+    groups: dict[int, list[list[int]]] = {}  # a -> w_p d_p**m for m = 0..s, per point
+    for a, d, w in pattern:
+        groups.setdefault(a, []).append(list(accumulate(repeat(d, s), mul, initial=w)))
+    sums = []  # per anchor a: N_0(a)..N_s(a), and sum_p w_p d_p**m for m = s..0
+    for a, pows in groups.items():
+        nums, steps = _anchor_table(q1, a, s)  # the steps do not depend on (q1, a)
+        sums.append((nums, list(map(sum, zip(*pows)))[::-1]))
+    terms = [0] * (s + 1)
+    c = 1  # C(s,i) P_s/P_i at i = s, then downward; P_s at i = 0
+    for i in range(s, -1, -1):
+        acc = 0
+        for nums, moments in sums:
+            if moments[i]:
+                acc += nums[i] * moments[i]
+        if acc:
+            terms[i] = c * acc
+        if i:
+            c = c * i // (s - i + 1) * steps[i]
+    return tuple(terms), c
+
+
 def bernoulli_sum(f: PeriodicFunction, ss: list[int]) -> list[tuple[int, int]]:
     """sum_(m=1..M) f(m) B_s(m/M) for each s in ss, as unreduced (num, den), den > 0.
 
     The s ascend strictly and share one parity.  B_s(1 - x) = (-1)**s B_s(x)
     lets each residue share the Bernoulli value of its mirror, so the weight
-    is folded once for all of ss.  Residue 0 contributes at the right
-    endpoint x = 1 of the period window.  One kernel call gives, for every s,
-    the values over the one denominator D = P_s M**s; the weights go over
-    their lcm L, and each sum is returned over L D, never reduced, so a sign
-    test runs no gcd.
+    is folded once per parity, and kept with the weight.  The weights go
+    over their lcm L, and each sum is returned over L D, D = P_s M**s, never
+    reduced, so a sign test runs no gcd.  Residue 0 contributes at the right
+    endpoint x = 1 of the period window.
+
+    Below 2**ANCHOR_E0 in M, one kernel call gives the values over D for
+    every s.  Above it, the sum is read from its expansion at the anchors
+    a/q1 (see _anchor_terms), a polynomial in 2**e summed by shifts and
+    adds, and the expansion's coefficients are memoized, so that they serve
+    every period q1 2**e with the same pattern, such as every torus32t member.
     """
     period = f.period
-    entries = f.folded(-1 if ss[0] % 2 else 1)
-    scale = lcm(*(v.denominator for _, v in entries))
+    fold = f._fold(-1 if ss[0] % 2 else 1)
+    if fold.anchor is None:
+        return [(sum(w * b for w, b in zip(fold.weights, values)), fold.scale * den)
+                for values, den in bernoulli_poly(ss, fold.points, period)]
+    if ss[0] < 0 or any(b <= a or (b - a) % 2 for a, b in zip(ss, ss[1:])):
+        raise ValueError("Bernoulli indices must be nonnegative, strictly ascending, of one parity")
+    e, q1, pattern = fold.anchor
     out = []
-    for values, den in bernoulli_poly(ss, [m or period for m, _ in entries], period):
-        num = sum(v.numerator * (scale // v.denominator) * b for (_, v), b in zip(entries, values))
-        out.append((num, scale * den))
+    for s in ss:
+        terms, top = _anchor_terms(s, q1, pattern)
+        shift = e
+        while len(terms) > 1:  # U_2j + U_(2j+1) 2**e, then those in pairs by 2**(2e), ...
+            terms = [lo + (hi << shift) for lo, hi in zip_longest(terms[::2], terms[1::2],
+                                                                  fillvalue=0)]
+            shift *= 2
+        out.append((terms[0], (fold.scale * top * q1**s) << (e * s)))  # L P_s M**s
     return out
 
 

@@ -318,7 +318,10 @@ VERIFY_DIGESTS = json.loads(
     (Path(__file__).parent / "data" / "verify_digests.json").read_text())["runs"]
 
 
-@pytest.mark.parametrize("entry", VERIFY_DIGESTS, ids=lambda e: " ".join(e["args"]))
+@pytest.mark.parametrize("entry", [
+    pytest.param(e, marks=[pytest.mark.slow] if e.get("slow") else [], id=" ".join(e["args"]))
+    for e in VERIFY_DIGESTS
+])
 def test_verify_json_matches_frozen_digest(capsys, entry):
     code, out, err = run(capsys, "verify", *entry["args"], "--format", "json")
     assert code == entry.get("exit", 0) and err == ""

@@ -3,21 +3,25 @@
 import hashlib
 import json
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from pathlib import Path
 
 import pytest
 import sympy
 from bernoulli_ref import bernoulli_at
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.functions.combinatorial.numbers import stirling
 
-from habiro.exact import IntervalReal, root_sum_is_zero
+from habiro.exact import IntervalReal, bernoulli_poly, root_sum_is_zero
 from habiro.families import FamilySpec, identity_for
 from habiro.thetaside import (
+    ANCHOR_E0,
     PeriodicFunction,
     StrangeIdentity,
     _g_terms,
     b_sequence,
+    bernoulli_sum,
     c_sequence,
     find_k_nu,
     g_value,
@@ -95,6 +99,72 @@ def test_folded_weights_give_the_same_bernoulli_sums(sign, degrees):
             return sum(v * bernoulli_at(s, Fraction(m or 12, 12)) for m, v in entries)
 
         assert total(folded) == total(f.entries)
+
+
+def horner_bernoulli_sum(f: PeriodicFunction, ss: list[int]) -> list[tuple[int, int]]:
+    """bernoulli_sum's pairs from the Horner kernel: sum_m v_m B_s(m/M) over the folded
+    weight, the values over L P_s M**s, L the lcm of the weights' denominators."""
+    folded = f.folded(-1 if ss[0] % 2 else 1)
+    scale = lcm(*(v.denominator for _, v in folded))
+    return [(sum(v.numerator * (scale // v.denominator) * b for (_, v), b in zip(folded, values)),
+             scale * den)
+            for values, den in bernoulli_poly(ss, [m or f.period for m, _ in folded], f.period)]
+
+
+@st.composite
+def anchored_sums(draw):
+    """A weight of period q1 2**e, e on either side of ANCHOR_E0, and a run of indices.
+
+    Its residues mix 0 (the point x = 1), points below 2**(e-1) (anchor a = 0),
+    points near a multiple a 2**e, and arbitrary ones.
+    """
+    q1 = draw(st.sampled_from(range(1, 16, 2)))
+    e = draw(st.one_of(st.integers(max(1, ANCHOR_E0 - 8), ANCHOR_E0 - 1),
+                       st.integers(ANCHOR_E0, 200)))
+    period = q1 << e
+    near = st.builds(lambda a, d: (a << e) + d, st.integers(0, q1), st.integers(-50, 50))
+    residues = draw(st.lists(
+        st.one_of(st.just(0), st.integers(1, (1 << (e - 1)) - 1), near,
+                  st.integers(0, period - 1)).map(lambda r: r % period),
+        min_size=1, max_size=6, unique=True))
+    values = draw(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=12)
+                           .filter(bool), min_size=len(residues), max_size=len(residues)))
+    start = draw(st.integers(0, 40))
+    ss = list(range(start, start + 2 * draw(st.integers(1, 6)), 2))
+    return PeriodicFunction(period, tuple(zip(residues, values))), ss
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=anchored_sums())
+def test_anchor_route_gives_the_horner_kernels_sums(case):
+    f, ss = case
+    sign = -1 if ss[0] % 2 else 1
+    e = (f.period & -f.period).bit_length() - 1
+    anchor = f._fold(sign).anchor
+    assert (anchor is not None) == (e >= ANCHOR_E0 and bool(f.folded(sign)))
+    assert bernoulli_sum(f, ss) == horner_bernoulli_sum(f, ss)
+    # Each residue a 2**e + d moved to a 2**(e+1) + d keeps the pattern (a, d, w),
+    # so above ANCHOR_E0 the doubled period reads the coefficients just memoized.
+    half = 1 << (e - 1)
+    lifted = PeriodicFunction(2 * f.period, tuple(
+        (r + (((r + half) >> e) << e), v) for r, v in f.entries))
+    if anchor is not None:
+        assert lifted._fold(sign).anchor[1:] == anchor[1:]
+    assert bernoulli_sum(lifted, ss) == horner_bernoulli_sum(lifted, ss)
+
+
+def test_c_sequence_above_anchor_e0_matches_the_horner_kernel():
+    t, n_max = ANCHOR_E0 + 6, 30
+    ident = identity_for(FamilySpec("torus32t", t=t))
+    period = ident.f.period
+    assert period % 2**ANCHOR_E0 == 0
+    ss = [2 * n + 2 for n in range(n_max + 1)]
+    values = bernoulli_poly(ss, [m for m, _ in ident.f.entries], period)
+    want = tuple(
+        Fraction((-1) ** (n + 1) * period ** (s - 1), s)
+        * sum(v * Fraction(b, den) for (_, v), b in zip(ident.f.entries, nums))
+        for n, (s, (nums, den)) in enumerate(zip(ss, values)))
+    assert c_sequence(ident, n_max) == want
 
 
 def test_identity_validation():
