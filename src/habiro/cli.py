@@ -13,12 +13,7 @@ from pathlib import Path
 
 from habiro.asym import profile_for_family, ratio_diagnostics
 from habiro.exact import PRECISION_CAP, PrecisionCapError
-from habiro.families import (
-    FAMILY_KINDS,
-    FamilySpec,
-    cached_expansion,
-    identity_for,
-)
+from habiro.families import FAMILIES, FamilySpec, cached_expansion, identity_for
 from habiro.qseries import TruncatedSeries, binomial_transform, transform_g, transform_h
 from habiro.signcheck import verify_positivity
 from habiro.thetaside import b_sequence, c_sequence, xi_from_theta
@@ -82,7 +77,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def common(p, spans: bool = False):
-        p.add_argument("--family", required=True, choices=FAMILY_KINDS)
+        p.add_argument("--family", required=True, choices=FAMILIES)
         if spans:
             for name in ("t", "m", "k"):
                 p.add_argument(f"--{name}", type=_span, default=None,
@@ -91,7 +86,7 @@ def _build_parser() -> _Parser:
         else:
             for name in ("t", "m", "ell", "k"):
                 p.add_argument(f"--{name}", type=int, default=None)
-        p.add_argument("--format", choices=FORMATS, default=None)
+        p.add_argument("--format", choices=FORMATS)
         p.add_argument("--cache-dir", default=None)
         p.add_argument("--precision-cap", type=_precision_cap, default=PRECISION_CAP)
 
@@ -99,16 +94,16 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--transform", choices=TRANSFORMS, default="one-minus-q")
     p.add_argument("-N", type=int, required=True, help="last coefficient index")
-    p.set_defaults(handler=cmd_expand, default_format="plain")
+    p.set_defaults(handler=cmd_expand, format="plain")
 
     p = sub.add_parser("crosscheck", help="compare the two coefficient routes")
     common(p)
     p.add_argument("-N", type=int, required=True)
-    p.set_defaults(handler=cmd_crosscheck, default_format="plain")
+    p.set_defaults(handler=cmd_crosscheck, format="plain")
 
     p = sub.add_parser("verify", help="positivity verdicts over a parameter range")
     common(p, spans=True)
-    p.set_defaults(handler=cmd_verify, default_format="plain")
+    p.set_defaults(handler=cmd_verify, format="plain")
 
     p = sub.add_parser("asym", help="exact-to-main-term ratio diagnostics")
     common(p)
@@ -116,7 +111,7 @@ def _build_parser() -> _Parser:
     p.add_argument("-N", type=int, default=None,
                    help="direct-expansion order; defaults to the theta-side route")
     p.add_argument("--samples", type=_samples, required=True)
-    p.set_defaults(handler=cmd_asym, default_format="csv")
+    p.set_defaults(handler=cmd_asym, format="csv")
 
     return parser
 
@@ -134,10 +129,6 @@ def _cache_dir(args) -> Path:
     if env:
         return Path(env)
     return Path.home() / ".cache" / "habiro"
-
-
-def _fmt(args) -> str:
-    return args.format if args.format is not None else args.default_format
 
 
 def _emit_csv(rows) -> None:
@@ -176,10 +167,9 @@ def cmd_expand(args) -> int:
     xi = cached_expansion(spec, args.N, _cache_dir(args))
     row, _ = _transform_row(spec, xi, args.transform, published=True)
     coeffs = row.integer_coeffs()
-    fmt = _fmt(args)
-    if fmt == "plain":
+    if args.format == "plain":
         sys.stdout.write(", ".join(str(c) for c in coeffs) + "\n")
-    elif fmt == "csv":
+    elif args.format == "csv":
         _emit_csv([("n", "coefficient")] + [(str(n), str(c)) for n, c in enumerate(coeffs)])
     else:
         _emit_json({
@@ -207,11 +197,10 @@ def cmd_crosscheck(args) -> int:
     direct = _direct_route(spec, args.N, _cache_dir(args))
     theta = _theta_route(spec, args.N)
     bad = next((n for n, (x, y) in enumerate(zip(direct, theta)) if x != y), None)
-    fmt = _fmt(args)
     if bad is None:
-        if fmt == "plain":
+        if args.format == "plain":
             sys.stdout.write(f"pass: {args.N + 1} coefficients agree\n")
-        elif fmt == "csv":
+        elif args.format == "csv":
             _emit_csv([("status", "index", "direct", "theta"),
                        ("pass", "", "", "")])
         else:
@@ -219,19 +208,15 @@ def cmd_crosscheck(args) -> int:
                         "status": "pass", "checked": args.N + 1})
         return 0
     x, y = direct[bad], theta[bad]
-    if fmt == "plain":
+    if args.format == "plain":
         sys.stdout.write(f"mismatch at n={bad}: direct {x}, theta-side {y}\n")
-    elif fmt == "csv":
+    elif args.format == "csv":
         _emit_csv([("status", "index", "direct", "theta"),
                    ("mismatch", str(bad), str(x), str(y))])
     else:
         _emit_json({"family": spec.kind, "params": spec.params(), "N": args.N,
                     "status": "mismatch", "index": bad, "direct": str(x), "theta": str(y)})
     return 2
-
-
-# family -> the parameter verify sweeps over a range
-_VARIED = {"fishburn": "", "torus32t": "t", "torus2": "m", "habiro-g": "k"}
 
 
 def _verify_specs(args) -> tuple[str, list[FamilySpec]]:
@@ -241,7 +226,7 @@ def _verify_specs(args) -> tuple[str, list[FamilySpec]]:
     one the family does not take.
     """
     kind = args.family
-    varied = _VARIED[kind]
+    varied = next(iter(FAMILIES[kind].params), "")  # the parameter a range sweeps
     given = {name: getattr(args, name) for name in ("t", "m", "ell", "k")
              if getattr(args, name) is not None}
     span = given.pop(varied, None)
@@ -261,12 +246,11 @@ def _verify_specs(args) -> tuple[str, list[FamilySpec]]:
 def cmd_verify(args) -> int:
     varied, specs = _verify_specs(args)
     verdicts = [verify_positivity(spec, cap=args.precision_cap) for spec in specs]
-    fmt = _fmt(args)
 
     def shown(v) -> str:
         return "-" if v.verdict == "undecided-at-precision-cap" else str(v.n_used)
 
-    if fmt == "plain":
+    if args.format == "plain":
         lines = []
         if varied == "m" and args.ell is None:
             # one row per m, check counts across ell, mirroring the table layout
@@ -287,7 +271,7 @@ def cmd_verify(args) -> int:
         else:
             lines.append("verdict: all proved-positive")
         sys.stdout.write("\n".join(lines) + "\n")
-    elif fmt == "csv":
+    elif args.format == "csv":
         rows = [("family", "N", "verdict")]
         rows.extend((spec.label(), shown(v), v.verdict)
                     for spec, v in zip(specs, verdicts))
@@ -321,12 +305,11 @@ def cmd_asym(args) -> int:
             table.append((sample.n, digits, None))
         else:
             table.append((sample.n, digits, abs(sample.ratio).log().mid_float()))
-    fmt = _fmt(args)
-    if fmt == "csv":
+    if args.format == "csv":
         out = [("n", "digits", "log_ratio")]
         out.extend((str(n), str(d), "" if r is None else repr(r)) for n, d, r in table)
         _emit_csv(out)
-    elif fmt == "plain":
+    elif args.format == "plain":
         sys.stdout.write("\n".join(
             f"n={n} digits={d} log_ratio={'' if r is None else repr(r)}"
             for n, d, r in table) + "\n")

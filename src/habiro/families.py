@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 # perfbench/tracing.py wraps mul_dense_int, mul_sparse_binomial_int, qbinomial and
 # subst_one_minus_int here by name, so all four stay bound though nothing calls them.
@@ -35,16 +35,6 @@ from habiro.thetaside import (
     make_chi_t,
 )
 
-FAMILY_KINDS = ("fishburn", "torus32t", "torus2", "habiro-g")
-
-_REQUIRED_PARAMS = {
-    "fishburn": (),
-    "torus32t": ("t",),
-    "torus2": ("m", "ell"),
-    "habiro-g": ("k",),
-}
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     """A family kind together with the integer parameters that pin one member."""
@@ -56,9 +46,9 @@ class FamilySpec:
     k: int | None = None
 
     def __post_init__(self):
-        if self.kind not in FAMILY_KINDS:
+        if self.kind not in FAMILIES:
             raise ValueError(f"unknown family kind: {self.kind!r}")
-        want = _REQUIRED_PARAMS[self.kind]
+        want = FAMILIES[self.kind].params
         for name in ("t", "m", "ell", "k"):
             val = getattr(self, name)
             if name in want:
@@ -66,15 +56,12 @@ class FamilySpec:
                     raise ValueError(f"family {self.kind} needs parameter {name}")
             elif val is not None:
                 raise ValueError(f"family {self.kind} does not take parameter {name}")
-        if self.kind == "torus32t" and self.t < 1:
-            raise ValueError("t must be at least 1")
-        if self.kind == "torus2":
-            if self.m < 1:
-                raise ValueError("m must be at least 1")
-            if not 0 <= self.ell <= self.m - 1:
-                raise ValueError(f"ell must lie in [0, {self.m - 1}]")
-        if self.kind == "habiro-g" and self.k < 1:
-            raise ValueError("k must be at least 1")
+        for name in want:
+            if name == "ell":
+                if not 0 <= self.ell <= self.m - 1:
+                    raise ValueError(f"ell must lie in [0, {self.m - 1}]")
+            elif getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
 
     @classmethod
     def fishburn(cls) -> "FamilySpec":
@@ -93,7 +80,7 @@ class FamilySpec:
         return cls("habiro-g", k=k)
 
     def params(self) -> dict[str, int]:
-        return {name: getattr(self, name) for name in _REQUIRED_PARAMS[self.kind]}
+        return {name: getattr(self, name) for name in FAMILIES[self.kind].params}
 
     def label(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in self.params().items())
@@ -106,18 +93,7 @@ class FamilySpec:
 
 def identity_for(spec: FamilySpec) -> StrangeIdentity:
     """Strange-identity data (a, b, nu, weight) attached to a family member."""
-    if spec.kind == "fishburn":
-        return StrangeIdentity(1, 24, 1, make_chi_t(1))
-    if spec.kind == "torus32t":
-        t = spec.t
-        return StrangeIdentity((2 ** (t + 1) - 3) ** 2, 3 * 2 ** (t + 2), 1, make_chi_t(t))
-    if spec.kind == "torus2":
-        m, ell = spec.m, spec.ell
-        return StrangeIdentity(
-            (2 * m - 2 * ell - 1) ** 2, 8 * (2 * m + 1), 1, make_chi_m_ell(m, ell)
-        )
-    k = spec.k
-    return StrangeIdentity(k * k, 2 * k + 1, 0, make_chi_k(k))
+    return FAMILIES[spec.kind].identity(*spec.params().values())
 
 
 def _check_order(N: int) -> None:
@@ -305,15 +281,45 @@ def expand_habiro_g_qseries(k: int, order: int) -> TruncatedSeries:
     return _expand_nested(order, [level] * (k - 1), outer, _q_monomial)
 
 
+# -- the family table ---------------------------------------------------------
+
+
+class Family(NamedTuple):
+    """Everything the package knows about one family kind.
+
+    The three functions take a member's parameters in the order of params,
+    expand then the order N.  angle gives theta of the check-count bound
+    zeta(2n+2) - sin(pi*theta) < 1, or None where one sign check suffices.
+    """
+
+    params: tuple[str, ...]  # a verify range sweeps the first
+    identity: Callable[..., StrangeIdentity]
+    expand: Callable[..., TruncatedSeries]
+    angle: Callable[..., Fraction | None]
+
+
+def _torus32t_identity(t: int) -> StrangeIdentity:
+    return StrangeIdentity((2 ** (t + 1) - 3) ** 2, 3 * 2 ** (t + 2), 1, make_chi_t(t))
+
+
+# The one place a family is added.  fishburn is torus32t at t = 1.
+FAMILIES = {
+    "fishburn": Family((), lambda: _torus32t_identity(1), expand_fishburn,
+                       lambda: Fraction(1, 2)),
+    "torus32t": Family(("t",), _torus32t_identity, expand_torus32t,
+                       lambda t: Fraction(1, 2**t)),
+    "torus2": Family(("m", "ell"),
+                     lambda m, ell: StrangeIdentity((2 * m - 2 * ell - 1) ** 2, 8 * (2 * m + 1),
+                                                    1, make_chi_m_ell(m, ell)),
+                     expand_torus2, lambda m, ell: Fraction(ell + 1, 2 * m + 1)),
+    "habiro-g": Family(("k",), lambda k: StrangeIdentity(k * k, 2 * k + 1, 0, make_chi_k(k)),
+                       expand_habiro_g, lambda k: None),
+}
+
+
 def expand_family(spec: FamilySpec, N: int) -> TruncatedSeries:
-    """Dispatch to the family's expansion at q = 1-u."""
-    if spec.kind == "fishburn":
-        return expand_fishburn(N)
-    if spec.kind == "torus32t":
-        return expand_torus32t(spec.t, N)
-    if spec.kind == "torus2":
-        return expand_torus2(spec.m, spec.ell, N)
-    return expand_habiro_g(spec.k, N)
+    """The family's expansion at q = 1-u, through u**N."""
+    return FAMILIES[spec.kind].expand(*spec.params().values(), N)
 
 
 def theta_q_expansion(ident: StrangeIdentity, order: int) -> TruncatedSeries:
@@ -324,12 +330,7 @@ def theta_q_expansion(ident: StrangeIdentity, order: int) -> TruncatedSeries:
         v = ident.f(n)
         if not v:
             continue
-        e = n * n - ident.a
-        if e < 0 or e % ident.b:
-            raise ValueError(
-                f"identity parameters inconsistent: non-integral exponent at n={n}"
-            )
-        e //= ident.b
+        e = (n * n - ident.a) // ident.b  # an integer >= 0, as StrangeIdentity checked
         if e <= order:
             coeffs[e] += n**ident.nu * v
     return TruncatedSeries(coeffs)

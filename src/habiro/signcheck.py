@@ -26,7 +26,7 @@ from habiro.exact import (
     signed_enclosure,
     zeta_interval,
 )
-from habiro.families import FamilySpec, identity_for
+from habiro.families import FAMILIES, FamilySpec, identity_for
 from habiro.thetaside import (
     PeriodicFunction,
     StrangeIdentity,
@@ -54,32 +54,17 @@ def m_bound(
     )
 
 
-@lru_cache(maxsize=64)
-def _one(prec: int) -> IntervalReal:
-    """The exact 1 at a working precision, built once per precision."""
-    return IntervalReal.from_int(1, prec)
-
-
-def _holds_below_one(value, precision: int, what: str, cap: int) -> bool:
-    """Rigorously decide value(prec) < 1, treating equality as failure."""
-    return decide_sign(lambda p: value(p) - _one(p), min(precision, cap), cap, what) < 0
-
-
-def n_max(
-    f: PeriodicFunction,
-    nu: int,
-    precision: int = DEFAULT_PRECISION,
-    cap: int = PRECISION_CAP,
-) -> int:
+def n_max(f: PeriodicFunction, nu: int, cap: int = PRECISION_CAP) -> int:
     """Smallest N with bound * (zeta(2n + nu + 1) - 1) < 1 for every n >= N."""
     bound = cache(lambda prec: m_bound(f, nu, prec, cap))  # one per precision, not per n
 
-    def tail(n: int):
+    def excess(n: int):
         s = 2 * n + nu + 1
-        return lambda prec: bound(prec) * (zeta_interval(s, prec) - 1)
+        return lambda prec: bound(prec) * (zeta_interval(s, prec) - 1) - 1
 
     n = 0 if nu == 1 else 1  # s = 1 has a divergent zeta value, so n = 0 never qualifies
-    while not _holds_below_one(tail(n), precision, f"tail bound at n={n}", cap):
+    # equality counts as failure: only a negative excess passes
+    while decide_sign(excess(n), min(DEFAULT_PRECISION, cap), cap, f"tail bound at n={n}") > 0:
         n += 1
     return n
 
@@ -125,17 +110,14 @@ def _excess_sign(zeta_and_sin: tuple) -> int:
     return int(mpf_le(s_hi, mpf_sub(z_lo, above)))
 
 
-def family_n_bound(
-    spec: FamilySpec, precision: int = DEFAULT_PRECISION, cap: int = PRECISION_CAP
-) -> int:
-    """Check count for a built-in family: the first n with zeta(2n+2) - sin(pi*theta) < 1."""
-    if spec.kind == "habiro-g":
+def family_n_bound(spec: FamilySpec, cap: int = PRECISION_CAP) -> int:
+    """Check count for a built-in family: the first n with zeta(2n+2) - sin(pi*theta) < 1.
+
+    A family without an angle needs its single check.
+    """
+    angle = FAMILIES[spec.kind].angle(*spec.params().values())
+    if angle is None:
         return 1
-    if spec.kind in ("fishburn", "torus32t"):
-        t = 1 if spec.kind == "fishburn" else spec.t
-        angle = Fraction(1, 2**t)
-    else:
-        angle = Fraction(spec.ell + 1, 2 * spec.m + 1)
     num, den = angle.numerator, angle.denominator
 
     n = 0
@@ -143,7 +125,7 @@ def family_n_bound(
     def excess(prec: int) -> tuple:  # at the loop's current n
         return zeta_interval(2 * n + 2, prec), _sin_pi(num, den, prec)
 
-    while decide_sign(excess, min(precision, cap), cap, f"check-count bound at n={n}",
+    while decide_sign(excess, min(DEFAULT_PRECISION, cap), cap, f"check-count bound at n={n}",
                       _excess_sign) > 0:
         n += 1
     return n
@@ -213,16 +195,14 @@ def verdict_for_identity(
     return PositivityVerdict(family, params, n_used, tuple(checks), verdict, "; ".join(notes))
 
 
-def verify_positivity(
-    spec: FamilySpec, precision: int = DEFAULT_PRECISION, cap: int = PRECISION_CAP
-) -> PositivityVerdict:
+def verify_positivity(spec: FamilySpec, cap: int = PRECISION_CAP) -> PositivityVerdict:
     """Certify that every coefficient of a built-in family is positive.
 
     The member's identity is built only when a sign test runs: with a check
     count of 0 the tail bound alone proves positivity.
     """
     try:
-        n_used = family_n_bound(spec, precision, cap)
+        n_used = family_n_bound(spec, cap)
     except PrecisionCapError as err:
         return PositivityVerdict(
             spec.kind, spec.params(), 0, (), "undecided-at-precision-cap", str(err)

@@ -9,7 +9,7 @@ import pytest
 import habiro.exact.zeta as zeta_module
 import habiro.signcheck as sc
 from habiro.exact import IntervalReal, PrecisionCapError, zeta_interval
-from habiro.families import FamilySpec, expand_family, identity_for
+from habiro.families import FAMILIES, FamilySpec, expand_family, identity_for
 from habiro.signcheck import (
     FamilyCertificate,
     PositivityVerdict,
@@ -25,6 +25,7 @@ from habiro.thetaside import (
     PeriodicFunction,
     StrangeIdentity,
     c_sequence,
+    g_value,
     make_chi_k,
     make_chi_m_ell,
     make_chi_t,
@@ -150,6 +151,35 @@ def test_family_n_bound_fixed_cases():
         assert family_n_bound(FamilySpec.habiro_g(k)) == 1
 
 
+# A few members of every FAMILIES row, as the row's parameter tuples.
+ROW_MEMBERS = [("fishburn", ()), ("torus32t", (1,)), ("torus32t", (2,)), ("torus32t", (7,)),
+               ("torus2", (1, 0)), ("torus2", (3, 1)), ("torus2", (6, 5)),
+               ("habiro-g", (1,)), ("habiro-g", (4,))]
+# c**2 in |G(1)| sqrt(M) / 2 = c sin(pi*theta), criterion 7's closed forms
+LEADING_C_SQUARED = {"fishburn": 3, "torus32t": 3, "torus2": 4}
+
+
+def test_row_members_cover_every_family():
+    assert {kind for kind, _ in ROW_MEMBERS} == set(FAMILIES)
+
+
+@pytest.mark.parametrize("kind,args", ROW_MEMBERS)
+def test_family_angle_is_the_leading_fourier_coefficient(kind, args):
+    row = FAMILIES[kind]
+    spec = FamilySpec(kind, **dict(zip(row.params, args)))
+    theta = row.angle(*args)
+    if kind == "habiro-g":
+        assert theta is None
+        assert family_n_bound(spec) == 1
+        return
+    f = identity_for(spec).f
+    got = abs(g_value(f, 1, 1, PREC)) * IntervalReal.from_int(f.period, PREC).sqrt() / 2
+    c = IntervalReal.from_int(LEADING_C_SQUARED[kind], PREC).sqrt()
+    want = c * (IntervalReal.pi(PREC) * theta).sin()
+    assert overlaps(got, want)
+    assert tight(got) and tight(want)
+
+
 def _n_bound_outcome(fn, spec, cap):
     try:
         return fn(spec, cap=cap)
@@ -175,8 +205,9 @@ def _capped_outcomes_in_both_orders(specs, caps):
 
 
 def test_family_n_bound_matches_unshared_reference_at_every_cap():
-    # The shared zeta, sin and 1 enclosures are the intervals the reference
-    # builds afresh, so every check count and every cap failure is the same.
+    # The shared zeta and sin enclosures are the intervals the reference builds
+    # afresh, and the cut points decide as its difference with 1 does, so every
+    # check count and every cap failure is the same.
     specs = [FamilySpec.fishburn(),
              *(FamilySpec.torus32t(t) for t in range(1, 41)),
              *(FamilySpec.torus2(m, ell) for m in range(1, 13) for ell in range(m))]
@@ -394,7 +425,7 @@ def test_zero_sign_test_counts_as_nonnegative():
 
 
 def test_precision_cap_becomes_undecided_verdict(monkeypatch):
-    def boom(spec, precision, cap):
+    def boom(spec, cap):
         raise PrecisionCapError("sign of check-count bound undecided", cap)
 
     monkeypatch.setattr(sc, "family_n_bound", boom)
