@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, isqrt
 from pathlib import Path
@@ -44,6 +44,8 @@ class FamilySpec:
     m: int | None = None
     ell: int | None = None
     k: int | None = None
+    # the parameter values in the order of the family's row, as its functions take them
+    args: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in FAMILIES:
@@ -56,11 +58,12 @@ class FamilySpec:
                     raise ValueError(f"family {self.kind} needs parameter {name}")
             elif val is not None:
                 raise ValueError(f"family {self.kind} does not take parameter {name}")
-        for name in want:
+        object.__setattr__(self, "args", tuple(getattr(self, name) for name in want))
+        for name, val in zip(want, self.args):
             if name == "ell":
-                if not 0 <= self.ell <= self.m - 1:
+                if not 0 <= val <= self.m - 1:
                     raise ValueError(f"ell must lie in [0, {self.m - 1}]")
-            elif getattr(self, name) < 1:
+            elif val < 1:
                 raise ValueError(f"{name} must be at least 1")
 
     @classmethod
@@ -80,7 +83,7 @@ class FamilySpec:
         return cls("habiro-g", k=k)
 
     def params(self) -> dict[str, int]:
-        return {name: getattr(self, name) for name in FAMILIES[self.kind].params}
+        return dict(zip(FAMILIES[self.kind].params, self.args))
 
     def label(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in self.params().items())
@@ -93,7 +96,7 @@ class FamilySpec:
 
 def identity_for(spec: FamilySpec) -> StrangeIdentity:
     """Strange-identity data (a, b, nu, weight) attached to a family member."""
-    return FAMILIES[spec.kind].identity(*spec.params().values())
+    return FAMILIES[spec.kind].identity(*spec.args)
 
 
 def _check_order(N: int) -> None:
@@ -319,7 +322,7 @@ FAMILIES = {
 
 def expand_family(spec: FamilySpec, N: int) -> TruncatedSeries:
     """The family's expansion at q = 1-u, through u**N."""
-    return FAMILIES[spec.kind].expand(*spec.params().values(), N)
+    return FAMILIES[spec.kind].expand(*spec.args, N)
 
 
 def theta_q_expansion(ident: StrangeIdentity, order: int) -> TruncatedSeries:

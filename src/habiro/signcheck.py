@@ -63,7 +63,6 @@ def n_max(f: PeriodicFunction, nu: int, cap: int = PRECISION_CAP) -> int:
         return lambda prec: bound(prec) * (zeta_interval(s, prec) - 1) - 1
 
     n = 0 if nu == 1 else 1  # s = 1 has a divergent zeta value, so n = 0 never qualifies
-    # equality counts as failure: only a negative excess passes
     while decide_sign(excess(n), min(DEFAULT_PRECISION, cap), cap, f"tail bound at n={n}") > 0:
         n += 1
     return n
@@ -115,7 +114,7 @@ def family_n_bound(spec: FamilySpec, cap: int = PRECISION_CAP) -> int:
 
     A family without an angle needs its single check.
     """
-    angle = FAMILIES[spec.kind].angle(*spec.params().values())
+    angle = FAMILIES[spec.kind].angle(*spec.args)
     if angle is None:
         return 1
     num, den = angle.numerator, angle.denominator
