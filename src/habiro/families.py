@@ -13,7 +13,9 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import takewhile
 from math import comb, isqrt
+from operator import add, not_, sub
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -114,11 +116,43 @@ def _q_power(e: int, order: int) -> list[int]:
     return out
 
 
-def _q_monomial(e: int, order: int) -> list[int]:
-    """Coefficients of q**e through the given order, as a series in q itself."""
-    out = [0] * (order + 1)
-    if e <= order:
-        out[e] = 1
+# q**e = (1-u)**e is applied as e difference passes when e <= _PASSES_MAX*order,
+# as a dense product with _q_power above.  Timed on random windows (orders
+# 20-200, 60-1200-bit coefficients; CPU time, 2-core x86-64 VM, CPython 3.11),
+# the dense product took 1.9-2.9x the passes' time at e = order/4, 0.94-1.8x at
+# e = order and 0.64-0.89x at e = 2*order up to order 100 (1.6x at order 200).
+# Whole expansions (torus2(3,1) and habiro-g(2) at N = 26-100) moved by no more
+# than the noise with limits of 1.5-4 orders.
+_PASSES_MAX = 1
+
+
+def _times_q_power(e: int, p: list[int], order: int) -> list[int]:
+    """q**e * p through u**order, where q = 1-u, as a window of order + 1 entries.
+
+    Each pass multiplies by 1-u in place, from p's first nonzero entry on, so
+    it costs one C-level subtraction per entry and no product; above
+    _PASSES_MAX*order it is a dense product.  e = 0 gives p itself when it is
+    already that long.
+    """
+    if e == 0 and len(p) == order + 1:
+        return p
+    if e > _PASSES_MAX * order:
+        return mul_trunc_int(_q_power(e, order), p, order)
+    out = p[:order + 1]
+    out += [0] * (order + 1 - len(out))
+    start = len(list(takewhile(not_, out)))
+    if start < order:
+        for _ in range(e):
+            out[start + 1:] = map(sub, out[start + 1:], out[start:-1])
+    return out
+
+
+def _times_q_monomial(e: int, p: list[int], order: int) -> list[int]:
+    """q**e * p through q**order, a shift, as a window of order + 1 entries."""
+    if e > order:
+        return [0] * (order + 1)
+    out = [0] * e + p[:order + 1 - e]
+    out += [0] * (order + 1 - len(out))
     return out
 
 
@@ -126,13 +160,13 @@ def _expand_nested(
     N: int,
     levels: list[tuple[int, int, int, int]],
     outer: tuple[int, int, int],
-    power: Callable[[int, int], list[int]],
+    times: Callable[[int, list[int], int], list[int]],
 ) -> TruncatedSeries:
     """Coefficients through x**N of a nested sum, every level kept in x.
 
-    The series variable x is set by power(e, order), the coefficients of q**e
-    in x through order: _q_power gives x = u where q = 1-u, _q_monomial x = q.
-    A level (d, b, alpha, beta) maps the inner sums p[n], 1 below the
+    The series variable x is set by times(e, p, order), q**e * p through
+    x**order: _times_q_power gives x = u where q = 1-u, _times_q_monomial
+    x = q.  A level (d, b, alpha, beta) maps the inner sums p[n], 1 below the
     innermost level, to sum_n [j + d, n]_{q**b} q**(alpha*n*n + beta*n) p[n];
     levels are listed innermost first.  The outer factor (s, c, c0) gives
     index n the weight q**(s*n) prod_{i <= n} (1 - q**(c*i + c0)), of
@@ -143,56 +177,61 @@ def _expand_nested(
     q-difference: after J steps of w[n] <- w[n+1] + q**(b*n) w[n], w[0] is
     sum_n [J, n]_{q**b} w[n].  The entries past the last nonzero one stay
     zero through every step, so the steps stop there; in q that skips every
-    n with alpha*n*n + beta*n above N.  A product with an all-zero factor is
-    not made; that happens only in q, where power(e, order) is zero for e
-    above the order and so is every entry of valuation above it.
+    n with alpha*n*n + beta*n above N.  In u a factor q**e with e up to the
+    order costs e difference passes, additions only; a larger e (a level's
+    first products, and steps past a short order) costs a dense product.  In
+    q a factor is a shift, so no product is made there.
     """
     _check_order(N)
     D = sum(level[0] for level in levels)
     p = [[1]] * (N + D + 1)
     for d, b, alpha, beta in levels:
         top = N + D
-        w = []
-        for n in range(top + 1):
-            factor, order = power(alpha * n * n + beta * n, N), min(N, top - n)
-            w.append(mul_trunc_int(factor, p[n], order) if any(factor) and any(p[n])
-                     else [0] * (order + 1))
+        w = [times(alpha * n * n + beta * n, p[n], min(N, top - n)) for n in range(top + 1)]
         live = 1 + max((n for n, x in enumerate(w) if any(x)), default=0)
         p = []
         for J in range(top + 1):
             if J >= d:
                 p.append(w[0])
             for n in range(min(top - J, live)):
-                order = min(N, top - J - 1 - n)
-                factor = power(b * n, order)
-                if any(factor) and any(w[n]):
-                    moved = mul_trunc_int(factor, w[n], order)
-                    w[n] = [x + y for x, y in zip(w[n + 1], moved)]
-                else:
-                    w[n] = w[n + 1][:order + 1]
+                w[n] = list(map(add, w[n + 1], times(b * n, w[n], min(N, top - J - 1 - n))))
             w.pop()
         D -= d
     s, c, c0 = outer
     acc = [0] * (N + 1)
     weight = [1] + [0] * N
-    q_s = power(s, N)
     for n in range(N + 1):
         for j, v in enumerate(mul_trunc_int(weight[n:], p[n], N - n)):
             acc[n + j] += v
-        step = [x - y for x, y in zip(q_s, power(s + c * (n + 1) + c0, N))]
-        weight = mul_trunc_int(weight, step, N)
+        weight = list(map(sub, times(s, weight, N), times(s + c * (n + 1) + c0, weight, N)))
     return TruncatedSeries(acc)
 
 
 def expand_fishburn(N: int) -> TruncatedSeries:
     """Coefficients through u**N of the Kontsevich element at q = 1-u."""
-    return _expand_nested(N, [], (0, 1, 0), _q_power)
+    return _expand_nested(N, [], (0, 1, 0), _times_q_power)
 
 
-# Largest cost expand_torus32t accepts: m*m*(N+1) window products, m = 2**(t-1),
-# of about (N+1)**2 + 200 steps each (the constant is the fixed cost of a call).
-# A step takes 10-50 ns in CPython on a 2-core x86-64 VM, more at large N where
-# the coefficients are long: 9 s at t=12, N=0 and 49 s at t=3, N=395.
+def _times_q_power_classes(w: list[int], e: int, width: int) -> list[int]:
+    """q**e = (1-u)**e times every window of w, in place, by e difference passes.
+
+    w holds windows of width entries, each led by a zero guard that stands for
+    the coefficient just below the window; the guards are zeroed after every
+    pass, so no window reads its neighbour.
+    """
+    guards = [0] * (len(w) // width)
+    for _ in range(e):
+        w[1:] = map(sub, w[1:], w[:-1])
+        w[::width] = guards
+    return w
+
+
+# Largest cost expand_torus32t accepts, the refusal threshold of its direct
+# expansion.  The formula counts the old cost, m*m*(N+1) dense window products,
+# m = 2**(t-1), of about (N+1)**2 + 200 steps each.  Difference passes over all
+# m classes at once cost less (t=12, N=0 went from 10.5 to 0.6 s and t=3, N=100
+# takes 0.3 s, CPU time on a 2-core x86-64 VM), so the formula now over-counts;
+# it stays as the limit, so the same sizes are refused.
 TORUS32T_BUDGET = 10**9
 
 
@@ -206,6 +245,10 @@ def expand_torus32t(t: int, N: int) -> TruncatedSeries:
     P_r a window in u, exact since Z[x] = sum_r x**r Z[q] and truncation in u is
     a ring map.  Multiplying by 1 - x**c, c = c1*m + c0, subtracts
     q**(c1 + [r + c0 >= m]) P_r from class (r + c0) mod m; [x**a] is class a.
+    The classes sit in one list, class r in window r, so q**c1 times all of
+    them is c1 difference passes over it and the move to r + c0 a rotation.
+    (x;x)_k is (q;q)_(k // m) times a polynomial in x, so in round c1 every
+    class has valuation at least c1 - 1, and its window starts there.
     Sizes over TORUS32T_BUDGET raise ValueError before any work is done.
     """
     _check_order(N)
@@ -224,23 +267,22 @@ def expand_torus32t(t: int, N: int) -> TruncatedSeries:
     a = pow(3, -1, m)
     # Class 0 starts as (-1)**h'' q**(-h') = (-1)**h'' (1-u)**(-h'), h' = h'' - 1.
     sign = (-1) ** hpp
-    classes = [[sign] + [sign * comb(hpp + j - 2, j) for j in range(1, N + 1)]]
-    classes += [[0] * (N + 1) for _ in range(m - 1)]
+    width = N + 2  # a guard, then the coefficients of u**v..u**N, v = max(c1 - 1, 0)
+    classes = [0, sign] + [sign * comb(hpp + j - 2, j) for j in range(1, N + 1)]
+    classes += [0] * (width * (m - 1))
     acc = [0] * (N + 1)
-    q_hi = _q_power(0, N)
     for c1 in range(N + 1):
-        q_lo, q_hi = q_hi, _q_power(c1 + 1, N)
+        v = max(c1 - 1, 0)
+        if v:
+            del classes[1::width]  # every coefficient of u**(v-1) is zero
+            width -= 1
         for c0 in range(m):
             if c1 or c0:
-                # Read every class before writing any; mul_trunc_int skips
-                # the leading zeros a class has from its valuation.
-                moved = [mul_trunc_int(p, q_hi if r + c0 >= m else q_lo, N)
-                         for r, p in enumerate(classes)]
-                for r, p in enumerate(moved):
-                    dst = (r + c0) % m
-                    classes[dst] = [x - y for x, y in zip(classes[dst], p)]
-            for j, v in enumerate(classes[a]):
-                acc[j] += v
+                moved = _times_q_power_classes(classes[:], c1, width) if c1 else classes
+                cut = (m - c0) * width
+                wrapped = _times_q_power_classes(moved[cut:], 1, width)
+                classes = list(map(sub, classes, wrapped + moved[:cut]))
+            acc[v:] = map(add, acc[v:], classes[a * width + 1:(a + 1) * width])
     return TruncatedSeries(acc)
 
 
@@ -256,7 +298,7 @@ def expand_torus2(m: int, ell: int, N: int) -> TruncatedSeries:
     if not 0 <= ell <= m - 1:
         raise ValueError(f"ell must lie in [0, {m - 1}]")
     levels = [(int(i == ell), 1, 1, int(i > ell)) for i in range(1, m)]
-    return _expand_nested(N, levels, (0, 1, 0), _q_power)
+    return _expand_nested(N, levels, (0, 1, 0), _times_q_power)
 
 
 # habiro-g's level (d, b, alpha, beta), applied k-1 times, and its outer factor (s, c, c0).
@@ -273,7 +315,7 @@ def expand_habiro_g(k: int, N: int) -> TruncatedSeries:
     if k < 1:
         raise ValueError("k must be at least 1")
     level, outer = _HABIRO_G
-    return _expand_nested(N, [level] * (k - 1), outer, _q_power)
+    return _expand_nested(N, [level] * (k - 1), outer, _times_q_power)
 
 
 def expand_habiro_g_qseries(k: int, order: int) -> TruncatedSeries:
@@ -281,7 +323,7 @@ def expand_habiro_g_qseries(k: int, order: int) -> TruncatedSeries:
     if k < 1:
         raise ValueError("k must be at least 1")
     level, outer = _HABIRO_G
-    return _expand_nested(order, [level] * (k - 1), outer, _q_monomial)
+    return _expand_nested(order, [level] * (k - 1), outer, _times_q_monomial)
 
 
 # -- the family table ---------------------------------------------------------

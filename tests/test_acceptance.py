@@ -5,6 +5,8 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from habiro.asym import profile_for_family, ratio_diagnostics
 from habiro.exact import root_sum_is_zero
 from habiro.exact.intervals import IntervalReal
@@ -107,6 +109,19 @@ def test_criterion_3_dual_routes_at_n60():
         assert expand_family(spec, 60).integer_coeffs() == theta.integer_coeffs()
     elapsed = time.perf_counter() - start
     report(3, f"direct and theta routes agree through n=60 for {len(specs)} families in {elapsed:.2f}s")
+
+
+@pytest.mark.slow
+def test_criterion_3_dual_routes_at_n200():
+    start = time.perf_counter()
+    specs = [FamilySpec.fishburn(), FamilySpec.torus32t(3), FamilySpec.torus2(2, 1),
+             FamilySpec.habiro_g(2)]
+    for spec in specs:
+        ident = identity_for(spec)
+        theta = xi_from_theta(b_sequence(ident, c_sequence(ident, 200)), 200)
+        assert expand_family(spec, 200).integer_coeffs() == theta.integer_coeffs()
+    elapsed = time.perf_counter() - start
+    report(3, f"direct and theta routes agree through n=200 for {len(specs)} families in {elapsed:.2f}s")
 
 
 def test_criterion_4_bernoulli_spot_values():

@@ -7,6 +7,8 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from laurent import add, mul, poly, shift, subst_one_minus
 
 import habiro.families as families
@@ -168,11 +170,55 @@ def test_torus32t_over_budget_raises_before_expanding(monkeypatch):
     def forbidden(*args):
         raise AssertionError("expansion started")
 
-    monkeypatch.setattr(families, "mul_trunc_int", forbidden)
-    monkeypatch.setattr(families, "_q_power", forbidden)
+    for name in ("mul_trunc_int", "_q_power", "_times_q_power", "_times_q_power_classes", "comb"):
+        monkeypatch.setattr(families, name, forbidden)
     for t, N in [(20, 10), (13, 0), (2, 1000), (10**6, 0)]:
         with pytest.raises(ValueError, match=f"t={t}, N={N} exceeds its cost budget"):
             expand_torus32t(t, N)
+
+
+def _window(p, order):
+    return (p + [0] * (order + 1))[:order + 1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    e=st.integers(0, 40),
+    order=st.integers(0, 16),
+    zeros=st.integers(0, 20),
+    tail=st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=24),
+)
+@example(e=0, order=3, zeros=0, tail=[1, 2, 3, 4])
+@example(e=0, order=0, zeros=0, tail=[7, 8, 9])
+@example(e=5, order=0, zeros=0, tail=[7, 8, 9])
+@example(e=4, order=4, zeros=2, tail=[3, -1])
+@example(e=5, order=4, zeros=2, tail=[3, -1])
+@example(e=3, order=6, zeros=9, tail=[1])
+def test_times_q_power_matches_the_dense_product(e, order, zeros, tail):
+    # e = 0, e on both sides of the crossover (e <= order), leading zeros,
+    # order 0, and p longer than order + 1
+    p = [0] * zeros + tail
+    before = list(p)
+    got = families._times_q_power(e, p, order)
+    assert got == families.mul_trunc_int(families._q_power(e, order), p, order)
+    assert families._times_q_monomial(e, p, order) == _window([0] * e + p, order)
+    assert p == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    e=st.integers(0, 12),
+    width=st.integers(2, 9),
+    windows=st.lists(st.lists(st.integers(-(10**20), 10**20), min_size=9, max_size=9),
+                     min_size=1, max_size=5),
+)
+def test_times_q_power_classes_matches_each_window(e, width, windows):
+    order = width - 2
+    w = [x for p in windows for x in [0] + p[:width - 1]]
+    got = families._times_q_power_classes(w, e, width)
+    want = [x for p in windows
+            for x in [0] + families.mul_trunc_int(families._q_power(e, order), p, order)]
+    assert got == want
 
 
 def test_torus2_pinned_prefixes():
