@@ -153,6 +153,15 @@ def test_anchor_route_gives_the_horner_kernels_sums(case):
     assert bernoulli_sum(lifted, ss) == horner_bernoulli_sum(lifted, ss)
 
 
+@pytest.mark.parametrize("t", [2, 70])  # period 3*2**4 on the kernel, 3*2**72 on the anchors
+@pytest.mark.parametrize("ss", [[], [1, 2], [2, 5], [4, 2], [-2, 0]])
+def test_bernoulli_sum_rejects_a_bad_index_list_on_both_routes(t, ss):
+    f = make_chi_t(t)
+    assert (f._fold(1).anchor is None) == (t == 2)
+    with pytest.raises(ValueError, match="nonnegative, strictly ascending, of one parity"):
+        bernoulli_sum(f, ss)
+
+
 def test_c_sequence_above_anchor_e0_matches_the_horner_kernel():
     t, n_max = ANCHOR_E0 + 6, 30
     ident = identity_for(FamilySpec("torus32t", t=t))
