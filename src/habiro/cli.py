@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -131,15 +130,16 @@ def _cache_dir(args) -> Path:
     return Path.home() / ".cache" / "habiro"
 
 
-def _emit_csv(rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, quoting=csv.QUOTE_ALL, lineterminator="\n")
-    writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
-
-
-def _emit_json(payload) -> None:
-    sys.stdout.write(json.dumps(payload) + "\n")
+def _emit(args, plain, rows, value) -> None:
+    """Write a result in the format args name.  Each form comes as a function that
+    builds it (the plain text, the CSV rows header first, the JSON value), so
+    only the chosen form is built."""
+    if args.format == "plain":
+        sys.stdout.write(plain() + "\n")
+    elif args.format == "csv":
+        csv.writer(sys.stdout, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows(rows())
+    else:
+        sys.stdout.write(json.dumps(value()) + "\n")
 
 
 def _transform_row(
@@ -167,18 +167,11 @@ def cmd_expand(args) -> int:
     xi = cached_expansion(spec, args.N, _cache_dir(args))
     row, _ = _transform_row(spec, xi, args.transform, published=True)
     coeffs = row.integer_coeffs()
-    if args.format == "plain":
-        sys.stdout.write(", ".join(str(c) for c in coeffs) + "\n")
-    elif args.format == "csv":
-        _emit_csv([("n", "coefficient")] + [(str(n), str(c)) for n, c in enumerate(coeffs)])
-    else:
-        _emit_json({
-            "family": spec.kind,
-            "params": spec.params(),
-            "transform": args.transform,
-            "N": args.N,
-            "coefficients": [str(c) for c in coeffs],
-        })
+    _emit(args,
+          lambda: ", ".join(str(c) for c in coeffs),
+          lambda: [("n", "coefficient")] + [(str(n), str(c)) for n, c in enumerate(coeffs)],
+          lambda: {"family": spec.kind, "params": spec.params(), "transform": args.transform,
+                   "N": args.N, "coefficients": [str(c) for c in coeffs]})
     return 0
 
 
@@ -197,30 +190,26 @@ def cmd_crosscheck(args) -> int:
     direct = _direct_route(spec, args.N, _cache_dir(args))
     theta = _theta_route(spec, args.N)
     bad = next((n for n, (x, y) in enumerate(zip(direct, theta)) if x != y), None)
+    header = ("status", "index", "direct", "theta")
+
+    def result(**fields):
+        return {"family": spec.kind, "params": spec.params(), "N": args.N, **fields}
+
     if bad is None:
-        if args.format == "plain":
-            sys.stdout.write(f"pass: {args.N + 1} coefficients agree\n")
-        elif args.format == "csv":
-            _emit_csv([("status", "index", "direct", "theta"),
-                       ("pass", "", "", "")])
-        else:
-            _emit_json({"family": spec.kind, "params": spec.params(), "N": args.N,
-                        "status": "pass", "checked": args.N + 1})
+        _emit(args, lambda: f"pass: {args.N + 1} coefficients agree",
+              lambda: [header, ("pass", "", "", "")],
+              lambda: result(status="pass", checked=args.N + 1))
         return 0
     x, y = direct[bad], theta[bad]
-    if args.format == "plain":
-        sys.stdout.write(f"mismatch at n={bad}: direct {x}, theta-side {y}\n")
-    elif args.format == "csv":
-        _emit_csv([("status", "index", "direct", "theta"),
-                   ("mismatch", str(bad), str(x), str(y))])
-    else:
-        _emit_json({"family": spec.kind, "params": spec.params(), "N": args.N,
-                    "status": "mismatch", "index": bad, "direct": str(x), "theta": str(y)})
+    _emit(args, lambda: f"mismatch at n={bad}: direct {x}, theta-side {y}",
+          lambda: [header, ("mismatch", str(bad), str(x), str(y))],
+          lambda: result(status="mismatch", index=bad, direct=str(x), theta=str(y)))
     return 2
 
 
-def _verify_specs(args) -> tuple[str, list[FamilySpec]]:
-    """Expand the range flags into concrete specs plus the varied-parameter name.
+def _verify_specs(args) -> tuple[str, bool, list[FamilySpec]]:
+    """Expand the range flags into concrete specs, plus the varied-parameter name
+    and whether the sweep runs every ell of each m (torus2 without --ell).
 
     Every spec goes through FamilySpec, which rejects a missing parameter and
     one the family does not take.
@@ -232,52 +221,52 @@ def _verify_specs(args) -> tuple[str, list[FamilySpec]]:
     span = given.pop(varied, None)
     if span is None:
         # fishburn; any other family lacks its varied parameter and is rejected
-        return varied, [FamilySpec(kind, **given)]
+        return varied, False, [FamilySpec(kind, **given)]
+    every_ell = kind == "torus2" and args.ell is None
     specs = []
     for v in range(span[0], span[1] + 1):
-        if kind == "torus2" and args.ell is None:
-            # every ell of m; m < 1 still reaches FamilySpec, which rejects it
+        if every_ell:
+            # m < 1 still reaches FamilySpec, which rejects it
             specs.extend(FamilySpec(kind, m=v, ell=ell, **given) for ell in range(max(v, 1)))
         else:
             specs.append(FamilySpec(kind, **given, **{varied: v}))
-    return varied, specs
+    return varied, every_ell, specs
+
+
+def _verdict_json(v) -> dict:
+    out = {"family": v.family, "params": v.params, "N_used": v.n_used,
+           "checks": v.checks, "verdict": v.verdict}
+    if v.note:
+        out["note"] = v.note
+    return out
 
 
 def cmd_verify(args) -> int:
-    varied, specs = _verify_specs(args)
+    varied, every_ell, specs = _verify_specs(args)
     verdicts = [verify_positivity(spec, cap=args.precision_cap) for spec in specs]
 
     def shown(v) -> str:
         return "-" if v.verdict == "undecided-at-precision-cap" else str(v.n_used)
 
-    if args.format == "plain":
-        lines = []
-        if varied == "m" and args.ell is None:
+    def plain() -> str:
+        if every_ell:
             # one row per m, check counts across ell, mirroring the table layout
             by_m: dict[int, list[str]] = {}
             for spec, v in zip(specs, verdicts):
                 by_m.setdefault(spec.m, []).append(shown(v))
-            for m, counts in by_m.items():
-                lines.append(f"m={m}: " + " ".join(counts))
-        elif varied:
-            keys = [spec.params()[varied] for spec in specs]
-            lines.append(f"{varied}: " + " ".join(str(k) for k in keys))
-            lines.append("N: " + " ".join(shown(v) for v in verdicts))
+            lines = [f"m={m}: " + " ".join(counts) for m, counts in by_m.items()]
         else:
-            lines.append(f"N: {shown(verdicts[0])}")
-        bad = [(spec, v) for spec, v in zip(specs, verdicts) if v.verdict != "proved-positive"]
-        if bad:
-            lines.extend(f"{spec.label()}: {v.verdict}" for spec, v in bad)
-        else:
-            lines.append("verdict: all proved-positive")
-        sys.stdout.write("\n".join(lines) + "\n")
-    elif args.format == "csv":
-        rows = [("family", "N", "verdict")]
-        rows.extend((spec.label(), shown(v), v.verdict)
-                    for spec, v in zip(specs, verdicts))
-        _emit_csv(rows)
-    else:
-        _emit_json([json.loads(v.to_json()) for v in verdicts])
+            lines = ["N: " + " ".join(shown(v) for v in verdicts)]
+            if varied:  # fishburn varies nothing
+                lines.insert(0, f"{varied}: " + " ".join(str(s.params()[varied]) for s in specs))
+        bad = [f"{spec.label()}: {v.verdict}"
+               for spec, v in zip(specs, verdicts) if v.verdict != "proved-positive"]
+        return "\n".join(lines + (bad or ["verdict: all proved-positive"]))
+
+    _emit(args, plain,
+          lambda: [("family", "N", "verdict")] + [
+              (spec.label(), shown(v), v.verdict) for spec, v in zip(specs, verdicts)],
+          lambda: [_verdict_json(v) for v in verdicts])
     if any(v.verdict == "condition-failed" for v in verdicts):
         return 2
     if any(v.verdict == "undecided-at-precision-cap" for v in verdicts):
@@ -305,21 +294,15 @@ def cmd_asym(args) -> int:
             table.append((sample.n, digits, None))
         else:
             table.append((sample.n, digits, abs(sample.ratio).log().mid_float()))
-    if args.format == "csv":
-        out = [("n", "digits", "log_ratio")]
-        out.extend((str(n), str(d), "" if r is None else repr(r)) for n, d, r in table)
-        _emit_csv(out)
-    elif args.format == "plain":
-        sys.stdout.write("\n".join(
-            f"n={n} digits={d} log_ratio={'' if r is None else repr(r)}"
-            for n, d, r in table) + "\n")
-    else:
-        _emit_json({
-            "family": spec.kind,
-            "params": spec.params(),
-            "transform": args.transform,
-            "samples": [{"n": n, "digits": d, "log_ratio": r} for n, d, r in table],
-        })
+
+    def cells():
+        return [(str(n), str(d), "" if r is None else repr(r)) for n, d, r in table]
+
+    _emit(args,
+          lambda: "\n".join("n={} digits={} log_ratio={}".format(*row) for row in cells()),
+          lambda: [("n", "digits", "log_ratio")] + cells(),
+          lambda: {"family": spec.kind, "params": spec.params(), "transform": args.transform,
+                   "samples": [{"n": n, "digits": d, "log_ratio": r} for n, d, r in table]})
     return 0
 
 

@@ -7,7 +7,6 @@ exactly through Bernoulli polynomial values.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
@@ -158,18 +157,6 @@ class PositivityVerdict:
             raise ValueError("unknown verdict")
         if self.verdict == "proved-positive" and not all(ok for _, _, ok in self.checks):
             raise ValueError("proved-positive requires every check to pass")
-
-    def to_json(self) -> str:
-        payload = {
-            "family": self.family,
-            "params": self.params,
-            "N_used": self.n_used,
-            "checks": [[n, sign, ok] for n, sign, ok in self.checks],
-            "verdict": self.verdict,
-        }
-        if self.note:
-            payload["note"] = self.note
-        return json.dumps(payload)
 
 
 def verdict_for_identity(
