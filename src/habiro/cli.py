@@ -26,7 +26,6 @@ TRANSFORM_ROWS = {
     "ratio": ("h", "transform_h"),
 }
 TRANSFORMS = tuple(TRANSFORM_ROWS)
-FORMATS = ("csv", "json", "plain")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,7 +84,7 @@ def _build_parser() -> _Parser:
         else:
             for name in ("t", "m", "ell", "k"):
                 p.add_argument(f"--{name}", type=int, default=None)
-        p.add_argument("--format", choices=FORMATS)
+        p.add_argument("--format", choices=_WRITERS)
         p.add_argument("--cache-dir", default=None)
         p.add_argument("--precision-cap", type=_precision_cap, default=PRECISION_CAP)
 
@@ -130,16 +129,20 @@ def _cache_dir(args) -> Path:
     return Path.home() / ".cache" / "habiro"
 
 
-def _emit(args, plain, rows, value) -> None:
-    """Write a result in the format args name.  Each form comes as a function that
-    builds it (the plain text, the CSV rows header first, the JSON value), so
-    only the chosen form is built."""
-    if args.format == "plain":
-        sys.stdout.write(plain() + "\n")
-    elif args.format == "csv":
-        csv.writer(sys.stdout, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows(rows())
-    else:
-        sys.stdout.write(json.dumps(value()) + "\n")
+# --format value -> how _emit writes the form of a result built for that format
+_WRITERS = {
+    "csv": lambda rows: csv.writer(
+        sys.stdout, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows(rows),
+    "json": lambda value: sys.stdout.write(json.dumps(value) + "\n"),
+    "plain": lambda text: sys.stdout.write(text + "\n"),
+}
+
+
+def _emit(args, **forms) -> None:
+    """Write a result in the format args name.  A subcommand passes one function
+    per format that builds the result's form in it (plain text, CSV rows header
+    first, a JSON value), so only the chosen form is built."""
+    _WRITERS[args.format](forms[args.format]())
 
 
 def _transform_row(
@@ -168,10 +171,10 @@ def cmd_expand(args) -> int:
     row, _ = _transform_row(spec, xi, args.transform, published=True)
     coeffs = row.integer_coeffs()
     _emit(args,
-          lambda: ", ".join(str(c) for c in coeffs),
-          lambda: [("n", "coefficient")] + [(str(n), str(c)) for n, c in enumerate(coeffs)],
-          lambda: {"family": spec.kind, "params": spec.params(), "transform": args.transform,
-                   "N": args.N, "coefficients": [str(c) for c in coeffs]})
+          plain=lambda: ", ".join(str(c) for c in coeffs),
+          csv=lambda: [("n", "coefficient")] + [(str(n), str(c)) for n, c in enumerate(coeffs)],
+          json=lambda: {"family": spec.kind, "params": spec.params(), "transform": args.transform,
+                        "N": args.N, "coefficients": [str(c) for c in coeffs]})
     return 0
 
 
@@ -196,14 +199,14 @@ def cmd_crosscheck(args) -> int:
         return {"family": spec.kind, "params": spec.params(), "N": args.N, **fields}
 
     if bad is None:
-        _emit(args, lambda: f"pass: {args.N + 1} coefficients agree",
-              lambda: [header, ("pass", "", "", "")],
-              lambda: result(status="pass", checked=args.N + 1))
+        _emit(args, plain=lambda: f"pass: {args.N + 1} coefficients agree",
+              csv=lambda: [header, ("pass", "", "", "")],
+              json=lambda: result(status="pass", checked=args.N + 1))
         return 0
     x, y = direct[bad], theta[bad]
-    _emit(args, lambda: f"mismatch at n={bad}: direct {x}, theta-side {y}",
-          lambda: [header, ("mismatch", str(bad), str(x), str(y))],
-          lambda: result(status="mismatch", index=bad, direct=str(x), theta=str(y)))
+    _emit(args, plain=lambda: f"mismatch at n={bad}: direct {x}, theta-side {y}",
+          csv=lambda: [header, ("mismatch", str(bad), str(x), str(y))],
+          json=lambda: result(status="mismatch", index=bad, direct=str(x), theta=str(y)))
     return 2
 
 
@@ -263,10 +266,10 @@ def cmd_verify(args) -> int:
                for spec, v in zip(specs, verdicts) if v.verdict != "proved-positive"]
         return "\n".join(lines + (bad or ["verdict: all proved-positive"]))
 
-    _emit(args, plain,
-          lambda: [("family", "N", "verdict")] + [
+    _emit(args, plain=plain,
+          csv=lambda: [("family", "N", "verdict")] + [
               (spec.label(), shown(v), v.verdict) for spec, v in zip(specs, verdicts)],
-          lambda: [_verdict_json(v) for v in verdicts])
+          json=lambda: [_verdict_json(v) for v in verdicts])
     if any(v.verdict == "condition-failed" for v in verdicts):
         return 2
     if any(v.verdict == "undecided-at-precision-cap" for v in verdicts):
@@ -286,23 +289,18 @@ def cmd_asym(args) -> int:
     else:
         series = _theta_series(spec, top)
     series, which = _transform_row(spec, series, args.transform, published=False)
-    rows = ratio_diagnostics(series, profile, samples, which=which)
-    table = []
-    for sample in rows:
-        digits = len(str(abs(series.coefficient(sample.n))))
-        if sample.zero_coefficient:
-            table.append((sample.n, digits, None))
-        else:
-            table.append((sample.n, digits, abs(sample.ratio).log().mid_float()))
+    table = [(sample.n, len(str(abs(series.coefficient(sample.n)))),
+              None if sample.zero_coefficient else abs(sample.ratio).log().mid_float())
+             for sample in ratio_diagnostics(series, profile, samples, which=which)]
 
     def cells():
         return [(str(n), str(d), "" if r is None else repr(r)) for n, d, r in table]
 
     _emit(args,
-          lambda: "\n".join("n={} digits={} log_ratio={}".format(*row) for row in cells()),
-          lambda: [("n", "digits", "log_ratio")] + cells(),
-          lambda: {"family": spec.kind, "params": spec.params(), "transform": args.transform,
-                   "samples": [{"n": n, "digits": d, "log_ratio": r} for n, d, r in table]})
+          plain=lambda: "\n".join("n={} digits={} log_ratio={}".format(*row) for row in cells()),
+          csv=lambda: [("n", "digits", "log_ratio")] + cells(),
+          json=lambda: {"family": spec.kind, "params": spec.params(), "transform": args.transform,
+                        "samples": [{"n": n, "digits": d, "log_ratio": r} for n, d, r in table]})
     return 0
 
 

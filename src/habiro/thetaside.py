@@ -327,7 +327,9 @@ def bernoulli_sum(f: PeriodicFunction, ss: list[int]) -> list[tuple[int, int]]:
     adds, and the expansion's coefficients are memoized, so that they serve
     every period q1 2**e with the same pattern, such as every torus32t member.
     """
-    if not ss or ss[0] < 0 or any(b <= a or (b - a) % 2 for a, b in zip(ss, ss[1:])):
+    if not ss or ss[0] < 0 or (
+        len(ss) > 1 and any(b <= a or (b - a) % 2 for a, b in zip(ss, ss[1:]))
+    ):
         raise ValueError("Bernoulli indices must be nonnegative, strictly ascending, of one parity")
     period = f.period
     fold = f._fold(-1 if ss[0] % 2 else 1)
