@@ -17,15 +17,14 @@ from habiro.qseries import TruncatedSeries, binomial_transform, transform_g, tra
 from habiro.signcheck import verify_positivity
 from habiro.thetaside import b_sequence, c_sequence, xi_from_theta
 
-# transform -> (main-term kind, name in this module of the function that computes
-# the row).  Names are looked up at call time, so rebinding one on this module
-# reaches both expand and asym.
+# transform -> (main-term kind, function that computes the row).  Each function
+# reads the module global when called, so rebinding transform_g or transform_h on
+# this module reaches both expand and asym.
 TRANSFORM_ROWS = {
-    "one-minus-q": ("xi", None),
-    "inv-one-plus-q": ("g", "transform_g"),
-    "ratio": ("h", "transform_h"),
+    "one-minus-q": ("xi", lambda xi: xi),
+    "inv-one-plus-q": ("g", lambda xi: transform_g(xi)),
+    "ratio": ("h", lambda xi: transform_h(xi)),
 }
-TRANSFORMS = tuple(TRANSFORM_ROWS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,6 +55,8 @@ def _samples(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
     if not out:
         raise argparse.ArgumentTypeError("need at least one sample index")
+    if min(out) < 1:
+        raise argparse.ArgumentTypeError(f"sample index n must be at least 1: {text!r}")
     return out
 
 
@@ -90,7 +91,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("expand", help="coefficient sequence of a family")
     common(p)
-    p.add_argument("--transform", choices=TRANSFORMS, default="one-minus-q")
+    p.add_argument("--transform", choices=TRANSFORM_ROWS, default="one-minus-q")
     p.add_argument("-N", type=int, required=True, help="last coefficient index")
     p.set_defaults(handler=cmd_expand, format="plain")
 
@@ -105,7 +106,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("asym", help="exact-to-main-term ratio diagnostics")
     common(p)
-    p.add_argument("--transform", choices=TRANSFORMS, default="one-minus-q")
+    p.add_argument("--transform", choices=TRANSFORM_ROWS, default="one-minus-q")
     p.add_argument("-N", type=int, default=None,
                    help="direct-expansion order; defaults to the theta-side route")
     p.add_argument("--samples", type=_samples, required=True)
@@ -156,8 +157,8 @@ def _transform_row(
     """
     kind, row = TRANSFORM_ROWS[transform]
     if published and spec.kind == "habiro-g" and kind == "g":
-        row = "binomial_transform"
-    return (xi if row is None else globals()[row](xi)), kind
+        return binomial_transform(xi), kind
+    return row(xi), kind
 
 
 def _theta_series(spec: FamilySpec, order: int) -> TruncatedSeries:

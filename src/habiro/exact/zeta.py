@@ -12,14 +12,14 @@ from habiro.exact.bernoulli import bernoulli_number
 from habiro.exact.intervals import DEFAULT_PRECISION, IntervalReal, _lock, int_endpoints
 
 
-def zeta_even(k: int) -> tuple[Fraction, int]:
-    """Return (r, k) with zeta(k) = r * pi**k for positive even k."""
+def zeta_even(k: int) -> Fraction:
+    """Return r with zeta(k) = r * pi**k for positive even k."""
     if k < 2 or k % 2 != 0:
         raise ValueError("argument must be a positive even integer; use interval evaluation otherwise")
     b = bernoulli_number(k)
     sign = 1 if (k // 2) % 2 == 1 else -1
     r = sign * b * (1 << (k - 1)) / factorial(k)
-    return Fraction(r), k
+    return Fraction(r)
 
 
 # Positivity sweeps ask for the same (s, prec) for every family member; the
@@ -33,8 +33,7 @@ def zeta_interval(s: int, prec: int = DEFAULT_PRECISION) -> IntervalReal:
     if s < 2:
         raise ValueError("argument must be an integer >= 2")
     if s % 2 == 0:
-        r, k = zeta_even(s)
-        return IntervalReal.from_rational(r, prec) * IntervalReal.pi(prec).pow_int(k)
+        return IntervalReal.from_rational(zeta_even(s), prec) * IntervalReal.pi(prec).pow_int(s)
     return _zeta_euler_maclaurin(s, prec)
 
 

@@ -7,7 +7,6 @@ wraps only its final window in a TruncatedSeries.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from math import comb
 from typing import Sequence, Union
@@ -75,87 +74,12 @@ def mul_trunc_int(a: list[int], b: list[int], order: int) -> list[int]:
     return out
 
 
-def mul_dense_int(a: list[int], b: list[int]) -> list[int]:
-    """Exact product of dense integer coefficient lists starting at degree 0."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for j, cb in enumerate(b):
-            if cb:
-                out[i + j] += ca * cb
-    return out
-
-
-def mul_sparse_binomial_int(a: list[int], c: int, limit: int | None = None) -> list[int]:
-    """Multiply a dense integer polynomial by (1 - x**c), optionally truncated."""
-    n = len(a) + c if limit is None else min(len(a) + c, limit + 1)
-    out = a[:n] + [0] * (n - len(a))
-    # n <= len(a) + c, so a[i - c] exists for every i
-    for i in range(c, n):
-        out[i] -= a[i - c]
-    return out
-
-
 def one_minus_power_int(k: int, order: int) -> list[int]:
     """Coefficients of 1 - (1-u)**k through the given order."""
     out = [0] * (order + 1)
     for j in range(1, min(k, order) + 1):
         out[j] = -comb(k, j) if j % 2 == 0 else comb(k, j)
     return out
-
-
-def subst_one_minus_int(p: list[int], order: int) -> list[int]:
-    """Evaluate a dense integer q-polynomial at q = 1-u, truncated in u."""
-    acc = [0] * (order + 1)
-    for e in range(len(p) - 1, -1, -1):
-        # acc <- acc*(1-u) + p[e]
-        for j in range(order, 0, -1):
-            acc[j] -= acc[j - 1]
-        acc[0] += p[e]
-    return acc
-
-
-_qbinom_lock = threading.Lock()
-_qbinom_cache: dict[tuple[int, int], tuple[int, ...]] = {}
-
-
-def _qbinom_int(n: int, k: int) -> tuple[int, ...]:
-    """Dense coefficients of the Gaussian binomial, caller holds the lock."""
-    if k < 0 or k > n:
-        return ()
-    if k == 0 or k == n:
-        return (1,)
-    key = (n, k)
-    got = _qbinom_cache.get(key)
-    if got is not None:
-        return got
-    a = _qbinom_int(n - 1, k - 1)
-    b = _qbinom_int(n - 1, k)
-    out = [0] * (k * (n - k) + 1)
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i + k] += c
-    res = tuple(out)
-    _qbinom_cache[key] = res
-    return res
-
-
-def qbinomial(n: int, k: int, base_power: int = 1) -> list[int]:
-    """Dense coefficients of the Gaussian binomial as a polynomial in q**base_power."""
-    if base_power not in (1, 2):
-        raise ValueError("base_power must be 1 or 2")
-    with _qbinom_lock:
-        dense = _qbinom_int(n, k)
-    if base_power == 1 or not dense:
-        return list(dense)
-    spread = [0] * (2 * (len(dense) - 1) + 1)
-    for i, c in enumerate(dense):
-        spread[2 * i] = c
-    return spread
 
 
 # -- binomial changes of variable ---------------------------------------------

@@ -37,6 +37,15 @@ def shift(a, e):
     return {k + e: c for k, c in a.items()}
 
 
+def qbinomial(n, k):
+    """Gaussian binomial [n, k] by Pascal's rule [n,k] = [n-1,k-1] + q**k [n-1,k]."""
+    if k < 0 or k > n:
+        return {}
+    if k == 0 or k == n:
+        return poly(1)
+    return add(qbinomial(n - 1, k - 1), shift(qbinomial(n - 1, k), k))
+
+
 def subst_one_minus(p, N):
     """Coefficients 0..N in u of p at q = 1-u, one binomial series per term."""
     out = [0] * (N + 1)

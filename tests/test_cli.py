@@ -387,12 +387,15 @@ def test_asym_demands_covering_order(capsys):
     assert code == 1 and "cover" in err
 
 
-@pytest.mark.parametrize("samples", ["-5,10", "0,10"])
+@pytest.mark.parametrize("samples", ["-5,10", "0,10", "-3", "-5,-1"])
 def test_asym_rejects_sample_index_below_one(capsys, samples):
-    # a negative index must not pass for a zero coefficient
-    code, out, err = run(capsys, "asym", "--family", "fishburn", f"--samples={samples}")
-    assert code == 1 and out == ""
-    assert "n must be at least 1" in err
+    # a negative index must not pass for a zero coefficient, nor reach the
+    # theta route as a negative count
+    with pytest.raises(SystemExit) as exc:
+        main(["asym", "--family", "fishburn", f"--samples={samples}"])
+    out = capsys.readouterr()
+    assert exc.value.code == 1 and out.out == ""
+    assert "n must be at least 1" in out.err
 
 
 def test_asym_transform_diagnostics_converge(capsys):
@@ -408,6 +411,26 @@ def test_asym_transform_diagnostics_converge(capsys):
     assert code == 0
     samples = json.loads(out)["samples"]
     assert abs(samples[1]["log_ratio"]) < abs(samples[0]["log_ratio"])
+
+
+@pytest.mark.parametrize("transform, name", [("inv-one-plus-q", "transform_g"),
+                                             ("ratio", "transform_h")])
+def test_transform_rows_call_the_function_bound_at_call_time(capsys, monkeypatch,
+                                                             transform, name):
+    # perfbench/tracing.py rebinds the transforms on habiro.cli; a row table
+    # holding the functions it was built with would bypass the wrapper
+    calls = []
+    real = getattr(cli, name)
+
+    def counted(xi):
+        calls.append(xi.order)
+        return real(xi)
+
+    monkeypatch.setattr(cli, name, counted)
+    for argv in (["expand", "-N", "6"], ["asym", "--samples", "10"]):
+        before = len(calls)
+        assert run(capsys, *argv, "--family", "fishburn", "--transform", transform)[0] == 0
+        assert len(calls) > before, argv[0]
 
 
 def test_habiro_g_inv_one_plus_q_rows(capsys):

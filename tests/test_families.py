@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from laurent import add, mul, poly, shift, subst_one_minus
+from laurent import add, mul, poly, qbinomial, shift, subst_one_minus
 
 import habiro.families as families
 from habiro.families import (
@@ -24,7 +24,7 @@ from habiro.families import (
     identity_for,
     theta_q_expansion,
 )
-from habiro.qseries import binomial_transform, qbinomial, transform_g, transform_h
+from habiro.qseries import binomial_transform, transform_g, transform_h
 from habiro.thetaside import b_sequence, c_sequence, make_chi_t, xi_from_theta
 
 TABLES = json.loads(
@@ -132,7 +132,7 @@ def _torus32t_literal(t, N):
             for kk in range(m):
                 prod = poly(1)
                 for l in range(1, m):
-                    prod = mul(prod, poly(*qbinomial(n + (1 if l <= kk else 0), js[l - 1])))
+                    prod = mul(prod, qbinomial(n + (1 if l <= kk else 0), js[l - 1]))
                 inner = add(inner, prod)
             term = shift(mul(poch, inner), e)
             sign = -1 if sum(js) % 2 else 1

@@ -1,31 +1,22 @@
-"""Coefficient windows, integer-list kernels, q-binomials and the transforms."""
+"""Coefficient windows, integer-list kernels and the transforms."""
 
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from laurent import add, mul, poly, shift, subst_one_minus
+from laurent import add, mul, poly, subst_one_minus
 from transform_ref import binomial_transform_ref, transform_g_ref, transform_h_ref
 
 from habiro.qseries import (
     TruncatedSeries,
     binomial_transform,
-    mul_dense_int,
-    mul_sparse_binomial_int,
     mul_trunc_int,
     one_minus_power_int,
-    qbinomial,
-    subst_one_minus_int,
     transform_g,
     transform_h,
 )
-
-
-def dense(p):
-    """Dense coefficient list of a reference polynomial with no negative powers."""
-    return [p.get(e, 0) for e in range(max(p, default=-1) + 1)]
 
 
 def poch_at_one_minus(n, N):
@@ -38,7 +29,6 @@ def poch_at_one_minus(n, N):
 
 def test_series_mul_exact():
     assert mul(poly(1, 1), poly(1, -1)) == poly(1, 0, -1)
-    assert mul_dense_int([1, 1], [1, -1]) == [1, 0, -1]
 
 
 def test_series_mul_laurent_inverse():
@@ -72,57 +62,7 @@ def test_pochhammer_beyond_order_is_zero_series():
     assert poch_at_one_minus(7, 4) == [0] * 5
 
 
-def test_qbinomial_pinned():
-    assert qbinomial(4, 2) == [1, 1, 2, 1, 1]
-    assert qbinomial(3, 1) == [1, 1, 1]
-    assert qbinomial(5, 0) == [1]
-    assert qbinomial(5, 5) == [1]
-
-
-def test_qbinomial_out_of_range_is_zero():
-    assert qbinomial(3, 4) == []
-    assert qbinomial(3, -1) == []
-
-
-def test_qbinomial_base_power_two():
-    assert qbinomial(4, 2, base_power=2) == [1, 0, 1, 0, 2, 0, 1, 0, 1]
-    with pytest.raises(ValueError):
-        qbinomial(4, 2, base_power=3)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    a=st.lists(st.integers(-50, 50), max_size=12),
-    c=st.integers(min_value=1, max_value=8),
-    limit=st.none() | st.integers(min_value=0, max_value=25),
-)
-def test_mul_sparse_binomial_matches_reference(a, c, limit):
-    ref = mul(poly(*a), add(poly(1), shift(poly(-1), c)))
-    width = len(a) + c if limit is None else min(len(a) + c, limit + 1)
-    assert mul_sparse_binomial_int(a, c, limit) == [ref.get(e, 0) for e in range(width)]
-
-
-def test_qbinomial_evaluates_to_binomial_at_one():
-    for n in range(9):
-        for k in range(n + 1):
-            assert sum(qbinomial(n, k)) == comb(n, k)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    n=st.integers(min_value=1, max_value=30),
-    k=st.integers(min_value=0, max_value=30),
-)
-def test_qbinomial_pascal_recurrences(n, k):
-    k = min(k, n)
-    lhs = poly(*qbinomial(n, k))
-    below, same = poly(*qbinomial(n - 1, k - 1)), poly(*qbinomial(n - 1, k))
-    assert lhs == add(below, shift(same, k))
-    assert lhs == add(shift(below, n - k), same)
-
-
 def test_substitute_positive_power():
-    assert subst_one_minus_int([0, 0, 1], 4) == [1, -2, 1, 0, 0]
     assert subst_one_minus(poly(0, 0, 1), 4) == [1, -2, 1, 0, 0]
 
 
@@ -144,7 +84,6 @@ def test_substitute_matches_pochhammer():
         for k in range(1, n + 1):
             prod = mul(prod, poly(1, *[0] * (k - 1), -1))
         expect = poch_at_one_minus(n, 10)
-        assert subst_one_minus_int(dense(prod), 10) == expect
         assert subst_one_minus(prod, 10) == expect
 
 
@@ -160,7 +99,6 @@ def test_substitute_is_multiplicative(a, b, da, db):
     direct = subst_one_minus(mul(pa, pb), 8)
     product = mul(poly(*subst_one_minus(pa, 8)), poly(*subst_one_minus(pb, 8)))
     assert direct == [product.get(j, 0) for j in range(9)]
-    assert subst_one_minus_int(a, 8) == subst_one_minus(poly(*a), 8)
 
 
 def test_transform_g_fishburn_prefix():

@@ -5,14 +5,11 @@ A definition counts as reached when its name appears as a Name or an
 Attribute somewhere in src/habiro or in the acceptance gate
 (tests/test_acceptance.py), or is imported there by a module that reads it.
 Names inside strings do not count.  Library surface that only the other tests
-reach must either become a claim the acceptance gate checks or go.  The one
-exception is TRACER_ONLY: kernels nothing calls, imported only so that
-perfbench/tracing.py can wrap them by name.
+reach must either become a claim the acceptance gate checks or go.
 
 An imported name counts as used when its module reads it as a Name or lists
 it in __all__.  The only names a module may import without reading are those
-looked up on it by string: the wrappers perfbench/tracing.py installs on that
-module, and the transform rows habiro.cli finds through globals().
+perfbench/tracing.py looks up on it by string to install its wrappers.
 """
 
 import ast
@@ -27,13 +24,6 @@ TRACING = ROOT / "perfbench" / "tracing.py"
 # argparse calls ArgumentParser.error itself on a usage failure; the override
 # only changes the exit code, so nothing in the package names it.
 EXEMPT = {("habiro/cli.py", "_Parser.error")}
-
-# Reached only by perfbench/tracing.py, through the names habiro.families
-# imports and never reads.  They go once the tracer lives in the package.
-TRACER_ONLY = {
-    ("habiro/qseries.py", name)
-    for name in ("mul_dense_int", "mul_sparse_binomial_int", "qbinomial", "subst_one_minus_int")
-}
 
 
 def _definitions(tree: ast.AST, prefix: str = ""):
@@ -74,8 +64,7 @@ def test_no_definition_is_reached_only_from_the_tests():
         and name not in reached
         and (module, qualname) not in EXEMPT
     )
-    assert unreached == sorted(f"{module}::{name}" for module, name in TRACER_ONLY)
-
+    assert unreached == []
 
 
 def _module_name(path: Path) -> str:
@@ -103,34 +92,20 @@ def _read(tree: ast.Module) -> set[str]:
     return names
 
 
-def _strings_in(tree: ast.Module, names: set[str]) -> set[str]:
-    """String constants inside the top-level definitions called one of names."""
-    found = set()
-    for node in tree.body:
-        targets = node.targets if isinstance(node, ast.Assign) else [node]
-        if any(getattr(t, "id", getattr(t, "name", None)) in names for t in targets):
-            found.update(c.value for c in ast.walk(node)
-                         if isinstance(c, ast.Constant) and isinstance(c.value, str)
-                         and c.value.isidentifier())
-    return found
-
-
-def _looked_up_by_string(trees: dict[str, ast.Module]) -> set[tuple[str, str]]:
-    """(module, name) pairs read through getattr or globals() instead of a Name."""
+def _looked_up_by_string() -> set[tuple[str, str]]:
+    """(module, name) pairs the tracer reads through getattr instead of a Name."""
     spec = importlib.util.spec_from_file_location("perfbench_tracing_for_imports", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     allowed = {(module, attr) for module, attr, _ in tracing._SPANS}
     allowed.add(tracing._COUNTED)
-    rows = _strings_in(trees["habiro.cli"], {"TRANSFORM_ROWS", "_transform_row"})
-    allowed |= {("habiro.cli", name) for name in rows}
     return allowed
 
 
 def test_every_import_is_used_by_its_module():
     trees = {_module_name(path): ast.parse(path.read_text())
              for path in sorted(PACKAGE.rglob("*.py"))}
-    allowed = _looked_up_by_string(trees)
+    allowed = _looked_up_by_string()
     unused = {(module, name) for module, tree in trees.items()
               for name in _imported(tree) - _read(tree)}
     assert unused - allowed == set()
