@@ -38,12 +38,16 @@ def shift(a, e):
 
 
 def qbinomial(n, k):
-    """Gaussian binomial [n, k] by Pascal's rule [n,k] = [n-1,k-1] + q**k [n-1,k]."""
+    """Gaussian binomial [n, k] by Pascal's rule [n,k] = [n-1,k-1] + q**k [n-1,k].
+
+    Built row by row, [m, 0..k] for m = 1..n, so that the cost stays polynomial.
+    """
     if k < 0 or k > n:
         return {}
-    if k == 0 or k == n:
-        return poly(1)
-    return add(qbinomial(n - 1, k - 1), shift(qbinomial(n - 1, k), k))
+    row = [poly(1)] + [{}] * k
+    for _ in range(n):
+        row = [poly(1)] + [add(row[j - 1], shift(row[j], j)) for j in range(1, k + 1)]
+    return row[k]
 
 
 def subst_one_minus(p, N):

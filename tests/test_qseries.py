@@ -1,12 +1,12 @@
-"""Coefficient windows, integer-list kernels and the transforms."""
+"""Coefficient windows, integer-list kernels, reference q-binomials and the transforms."""
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from laurent import add, mul, poly, subst_one_minus
+from laurent import add, mul, poly, qbinomial, shift, subst_one_minus
 from transform_ref import binomial_transform_ref, transform_g_ref, transform_h_ref
 
 from habiro.qseries import (
@@ -60,6 +60,38 @@ def test_pochhammer_valuation_and_leading_coefficient():
 
 def test_pochhammer_beyond_order_is_zero_series():
     assert poch_at_one_minus(7, 4) == [0] * 5
+
+
+def test_qbinomial_pinned():
+    # the reference Gaussian binomial the torus32t oracle multiplies out
+    assert qbinomial(4, 2) == poly(1, 1, 2, 1, 1)
+    assert qbinomial(3, 1) == poly(1, 1, 1)
+    assert qbinomial(5, 0) == poly(1)
+    assert qbinomial(5, 5) == poly(1)
+
+
+def test_qbinomial_out_of_range_is_zero():
+    assert qbinomial(3, 4) == {}
+    assert qbinomial(3, -1) == {}
+
+
+def test_qbinomial_evaluates_to_binomial_at_one():
+    for n in range(9):
+        for k in range(n + 1):
+            assert sum(qbinomial(n, k).values()) == comb(n, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=30),
+    k=st.integers(min_value=0, max_value=30),
+)
+def test_qbinomial_pascal_recurrences(n, k):
+    k = min(k, n)
+    lhs = qbinomial(n, k)
+    below, same = qbinomial(n - 1, k - 1), qbinomial(n - 1, k)
+    assert lhs == add(below, shift(same, k))
+    assert lhs == add(shift(below, n - k), same)
 
 
 def test_substitute_positive_power():
