@@ -60,6 +60,16 @@ def _samples(text: str) -> list[int]:
     return out
 
 
+def _decimal_digits(c: int) -> int:
+    """len(str(abs(c))) without building the string, which CPython refuses past
+    4,300 digits.  With b the bit length of c, the length is L or L + 1 for
+    L = floor(b log10 2); the 40-digit log10 2 below gets L exactly unless
+    b log10 2 lies within b/10**40 of an integer."""
+    c = abs(c) or 1
+    length = c.bit_length() * 3010299956639811952137388947244930267681 // 10**40
+    return length + (c >= 10**length)
+
+
 def _precision_cap(text: str) -> int:
     try:
         cap = int(text)
@@ -290,7 +300,7 @@ def cmd_asym(args) -> int:
     else:
         series = _theta_series(spec, top)
     series, which = _transform_row(spec, series, args.transform, published=False)
-    table = [(sample.n, len(str(abs(series.coefficient(sample.n)))),
+    table = [(sample.n, _decimal_digits(series.coefficient(sample.n)),
               None if sample.zero_coefficient else abs(sample.ratio).log().mid_float())
              for sample in ratio_diagnostics(series, profile, samples, which=which)]
 
@@ -305,8 +315,23 @@ def cmd_asym(args) -> int:
     return 0
 
 
+def _join_samples(argv: list[str]) -> list[str]:
+    """Join a '-'-led value such as '-3,4' to a preceding --samples, or an
+    abbreviation of it.  argparse takes that word for an option (only a bare
+    negative number passes as a value), so the index check would never see it."""
+    out: list[str] = []
+    for word in argv:
+        flag = out[-1] if out else ""
+        if (len(flag) > 2 and "--samples".startswith(flag)
+                and word[:1] == "-" and word[1:2].isdigit()):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_join_samples(sys.argv[1:] if argv is None else argv))
     try:
         return args.handler(args)
     except PrecisionCapError as err:

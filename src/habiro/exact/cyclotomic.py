@@ -1,97 +1,60 @@
 """Exact vanishing test for rational sums of roots of unity.
 
-With rad the product of the primes dividing C and s = C/rad, the C-th
-cyclotomic polynomial is Phi_rad(z**s), so 1, z, ..., z**(s-1) is a basis
-of Q(z) over Q(z**s) = Q(zeta_rad), z a primitive C-th root of unity.  A sum
-of c_e z**e therefore vanishes exactly when, for each residue i mod s, the
-polynomial sum_j c_(i+sj) x**j of degree < rad is divisible by Phi_rad.
+Its cost depends on the number of terms alone, not on the conductor C:
+
+1. Reduce the exponents mod C and merge equal ones; k terms remain.
+2. Let n be the product of the primes p <= k that divide C, and step = C/n.
+   By Mann's theorem (H. B. Mann, Mathematika 12, 1965; see also T. Y. Lam
+   and K. H. Leung, J. Algebra 224, 2000) a vanishing sum of k roots of
+   unity with no vanishing proper subsum has all its ratios among the n-th
+   roots of unity.  Such minimal relations span all relations, so the sum
+   vanishes iff each class e mod step does.  A class with e = base + step*j
+   is z**base * sum c_j w**j, w a primitive n-th root of unity.
+3. With n = p*r, p prime, CRT gives w**j = zeta_p**(j*u) * zeta_r**(j*v),
+   u = r**-1 mod p and v = p**-1 mod r.  Phi_p stays irreducible over
+   Q(zeta_r), so sum_i zeta_p**i A_i vanishes iff A_0 = ... = A_(p-1): each
+   present group vanishes if fewer than p are present, and otherwise each
+   A_i minus the smallest does.  These are sums over zeta_r, tested the same
+   way; with no prime left (n = 1) a sum vanishes iff no term is left.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
-from math import prod
+from math import gcd
 from typing import Mapping
 
 
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division."""
-    if n < 1:
-        raise ValueError("argument must be positive")
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def _dense_div_exact(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of integer polynomials; den is monic up to sign."""
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    out = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        q, r = divmod(c, lead)
-        if r:
-            raise ArithmeticError("division is not exact")
-        out[i - dd] = q
-        for j, dj in enumerate(den):
-            num[i - dd + j] -= q * dj
-    if any(num):
-        raise ArithmeticError("division left a remainder")
-    return out
-
-
-@cache
-def _cyclotomic_squarefree(s: int) -> tuple[int, ...]:
-    """Dense coefficients of the s-th cyclotomic polynomial, s squarefree."""
-    poly = [-1] + [0] * (s - 1) + [1]
-    for d in _divisors(s):
-        if d < s:
-            poly = _dense_div_exact(poly, _cyclotomic_squarefree(d))
-    return tuple(poly)
-
-
-@cache
-def _cofactor(s: int) -> tuple[int, ...]:
-    """Dense coefficients of (x**s - 1) / Phi_s, s squarefree."""
-    return tuple(_dense_div_exact([-1] + [0] * (s - 1) + [1], _cyclotomic_squarefree(s)))
-
-
-def _divisors(n: int) -> list[int]:
-    divs = [1]
-    for p, e in factorize(n).items():
-        divs = [d * p**i for d in divs for i in range(e + 1)]
-    return sorted(divs)
-
-
 def root_sum_is_zero(conductor: int, terms: Mapping[int, Fraction | int]) -> bool:
-    """Whether sum c_e z**e vanishes, z a primitive conductor-th root of unity.
-
-    x**rad - 1 = Phi_rad * Psi with coprime factors, so Phi_rad divides a
-    group's polynomial P exactly when P * Psi vanishes mod x**rad - 1.  Each
-    term meets the rad - phi(rad) + 1 coefficients of Psi once, so the cost is
-    O(#terms * rad) whatever the size of conductor / rad.
-    """
-    rad = prod(factorize(conductor))
-    stretch = conductor // rad
-    psi = _cofactor(rad)
-    groups: dict[int, dict[int, Fraction | int]] = {}
+    """Whether sum c_e z**e vanishes, z a primitive conductor-th root of unity."""
+    if conductor < 1:
+        raise ValueError("conductor must be positive")
+    merged: dict[int, Fraction | int] = {}
     for e, c in terms.items():
         e %= conductor
-        row = groups.setdefault(e % stretch, {})
-        for j, d in enumerate(psi):
-            if d:
-                slot = (e // stretch + j) % rad
-                row[slot] = row.get(slot, 0) + c * d
-    return not any(any(row.values()) for row in groups.values())
+        merged[e] = merged.get(e, 0) + c
+    merged = {e: c for e, c in merged.items() if c}
+    n = p = 1
+    for q in range(2, len(merged) + 1):
+        # a composite q that divides C has its prime factors in n already
+        if conductor % q == 0 and gcd(n, q) == 1:
+            n, p = n * q, q
+    if n == 1:
+        return not merged
+    step, r = conductor // n, n // p
+    u, v = pow(r, -1, p), pow(p, -1, r)
+    classes: dict[int, list[dict[int, Fraction | int]]] = {}
+    for e, c in merged.items():
+        j = e // step
+        classes.setdefault(e % step, [{} for _ in range(p)])[j * u % p][j * v % r] = c
+    for groups in classes.values():
+        present = [g for g in groups if g]
+        if len(present) < p:
+            subsums = present
+        else:
+            low = min(groups, key=len)
+            subsums = [{**g, **{x: g.get(x, 0) - c for x, c in low.items()}}
+                       for g in groups if g is not low]
+        if not all(root_sum_is_zero(r, s) for s in subsums):
+            return False
+    return True

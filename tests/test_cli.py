@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import sys
 import time
 from pathlib import Path
 
@@ -387,15 +388,26 @@ def test_asym_demands_covering_order(capsys):
     assert code == 1 and "cover" in err
 
 
-@pytest.mark.parametrize("samples", ["-5,10", "0,10", "-3", "-5,-1"])
-def test_asym_rejects_sample_index_below_one(capsys, samples):
+@pytest.mark.parametrize("flag", ["--samples=", "--samples", "--sam"])
+@pytest.mark.parametrize("samples", ["-5,10", "0,10", "-3", "-5,-1", "-3,4"])
+def test_asym_rejects_sample_index_below_one(capsys, samples, flag):
     # a negative index must not pass for a zero coefficient, nor reach the
-    # theta route as a negative count
+    # theta route as a negative count; argparse alone would take '-3,4' after
+    # a space for an option and never show it to the index check
+    spelling = [flag + samples] if flag.endswith("=") else [flag, samples]
     with pytest.raises(SystemExit) as exc:
-        main(["asym", "--family", "fishburn", f"--samples={samples}"])
+        main(["asym", "--family", "fishburn", *spelling])
     out = capsys.readouterr()
     assert exc.value.code == 1 and out.out == ""
-    assert "n must be at least 1" in out.err
+    assert f"sample index n must be at least 1: {samples!r}" in out.err
+
+
+def test_asym_samples_missing_its_value(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["asym", "--family", "fishburn", "--samples", "--format", "csv"])
+    out = capsys.readouterr()
+    assert exc.value.code == 1 and out.out == ""
+    assert out.err.endswith("argument --samples: expected one argument\n")
 
 
 def test_asym_transform_diagnostics_converge(capsys):
@@ -453,6 +465,44 @@ def test_asym_plain_format(capsys):
                        "--samples", "16", "--format", "plain")
     assert code == 0
     assert out.startswith("n=16 digits=15 log_ratio=")
+
+
+def test_decimal_digits_matches_str():
+    # Raise CPython's int -> str cap (4,300 digits) for the reference only.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert cli._decimal_digits(0) == 1
+        for j in [*range(1000), *range(1000, 5001, 7), *range(4295, 4306)]:
+            power = 10**j
+            for c in (power - 1, power, power + 1):
+                assert cli._decimal_digits(c) == cli._decimal_digits(-c) == len(str(c)), j
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_asym_digits_past_the_int_string_limit(capsys):
+    # coefficient 50 of torus32t(300) has 4,556 digits; str() would refuse it
+    code, out, err = run(capsys, "asym", "--family", "torus32t", "--t", "300",
+                         "--samples", "50", "--format", "plain")
+    assert (code, err) == (0, "")
+    assert out.startswith("n=50 digits=4556 log_ratio=")
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (["--family", "torus2", "--m", "1000000000000", "--ell", "0", "--samples", "1,2"],
+     ['"1","13",', '"2","25",']),
+    (["--family", "habiro-g", "--k", "1000000000000", "--samples", "1"], ['"1","13",']),
+])
+def test_asym_at_a_period_past_10_to_the_12(capsys, argv, rows):
+    # find_k_nu's zero test costs what its few terms cost, not the period
+    code, out, err = run(capsys, "asym", *argv)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == '"n","digits","log_ratio"' and len(lines) == len(rows) + 1
+    assert all(line.startswith(row) for line, row in zip(lines[1:], rows))
 
 
 def test_asym_deep_torus_member(capsys):
