@@ -315,14 +315,19 @@ def cmd_asym(args) -> int:
     return 0
 
 
-def _join_samples(argv: list[str]) -> list[str]:
-    """Join a '-'-led value such as '-3,4' to a preceding --samples, or an
-    abbreviation of it.  argparse takes that word for an option (only a bare
-    negative number passes as a value), so the index check would never see it."""
+# Options whose value may start with '-': asym's sample list and verify's spans.
+_DASHED_VALUES = ("--samples", "--t", "--m", "--k")
+
+
+def _join_dashed_values(argv: list[str]) -> list[str]:
+    """Join a '-'-led value such as '-3,4' or '-3:5' to a preceding option of
+    _DASHED_VALUES, or an abbreviation of one.  argparse takes that word for an
+    option (only a bare negative number passes as a value), so the value check
+    would never see it."""
     out: list[str] = []
     for word in argv:
         flag = out[-1] if out else ""
-        if (len(flag) > 2 and "--samples".startswith(flag)
+        if (len(flag) > 2 and any(name.startswith(flag) for name in _DASHED_VALUES)
                 and word[:1] == "-" and word[1:2].isdigit()):
             out[-1] += "=" + word
         else:
@@ -331,7 +336,7 @@ def _join_samples(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(_join_samples(sys.argv[1:] if argv is None else argv))
+    args = _build_parser().parse_args(_join_dashed_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.handler(args)
     except PrecisionCapError as err:

@@ -85,10 +85,16 @@ def _sin_pi(num: int, den: int, prec: int) -> tuple:
     return (_pi(prec) * Fraction(num, den)).sin().ival
 
 
-@lru_cache(maxsize=64)
-def _cuts_from_one(prec: int) -> tuple:
-    """1 - 2**-prec and 1 + 2**(1-prec): the prec-bit neighbours of 1."""
-    return from_man_exp((1 << prec) - 1, -prec), from_man_exp((1 << (prec - 1)) + 1, 1 - prec)
+@lru_cache(maxsize=zeta_interval.cache_info().maxsize)
+def _zeta_cuts(zeta_ival: tuple, prec: int) -> tuple:
+    """zeta.hi - (1 - 2**-prec) and zeta.lo - (1 + 2**(1-prec)), per zeta enclosure.
+
+    Keyed by the enclosure, not by (s, prec), so the check-count loop still
+    asks zeta_interval at every step; bounded as zeta_interval's memo is.
+    """
+    z_lo, z_hi = zeta_ival
+    return (mpf_sub(z_hi, from_man_exp((1 << prec) - 1, -prec)),
+            mpf_sub(z_lo, from_man_exp((1 << (prec - 1)) + 1, 1 - prec)))
 
 
 def _excess_sign(zeta_and_sin: tuple) -> int:
@@ -101,11 +107,10 @@ def _excess_sign(zeta_and_sin: tuple) -> int:
     is built.
     """
     zeta, (s_lo, s_hi) = zeta_and_sin
-    below, above = _cuts_from_one(zeta.prec)
-    z_lo, z_hi = zeta.ival
-    if mpf_ge(s_lo, mpf_sub(z_hi, below)):
+    below, above = _zeta_cuts(zeta.ival, zeta.prec)
+    if mpf_ge(s_lo, below):
         return -1
-    return int(mpf_le(s_hi, mpf_sub(z_lo, above)))
+    return int(mpf_le(s_hi, above))
 
 
 def family_n_bound(spec: FamilySpec, cap: int = PRECISION_CAP) -> int:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat, zip_longest
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 from typing import NamedTuple
 
@@ -45,7 +45,9 @@ class PeriodicFunction:
     """Rational-valued function on the integers with a fixed period.
 
     Stored by its nonzero residues so that a few-point weight with a huge
-    period stays cheap to build and sum over.
+    period stays cheap to build and sum over.  Its integer form, L the lcm of
+    the values' denominators and the integers L*f(r), is worked out once at
+    construction; the parity and mean tests and the folds read only that.
     """
 
     period: int
@@ -54,59 +56,58 @@ class PeriodicFunction:
     def __post_init__(self):
         if self.period < 2:
             raise ValueError("period must be at least 2")
-        kept = []
-        seen = set()
+        values: dict[int, Fraction] = {}
         for r, v in self.entries:
             if not 0 <= r < self.period:
                 raise ValueError("support residue out of range")
-            if r in seen:
+            if r in values:
                 raise ValueError("duplicate support residue")
-            seen.add(r)
-            v = Fraction(v)
-            if v:
-                kept.append((int(r), v))
-        kept.sort()
+            values[int(r)] = v if type(v) is Fraction else Fraction(v)
+        kept = sorted((r, v) for r, v in values.items() if v)
+        scale = lcm(*(v.denominator for _, v in kept))
         object.__setattr__(self, "entries", tuple(kept))
-        object.__setattr__(self, "_map", dict(kept))
+        object.__setattr__(self, "_scale", scale)  # L
+        object.__setattr__(self, "_ints", {r: v.numerator * (scale // v.denominator)
+                                           for r, v in kept})  # r -> L*f(r)
         object.__setattr__(self, "_folds", {})  # sign -> _Fold, filled by _fold
 
     def __call__(self, n: int) -> Fraction:
-        return self._map.get(n % self.period, Fraction(0))
+        return Fraction(self._ints.get(n % self.period, 0), self._scale)
 
     def mean_is_zero(self) -> bool:
-        return sum(v for _, v in self.entries) == 0
+        return sum(self._ints.values()) == 0
 
     def is_even(self) -> bool:
-        return all(self(-r) == v for r, v in self.entries)
+        ints, period = self._ints, self.period
+        return all(ints.get(-r % period) == w for r, w in ints.items())
 
     def is_odd(self) -> bool:
-        return all(self(-r) == -v for r, v in self.entries)
-
-    def folded(self, sign: int) -> tuple[tuple[int, Fraction], ...]:
-        """Entries to sum g(r/M) against when g(1 - x) = sign * g(x).
-
-        Each residue r above its mirror M - r is merged into the mirror with
-        the factor sign; weights that cancel are dropped.  Residue 0 stands
-        for the point x = 1 of the period window and has no mirror in it.
-        """
-        acc: dict[int, Fraction] = {}
-        for r, v in self.entries:  # Fraction arithmetic only to mirror by -1 or to merge
-            mirror = self.period - r
-            if mirror < r:
-                r, v = mirror, (v if sign == 1 else sign * v)
-            acc[r] = acc[r] + v if r in acc else v
-        return tuple((r, v) for r, v in sorted(acc.items()) if v)
+        ints, period = self._ints, self.period
+        return all(ints.get(-r % period) == -w for r, w in ints.items())
 
     def _fold(self, sign: int) -> _Fold:
-        """folded(sign) over integers, with its anchor pattern, built once per sign."""
+        """The weight to sum g(r/M) against when g(1 - x) = sign * g(x), built once per sign.
+
+        Each residue r above its mirror M - r is merged into the mirror with
+        the factor sign, and weights that cancel are dropped.  Residue 0
+        stands for the point x = 1 of the period window and has no mirror in
+        it.  The merged integers n_r = L*g(r) go over the lcm of the reduced
+        denominators of n_r/L, which is L/gcd(L, n_r...).
+        """
         fold = self._folds.get(sign)
         if fold is None:
-            entries = self.folded(sign)
-            scale = lcm(*(v.denominator for _, v in entries))
-            points = tuple(m or self.period for m, _ in entries)
-            weights = tuple(v.numerator * (scale // v.denominator) for _, v in entries)
+            period = self.period
+            acc: dict[int, int] = {}
+            for r, w in self._ints.items():
+                if period - r < r:
+                    r, w = period - r, sign * w
+                acc[r] = acc.get(r, 0) + w
+            kept = sorted((r, w) for r, w in acc.items() if w)
+            common = gcd(self._scale, *(w for _, w in kept))
+            points = tuple(r or period for r, _ in kept)
+            weights = tuple(w // common for _, w in kept)
             fold = self._folds[sign] = _Fold(
-                points, weights, scale, _anchor_pattern(self.period, points, weights))
+                points, weights, self._scale // common, _anchor_pattern(period, points, weights))
         return fold
 
 
@@ -127,13 +128,14 @@ def _anchor_pattern(period: int, points: tuple[int, ...], weights: tuple[int, ..
 
 
 def _four_residues(period: int, minus: tuple[int, int], plus: tuple[int, int],
-                   weight: Fraction) -> PeriodicFunction:
-    acc: dict[int, Fraction] = {}
+                   den: int) -> PeriodicFunction:
+    """The weight -1/den at the residues of minus and +1/den at those of plus, counted in integers."""
+    counts: dict[int, int] = {}
     for r in minus:
-        acc[r % period] = acc.get(r % period, Fraction(0)) - weight
+        counts[r % period] = counts.get(r % period, 0) - 1
     for r in plus:
-        acc[r % period] = acc.get(r % period, Fraction(0)) + weight
-    return PeriodicFunction(period, tuple(sorted(acc.items())))
+        counts[r % period] = counts.get(r % period, 0) + 1
+    return PeriodicFunction(period, tuple((r, Fraction(c, den)) for r, c in counts.items() if c))
 
 
 def make_chi_t(t: int) -> PeriodicFunction:
@@ -143,7 +145,7 @@ def make_chi_t(t: int) -> PeriodicFunction:
     period = 3 * 2 ** (t + 1)
     minus = (2 ** (t + 1) - 3, 2 ** (t + 2) + 3)
     plus = (2 ** (t + 1) + 3, 2 ** (t + 2) - 3)
-    return _four_residues(period, minus, plus, Fraction(1, 2))
+    return _four_residues(period, minus, plus, 2)
 
 
 def make_chi_m_ell(m: int, ell: int) -> PeriodicFunction:
@@ -155,7 +157,7 @@ def make_chi_m_ell(m: int, ell: int) -> PeriodicFunction:
     period = 8 * m + 4
     minus = (2 * m - 2 * ell - 1, 6 * m + 2 * ell + 5)
     plus = (2 * m + 2 * ell + 3, 6 * m - 2 * ell + 1)
-    return _four_residues(period, minus, plus, Fraction(1, 2))
+    return _four_residues(period, minus, plus, 2)
 
 
 def make_chi_k(k: int) -> PeriodicFunction:
@@ -163,7 +165,7 @@ def make_chi_k(k: int) -> PeriodicFunction:
     if k < 1:
         raise ValueError("k must be at least 1")
     period = 4 * k + 2
-    return _four_residues(period, (3 * k + 1, 3 * k + 2), (k, k + 1), Fraction(1))
+    return _four_residues(period, (3 * k + 1, 3 * k + 2), (k, k + 1), 1)
 
 
 @dataclass(frozen=True)

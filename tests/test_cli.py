@@ -94,6 +94,22 @@ def test_verify_rejects_bad_parameters(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--family", "torus32t", "--t", "-3:5"], "t must be at least 1"),
+    (["--family", "torus2", "--m", "-2:3"], "m must be at least 1"),
+    (["--family", "habiro-g", "--k", "-1:4"], "k must be at least 1"),
+])
+def test_verify_span_after_a_space_reads_as_after_an_equals_sign(capsys, argv, message):
+    # argparse alone would take '-3:5' after a space for an option
+    *head, flag, span = argv
+    results = []
+    for spelling in ([flag, span], [f"{flag}={span}"]):
+        code, out, err = run(capsys, "verify", *head, *spelling)
+        assert code == 1 and out == "" and message in err
+        results.append((code, err))
+    assert results[0] == results[1]
+
+
 # -- expand ------------------------------------------------------------------
 
 

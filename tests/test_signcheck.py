@@ -278,6 +278,27 @@ def test_family_n_bound_builds_sin_once_per_precision(monkeypatch):
     assert sin_precs == []
 
 
+def test_cut_point_memo_is_bounded_as_the_zeta_memo():
+    assert sc._zeta_cuts.cache_info().maxsize == zeta_interval.cache_info().maxsize
+
+
+def test_check_count_requests_every_zeta_enclosure(monkeypatch):
+    # The cut points are memoized per enclosure, so the loop still asks
+    # zeta_interval once per step and precision: 71 requests, the count without it.
+    real_zeta = sc.zeta_interval
+    requests = []
+
+    def noting_zeta(s, prec):
+        requests.append((s, prec))
+        return real_zeta(s, prec)
+
+    monkeypatch.setattr(sc, "zeta_interval", noting_zeta)
+    for _ in range(2):  # cold and warm memos ask alike
+        requests.clear()
+        assert family_n_bound(FamilySpec.torus32t(100)) == 49
+        assert len(requests) == 71
+
+
 def test_zeta_body_runs_once_per_distinct_argument_pair(monkeypatch):
     real_even = zeta_module.zeta_even
     real_zeta = sc.zeta_interval

@@ -3,12 +3,13 @@
 import hashlib
 import json
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
 import sympy
 from bernoulli_ref import bernoulli_at
+from fold_ref import fold_ref, folded
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.functions.combinatorial.numbers import stirling
@@ -19,6 +20,7 @@ from habiro.thetaside import (
     ANCHOR_E0,
     PeriodicFunction,
     StrangeIdentity,
+    _anchor_pattern,
     _g_terms,
     b_sequence,
     bernoulli_sum,
@@ -92,23 +94,68 @@ def test_folded_weights_give_the_same_bernoulli_sums(sign, degrees):
     f = periodic(
         (Fraction(2), Fraction(1, 3), 0, Fraction(5), 0, Fraction(-7, 2), Fraction(4),
          0, 0, Fraction(5), 0, Fraction(-1, 6)))
-    folded = f.folded(sign)
-    assert len(folded) == (5 if sign == 1 else 4)
+    merged = folded(f, sign)
+    assert len(merged) == (5 if sign == 1 else 4)
     for s in degrees:
         def total(entries):
             return sum(v * bernoulli_at(s, Fraction(m or 12, 12)) for m, v in entries)
 
-        assert total(folded) == total(f.entries)
+        assert total(merged) == total(f.entries)
+
+
+@st.composite
+def periodic_weights(draw):
+    """A weight with residues 0 and M/2 among its draws, denominators up to 12, and
+    for some draws mirror pairs (equal or opposite) that cancel in one of the folds.
+
+    Periods include q1 2**e with e >= ANCHOR_E0, so the anchor pattern is exercised.
+    """
+    period = draw(st.one_of(st.integers(2, 48),
+                            st.builds(lambda q1, e: q1 << e, st.integers(1, 9),
+                                      st.integers(ANCHOR_E0, ANCHOR_E0 + 8))))
+    value = st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(bool)
+    residue = st.one_of(st.just(0), st.just(period // 2), st.integers(0, period - 1))
+    entries = {r: draw(value) for r in draw(st.lists(residue, min_size=1, max_size=6, unique=True))}
+    shape = draw(st.sampled_from(["free", "even", "odd", "mean zero"]))
+    if shape in ("even", "odd"):
+        mirrored = {}
+        for r, v in entries.items():
+            mirror = -r % period
+            if mirror in mirrored:
+                continue
+            if mirror != r:
+                mirrored[mirror] = v if shape == "even" else -v
+            if mirror != r or shape == "even":
+                mirrored[r] = v
+        entries = mirrored
+    elif shape == "mean zero":
+        r = draw(residue)
+        if r not in entries and sum(entries.values()):
+            entries[r] = -sum(entries.values())
+    return PeriodicFunction(period, tuple(entries.items()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=periodic_weights())
+def test_integer_form_matches_the_fraction_definitions(f):
+    values = dict(f.entries)
+    assert f.mean_is_zero() == (sum(values.values()) == 0)
+    assert f.is_even() == all(values.get(-r % f.period, 0) == v for r, v in values.items())
+    assert f.is_odd() == all(values.get(-r % f.period, 0) == -v for r, v in values.items())
+    for sign in (1, -1):
+        fold = f._fold(sign)
+        points, weights, scale = fold_ref(f, sign)
+        assert (fold.points, fold.weights, fold.scale) == (points, weights, scale)
+        assert fold.anchor == _anchor_pattern(f.period, points, weights)
+    assert all(f(r + 3 * f.period) == v for r, v in values.items())
 
 
 def horner_bernoulli_sum(f: PeriodicFunction, ss: list[int]) -> list[tuple[int, int]]:
     """bernoulli_sum's pairs from the Horner kernel: sum_m v_m B_s(m/M) over the folded
     weight, the values over L P_s M**s, L the lcm of the weights' denominators."""
-    folded = f.folded(-1 if ss[0] % 2 else 1)
-    scale = lcm(*(v.denominator for _, v in folded))
-    return [(sum(v.numerator * (scale // v.denominator) * b for (_, v), b in zip(folded, values)),
-             scale * den)
-            for values, den in bernoulli_poly(ss, [m or f.period for m, _ in folded], f.period)]
+    points, weights, scale = fold_ref(f, -1 if ss[0] % 2 else 1)
+    return [(sum(w * b for w, b in zip(weights, values)), scale * den)
+            for values, den in bernoulli_poly(ss, list(points), f.period)]
 
 
 @st.composite
@@ -141,7 +188,7 @@ def test_anchor_route_gives_the_horner_kernels_sums(case):
     sign = -1 if ss[0] % 2 else 1
     e = (f.period & -f.period).bit_length() - 1
     anchor = f._fold(sign).anchor
-    assert (anchor is not None) == (e >= ANCHOR_E0 and bool(f.folded(sign)))
+    assert (anchor is not None) == (e >= ANCHOR_E0 and bool(folded(f, sign)))
     assert bernoulli_sum(f, ss) == horner_bernoulli_sum(f, ss)
     # Each residue a 2**e + d moved to a 2**(e+1) + d keeps the pattern (a, d, w),
     # so above ANCHOR_E0 the doubled period reads the coefficients just memoized.
