@@ -15,6 +15,8 @@ from habiro.exact import PRECISION_CAP, PrecisionCapError
 from habiro.families import FAMILIES, FamilySpec, cached_expansion, identity_for
 from habiro.qseries import TruncatedSeries, binomial_transform, transform_g, transform_h
 from habiro.signcheck import verify_positivity
+# perfbench/tracing.py wraps b_sequence here, so it stays bound though nothing
+# calls it: the theta route goes from C to xi in one xi_from_theta pass.
 from habiro.thetaside import b_sequence, c_sequence, xi_from_theta
 
 # transform -> (main-term kind, function that computes the row).  Each function
@@ -173,7 +175,7 @@ def _transform_row(
 
 def _theta_series(spec: FamilySpec, order: int) -> TruncatedSeries:
     ident = identity_for(spec)
-    return xi_from_theta(b_sequence(ident, c_sequence(ident, order)), order)
+    return xi_from_theta(c_sequence(ident, order), order, ident.a, ident.b)
 
 
 def cmd_expand(args) -> int:

@@ -32,6 +32,9 @@ from habiro.thetaside import (
 mul_dense_int = mul_sparse_binomial_int = qbinomial = subst_one_minus_int = None
 
 
+_PARAMS = ("t", "m", "ell", "k")  # FamilySpec's parameter fields
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """A family kind together with the integer parameters that pin one member."""
@@ -45,18 +48,20 @@ class FamilySpec:
     args: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in FAMILIES:
+        family = FAMILIES.get(self.kind)
+        if family is None:
             raise ValueError(f"unknown family kind: {self.kind!r}")
-        want = FAMILIES[self.kind].params
-        for name in ("t", "m", "ell", "k"):
-            val = getattr(self, name)
-            if name in want:
-                if val is None:
-                    raise ValueError(f"family {self.kind} needs parameter {name}")
-            elif val is not None:
-                raise ValueError(f"family {self.kind} does not take parameter {name}")
-        object.__setattr__(self, "args", tuple(getattr(self, name) for name in want))
-        for name, val in zip(want, self.args):
+        want = family.params
+        args = tuple([getattr(self, name) for name in want])
+        given = (self.t, self.m, self.ell, self.k)
+        if None in args or len(args) + given.count(None) != len(given):
+            # a parameter is missing or foreign: name the first in field order
+            name = next(name for name, val in zip(_PARAMS, given)
+                        if (val is None) == (name in want))
+            verb = "needs" if name in want else "does not take"
+            raise ValueError(f"family {self.kind} {verb} parameter {name}")
+        object.__setattr__(self, "args", args)
+        for name, val in zip(want, args):
             if name == "ell":
                 if not 0 <= val <= self.m - 1:
                     raise ValueError(f"ell must lie in [0, {self.m - 1}]")

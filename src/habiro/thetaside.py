@@ -2,7 +2,8 @@
 
 The route runs C -> B -> xi: exact special-value rationals from Bernoulli
 polynomials, a binomial change of expansion point, then a Stirling-weighted
-sum that must land on integers.
+sum that must land on integers.  Given C and the expansion point,
+xi_from_theta makes the change of point and the Stirling step in one pass.
 """
 
 from __future__ import annotations
@@ -383,28 +384,32 @@ def b_sequence(ident: StrangeIdentity, c: tuple[Fraction, ...]) -> tuple[Fractio
     # Each step multiplies by the small integer a only.
     row, den = _over_common_denominator(c)
     heads = _pascal_heads(row, [ident.a] * (len(c) - 1))
-    b = tuple(Fraction(x, den * ident.b**n) for n, x in enumerate(heads))
-    if len(b) and b[0] != c[0]:
-        raise AssertionError("B_0 must equal C_0")
-    return b
+    return tuple(Fraction(x, den * ident.b**n) for n, x in enumerate(heads))
 
 
-def xi_from_theta(b: tuple[Fraction, ...], N: int) -> TruncatedSeries:
-    """Integer coefficient sequence from the B-expansion via Stirling weights.
+def xi_from_theta(
+    values: tuple[Fraction, ...], N: int, a: int = 0, b: int = 1
+) -> TruncatedSeries:
+    """Integer coefficients xi_0..xi_N from the values expanded at the point (a, b).
 
-    xi_n = sum_j c(n, j) B_j / n!, with c the unsigned Stirling numbers of the
-    first kind, which are the coefficients of x (x+1) ... (x+n-1).
+    With Lam the linear map x**k -> values[k], n! b**n xi_n is
+    Lam((x+a) (x+a+b) ... (x+a+(n-1)b)).  At the defaults the values are the
+    B-expansion and xi_n = sum_j c(n, j) B_j / n!, with c the unsigned
+    Stirling numbers of the first kind, the coefficients of x (x+1) ... (x+n-1).
+    Given C and an identity's (a, b), the same pass also makes b_sequence's
+    change of expansion point, since b**j B_j = Lam((x+a)**j).
     """
-    if len(b) <= N:
-        raise ValueError("B-sequence does not cover the requested range")
-    # Let Lam map x**j to L B_j, L the lcm denominator of B_0..B_N.  Then
-    # W_n[i] = Lam(x**i x (x+1) ... (x+n-1)) satisfies
-    # W_n[i] = W_(n-1)[i+1] + (n-1) W_(n-1)[i], and W_n[0] = L n! xi_n: the
-    # Stirling recurrence runs implicitly, multiplying by n - 1 only.
-    row, scale = _over_common_denominator(b[: N + 1])
+    if len(values) <= N:
+        raise ValueError("values do not cover the requested range")
+    # Let L be the lcm denominator of values[0..N] and W_n[i] the image of
+    # x**i (x+a) ... (x+a+(n-1)b) under x**k -> L values[k].  Then
+    # W_n[i] = W_(n-1)[i+1] + (a+(n-1)b) W_(n-1)[i] and W_n[0] = L n! b**n xi_n:
+    # the Stirling recurrence runs implicitly, multiplying by a small integer only.
+    row, scale = _over_common_denominator(values[: N + 1])
     out: list[int] = []
-    for n, head in enumerate(_pascal_heads(row, range(N))):
-        scale *= max(n, 1)  # L n!
+    for n, head in enumerate(_pascal_heads(row, range(a, a + N * b, b))):
+        if n:
+            scale *= n * b  # L n! b**n
         val, rem = divmod(head, scale)
         if rem:
             raise ValueError("strange-identity data inconsistent with integrality")

@@ -62,6 +62,63 @@ def test_spec_rejects_bad_parameters():
         FamilySpec.habiro_g(0)
 
 
+@pytest.mark.parametrize("kind,params,message", [
+    ("torus", {}, "unknown family kind: 'torus'"),
+    ("torus", {"t": 0}, "unknown family kind: 'torus'"),
+    ("torus32t", {}, "family torus32t needs parameter t"),
+    ("torus32t", {"t": 0, "k": 1}, "family torus32t does not take parameter k"),
+    ("fishburn", {"k": 1}, "family fishburn does not take parameter k"),
+    ("fishburn", {"ell": 0, "t": 1}, "family fishburn does not take parameter t"),
+    ("torus2", {"ell": 0}, "family torus2 needs parameter m"),
+    ("torus2", {"m": 2}, "family torus2 needs parameter ell"),
+    ("torus2", {"t": 1}, "family torus2 does not take parameter t"),
+    ("torus2", {"m": 2, "ell": 0, "k": 1}, "family torus2 does not take parameter k"),
+    ("habiro-g", {"m": 1}, "family habiro-g does not take parameter m"),
+    ("habiro-g", {"k": None}, "family habiro-g needs parameter k"),
+    ("torus32t", {"t": 0}, "t must be at least 1"),
+    ("torus2", {"m": 0, "ell": 5}, "m must be at least 1"),
+    ("torus2", {"m": 5, "ell": 5}, "ell must lie in [0, 4]"),
+    ("torus2", {"m": 1, "ell": -1}, "ell must lie in [0, 0]"),
+    ("habiro-g", {"k": -2}, "k must be at least 1"),
+])
+def test_spec_error_messages_and_their_order(kind, params, message):
+    with pytest.raises(ValueError) as err:
+        FamilySpec(kind, **params)
+    assert str(err.value) == message
+
+
+def _first_spec_error(kind: str, values: dict) -> str | None:
+    """The message of the first check a spec fails, each parameter field in turn."""
+    if kind not in families.FAMILIES:
+        return f"unknown family kind: {kind!r}"
+    want = families.FAMILIES[kind].params
+    for name in ("t", "m", "ell", "k"):
+        if name in want and values[name] is None:
+            return f"family {kind} needs parameter {name}"
+        if name not in want and values[name] is not None:
+            return f"family {kind} does not take parameter {name}"
+    for name in want:
+        if name == "ell" and not 0 <= values["ell"] <= values["m"] - 1:
+            return f"ell must lie in [0, {values['m'] - 1}]"
+        if name != "ell" and values[name] < 1:
+            return f"{name} must be at least 1"
+    return None
+
+
+def test_spec_reports_the_first_failed_check_for_every_pattern():
+    for kind in (*families.FAMILIES, "torus"):
+        for combo in product((None, -1, 0, 1, 2), repeat=4):
+            values = dict(zip(("t", "m", "ell", "k"), combo))
+            want = _first_spec_error(kind, values)
+            try:
+                spec = FamilySpec(kind, **values)
+            except ValueError as err:
+                assert str(err) == want, (kind, values)
+            else:
+                assert want is None, (kind, values)
+                assert spec.args == tuple(values[n] for n in families.FAMILIES[kind].params)
+
+
 def test_expand_rejects_bad_parameters():
     with pytest.raises(ValueError, match=r"ell must lie in \[0, 1\]"):
         expand_torus2(2, 2, 5)

@@ -417,6 +417,69 @@ def test_xi_integrality_guard():
         xi_from_theta(bad, 5)
 
 
+MEMBERS = st.one_of(
+    st.just(FamilySpec.fishburn()),
+    st.builds(FamilySpec.torus32t, st.integers(1, ANCHOR_E0 + 8)),
+    st.integers(1, 40).flatmap(
+        lambda m: st.builds(FamilySpec.torus2, st.just(m), st.integers(0, m - 1))),
+    st.builds(FamilySpec.habiro_g, st.integers(1, 40)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=MEMBERS, n=st.integers(0, 60))
+def test_one_pass_xi_matches_the_route_through_b(spec, n):
+    ident = identity_for(spec)
+    c = c_sequence(ident, n)
+    assert xi_from_theta(c, n, ident.a, ident.b) == xi_from_theta(b_sequence(ident, c), n)
+
+
+def _c_from_xi(xi: list[int], a: int, b: int) -> tuple[Fraction, ...]:
+    """The C whose xi at the expansion point (a, b) is xi, by inverting both steps.
+
+    x**j = sum_n (-1)**(j-n) S(j, n) x (x+1) ... (x+n-1), S the Stirling numbers of
+    the second kind, gives B_j; C_k = sum_i C(k, i) (-a)**(k-i) b**i B_i inverts
+    b**n B_n = sum_k C(n, k) a**(n-k) C_k.
+    """
+    bs = [sum((-1) ** (j - n) * int(stirling(j, n, kind=2)) * factorial(n) * xi[n]
+              for n in range(j + 1)) for j in range(len(xi))]
+    return tuple(Fraction(sum(comb(k, i) * (-a) ** (k - i) * b**i * bs[i] for i in range(k + 1)))
+                 for k in range(len(xi)))
+
+
+# Identities with a = 0: no family has one, so these are built to the checks
+# StrangeIdentity makes; their own C are not integral.
+ZERO_A = (StrangeIdentity(0, 1, 0, periodic((Fraction(-1), Fraction(1)))),
+          StrangeIdentity(0, 4, 1, periodic((Fraction(-1), 0, Fraction(1), 0))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ident=st.sampled_from(ZERO_A),
+       xi=st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=25))
+def test_one_pass_xi_at_a_zero_matches_the_route_through_b(ident, xi):
+    n = len(xi) - 1
+    c = _c_from_xi(xi, ident.a, ident.b)
+    assert xi_from_theta(c, n, ident.a, ident.b).integer_coeffs() == xi
+    assert xi_from_theta(b_sequence(ident, c), n).integer_coeffs() == xi
+    own = c_sequence(ident, 12)
+    for route in (lambda: xi_from_theta(own, 12, ident.a, ident.b),
+                  lambda: xi_from_theta(b_sequence(ident, own), 12)):
+        with pytest.raises(ValueError, match="integrality"):
+            route()
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=MEMBERS, n=st.integers(0, 60), data=st.data(),
+       p=st.sampled_from([1_000_003, 2**61 - 1, 2**127 - 1]))
+def test_one_pass_xi_rejects_c_off_by_one_over_a_large_prime(spec, n, data, p):
+    ident = identity_for(spec)
+    c = list(c_sequence(ident, n))
+    k = data.draw(st.integers(0, n))
+    c[k] += Fraction(1, p)
+    with pytest.raises(ValueError, match="integrality"):
+        xi_from_theta(tuple(c), n, ident.a, ident.b)
+
+
 def test_c_sign_stabilization_fishburn():
     # Required sign (-1)**nu * G = +1 here, and the bound module later pins
     # the threshold at 0, so every C value must already be positive.
@@ -443,6 +506,7 @@ def test_theta_route_matches_frozen_digests(member):
     assert _digest(c) == member["C"]
     assert _digest(b) == member["B"]
     assert _digest(xi.integer_coeffs()) == member["xi"]
+    assert xi_from_theta(c, n, ident.a, ident.b) == xi
 
 
 def test_deep_c_sequence_matches_frozen_digest():
