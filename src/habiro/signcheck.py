@@ -29,7 +29,7 @@ from habiro.families import FAMILIES, FamilySpec, identity_for
 from habiro.thetaside import (
     PeriodicFunction,
     StrangeIdentity,
-    bernoulli_sum,
+    bernoulli_sign,
     find_k_nu,
     g_value,
 )
@@ -135,14 +135,13 @@ def family_n_bound(spec: FamilySpec, cap: int = PRECISION_CAP) -> int:
 
 
 def bernoulli_sign_test(ident: StrangeIdentity, n: int) -> int:
-    """Exact sign of C_n, read from the unreduced Bernoulli sum of the weight.
+    """Exact sign of C_n, read from the sign of the Bernoulli sum of the weight.
 
     C_n is (-1)**(n+1) times a positive scale times that sum at s = 2n + nu + 1.
     """
     if n < 0:
         raise ValueError("sample index must be nonnegative")
-    [(num, _)] = bernoulli_sum(ident.f, [2 * n + ident.nu + 1])
-    sign = (num > 0) - (num < 0)
+    sign = bernoulli_sign(ident.f, 2 * n + ident.nu + 1)
     return sign if n % 2 else -sign
 
 

@@ -8,27 +8,30 @@ xi_from_theta makes the change of point and the Stirling step in one pass.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import accumulate, repeat, zip_longest
-from math import gcd, isqrt, lcm
+from math import factorial, gcd, isqrt, lcm
 from operator import mul
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from habiro.exact import DEFAULT_PRECISION, IntervalReal, bernoulli_poly, root_sum_is_zero
 from habiro.qseries import TruncatedSeries, _pascal_heads
 
-# bernoulli_sum expands at a/q1 when 2**ANCHOR_E0 divides the period q = q1 2**e.
-# Measured on torus32t weights (q1 = 3), CPU time on a 2-core x86-64 VM with
-# CPython 3.11: with the coefficients of _anchor_terms memoized, the expansion
-# is faster than the Horner kernel from e = 48 for one member's single-index
-# sign tests (0.45 against 0.68 ms; 0.31 against 0.29 ms at e = 32), and
-# already at e = 8 for a run of 131 indices (4.7 against 11.8 ms).  Built
-# cold, it catches up only between e = 96 and 128 in both shapes (the run: 90
-# against 61 ms at e = 64, 88 against 122 ms at e = 128).  At 64 no cold call
-# is more than 1.5x slower, and every member of a sweep from t = 63 up shares
-# the memo.
+# bernoulli_sign and bernoulli_sum expand at a/q1 when 2**ANCHOR_E0 divides
+# the period q = q1 2**e.  The threshold was measured on torus32t weights
+# (q1 = 3), CPU time on a 2-core x86-64 VM with CPython 3.11, while a sign
+# test still summed every term of the expansion: with those terms memoized,
+# one member's single-index sign tests beat the Horner kernel from e = 48
+# (0.45 against 0.68 ms; 0.31 against 0.29 ms at e = 32).  A sign test now
+# reads only the leading terms, memoized per (s, q1, pattern) in _top_terms,
+# which every member of a sweep from t = 63 up shares.  Full values, which
+# c_sequence needs, are built cold per index and catch up with the Horner
+# kernel only between e = 96 and 128 (a run of 131 indices: 90 against 61 ms
+# at e = 64, 88 against 122 ms at e = 128); at 64 no cold call is more than
+# 1.5x slower.
 ANCHOR_E0 = 64
 
 
@@ -66,10 +69,13 @@ class PeriodicFunction:
             values[int(r)] = v if type(v) is Fraction else Fraction(v)
         kept = sorted((r, v) for r, v in values.items() if v)
         scale = lcm(*(v.denominator for _, v in kept))
-        object.__setattr__(self, "entries", tuple(kept))
+        self._set_form(tuple(kept), scale,
+                       {r: v.numerator * (scale // v.denominator) for r, v in kept})
+
+    def _set_form(self, entries: tuple, scale: int, ints: dict[int, int]) -> None:
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_scale", scale)  # L
-        object.__setattr__(self, "_ints", {r: v.numerator * (scale // v.denominator)
-                                           for r, v in kept})  # r -> L*f(r)
+        object.__setattr__(self, "_ints", ints)  # r -> L*f(r)
         object.__setattr__(self, "_folds", {})  # sign -> _Fold, filled by _fold
 
     def __call__(self, n: int) -> Fraction:
@@ -128,15 +134,31 @@ def _anchor_pattern(period: int, points: tuple[int, ...], weights: tuple[int, ..
     return e, period >> e, tuple(pattern)
 
 
+_ratio = cache(Fraction)  # the values c/den of the four-residue weights, a handful in all
+
+
 def _four_residues(period: int, minus: tuple[int, int], plus: tuple[int, int],
                    den: int) -> PeriodicFunction:
-    """The weight -1/den at the residues of minus and +1/den at those of plus, counted in integers."""
+    """The weight -1/den at the residues of minus and +1/den at those of plus, counted in integers.
+
+    Its integer form comes straight from the counts c, as L = the lcm of the
+    den/gcd(c, den) and L*f(r) = c*L/den, and each value c/den is a Fraction
+    shared by every weight.  It skips PeriodicFunction.__post_init__, whose
+    checks hold by construction: the residues are reduced mod the period and
+    counted in a dict, and every caller's period is at least 6.
+    """
     counts: dict[int, int] = {}
     for r in minus:
         counts[r % period] = counts.get(r % period, 0) - 1
     for r in plus:
         counts[r % period] = counts.get(r % period, 0) + 1
-    return PeriodicFunction(period, tuple((r, Fraction(c, den)) for r, c in counts.items() if c))
+    kept = sorted((r, c) for r, c in counts.items() if c)
+    scale = lcm(*(den // gcd(c, den) for _, c in kept))
+    f = object.__new__(PeriodicFunction)
+    object.__setattr__(f, "period", period)
+    f._set_form(tuple((r, _ratio(c, den)) for r, c in kept), scale,
+                {r: c * scale // den for r, c in kept})
+    return f
 
 
 def make_chi_t(t: int) -> PeriodicFunction:
@@ -260,15 +282,17 @@ def find_k_nu(f: PeriodicFunction, nu: int) -> int:
     raise ValueError("no nonzero Fourier coefficient")
 
 
-# (q1, a) -> (N_0..N_K, steps) with N_i = P_i q1**i B_i(a/q1) and steps[i] =
-# P_i / P_(i-1), P_i the prefix lcm of the Bernoulli denominators.  An entry is
-# replaced, never mutated, when it grows; at most _ANCHOR_TABLES are kept.
-_anchor_tables: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+# (q1, a) -> (N_0..N_K, steps, P_0..P_K) with N_i = P_i q1**i B_i(a/q1),
+# P_i the prefix lcm of the Bernoulli denominators, and steps[i] = P_i / P_(i-1).
+# An entry is replaced, never mutated, when it grows; at most _ANCHOR_TABLES
+# are kept.
+_AnchorTable = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+_anchor_tables: dict[tuple[int, int], _AnchorTable] = {}
 _ANCHOR_TABLES = 64
 
 
-def _anchor_table(q1: int, a: int, top: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """N_i(a) and the steps through index top or beyond, grown by doubling."""
+def _anchor_table(q1: int, a: int, top: int) -> _AnchorTable:
+    """N_i(a), the steps and the P_i through index top or beyond, grown by doubling."""
     table = _anchor_tables.get((q1, a))
     if table is None or len(table[0]) <= top:
         top = max(top, 1, 2 * (len(table[0]) - 1) if table else 0)
@@ -280,38 +304,98 @@ def _anchor_table(q1: int, a: int, top: int) -> tuple[tuple[int, ...], tuple[int
         steps = (1, *(dens[i] // (dens[i - 1] * q1) for i in range(1, top + 1)))
         if (q1, a) not in _anchor_tables and len(_anchor_tables) >= _ANCHOR_TABLES:
             _anchor_tables.pop(next(iter(_anchor_tables)))
-        table = _anchor_tables[(q1, a)] = (tuple(nums), steps)
+        table = _anchor_tables[(q1, a)] = (tuple(nums), steps, tuple(accumulate(steps, mul)))
     return table
 
 
-@lru_cache(maxsize=256)
-def _anchor_terms(s: int, q1: int, pattern: tuple) -> tuple[tuple[int, ...], int]:
-    """U_0..U_s and P_s, the expansion of index s at the anchors a/q1 of a pattern.
+def _terms_from_top(s: int, q1: int, pattern: tuple) -> Iterator[int]:
+    """U_s, U_(s-1), ..., U_0 of the expansion at the anchors a/q1 of a pattern.
 
     B_s(x + y) = sum_i C(s,i) B_i(x) y**(s-i) at x = a/q1, y = d/q gives
     P_s q**s sum_p w_p B_s(p/q) = sum_i U_i 2**(e i) with
     U_i = C(s,i) (P_s/P_i) sum_p w_p N_i(a_p) d_p**(s-i).  Nothing here
-    depends on e, so every period q1 2**e with the same pattern shares it.
+    depends on e, so every period q1 2**e with the same pattern shares the
+    terms.  Each term takes the next power of every d_p, so a caller that
+    stops after a few terms never forms a high one.
     """
-    groups: dict[int, list[list[int]]] = {}  # a -> w_p d_p**m for m = 0..s, per point
+    groups: dict[int, list[Iterator[int]]] = {}  # a -> w_p d_p**m for m = 0, 1, ..., per point
     for a, d, w in pattern:
-        groups.setdefault(a, []).append(list(accumulate(repeat(d, s), mul, initial=w)))
-    sums = []  # per anchor a: N_0(a)..N_s(a), and sum_p w_p d_p**m for m = s..0
-    for a, pows in groups.items():
-        nums, steps = _anchor_table(q1, a, s)  # the steps do not depend on (q1, a)
-        sums.append((nums, list(map(sum, zip(*pows)))[::-1]))
-    terms = [0] * (s + 1)
-    c = 1  # C(s,i) P_s/P_i at i = s, then downward; P_s at i = 0
+        groups.setdefault(a, []).append(accumulate(repeat(d), mul, initial=w))
+    # per anchor a: N_0(a)..N_s(a), and sum_p w_p d_p**m for m = 0, 1, ...
+    rows = [(_anchor_table(q1, a, s)[0], map(sum, zip(*powers))) for a, powers in groups.items()]
+    steps = _anchor_table(q1, pattern[0][0], s)[1]  # the steps do not depend on (q1, a)
+    c = 1  # C(s,i) P_s/P_i at i = s, then downward
     for i in range(s, -1, -1):
         acc = 0
-        for nums, moments in sums:
-            if moments[i]:
-                acc += nums[i] * moments[i]
-        if acc:
-            terms[i] = c * acc
+        for nums, moments in rows:
+            moment = next(moments)
+            if moment:
+                acc += nums[i] * moment
+        yield c * acc
         if i:
             c = c * i // (s - i + 1) * steps[i]
-    return tuple(terms), c
+
+
+@lru_cache(maxsize=256)
+def _anchor_terms(s: int, q1: int, pattern: tuple) -> tuple[tuple[int, ...], int]:
+    """U_0..U_s and P_s, every term of index s's expansion at the anchors of a pattern."""
+    terms = tuple(_terms_from_top(s, q1, pattern))[::-1]
+    return terms, _anchor_table(q1, pattern[0][0], s)[2][s]
+
+
+# Serializes the growth of _top_terms' lists: two threads must not advance one
+# generator at once.  A list only grows, so it is read without the lock.
+_top_lock = threading.Lock()
+
+
+@lru_cache(maxsize=1024)
+def _top_terms(s: int, q1: int, pattern: tuple) -> tuple[list[int], Iterator[int], int]:
+    """bernoulli_sign's memo: U_s, U_(s-1), ... as far as built, the generator of the rest, and b.
+
+    Every |U_i| is below 2**b, b the bit length of
+    K = 2**s P_s q1**s 4 max(1, s!/6**s) sum_p |w_p| max(1, |d_p|)**s:
+    C(s,i) <= 2**s, (P_s/P_i) N_i(a) = P_s q1**i B_i(a/q1) with 0 <= a/q1 <= 1,
+    and on [0, 1] |B_0| = 1, |B_1| <= 1/2 and, from the Fourier series of B_i
+    (DLMF 24.8), |B_i| <= 2 zeta(i) i!/(2 pi)**i < 4 i!/6**i for i >= 2,
+    where i!/6**i falls up to i = 5 and then rises.  A sweep needs one entry
+    per index and parity, and an entry holds the few terms its sign tests
+    read.
+    """
+    k = (_anchor_table(q1, pattern[0][0], s)[2][s] * q1**s * (factorial(s) // 6**s + 1)
+         * sum(abs(w) * max(1, abs(d)) ** s for _, d, w in pattern)) << (s + 2)
+    return [], _terms_from_top(s, q1, pattern), k.bit_length()
+
+
+def bernoulli_sign(f: PeriodicFunction, s: int) -> int:
+    """Sign of sum_(m=1..M) f(m) B_s(m/M), that of bernoulli_sum(f, [s])'s numerator.
+
+    Below 2**ANCHOR_E0 in M it is the sign of the Horner kernel's value.
+    Above it, the expansion sum_i U_i 2**(e i) of _terms_from_top is summed
+    from the top by Horner's rule, T = U_s, then T 2**e + U_(s-1), and so
+    on.  It stops as soon as T != 0 and |T| 2**e >= 2**(b+1), b from
+    _top_terms: the terms not yet added are then worth less than
+    sum_(m>=1) 2**(b - e m) < 2**(b+1-e) <= |T| at T's scale, so the whole
+    sum has T's sign.  A sum that never passes the bound, such as an exact
+    zero, runs to U_0, where T is the exact sum.
+    """
+    if s < 0:
+        raise ValueError("Bernoulli indices must be nonnegative, strictly ascending, of one parity")
+    anchor = f._fold(-1 if s % 2 else 1).anchor
+    if anchor is None:
+        [(num, _)] = bernoulli_sum(f, [s])
+        return (num > 0) - (num < 0)
+    e, q1, pattern = anchor
+    terms, rest, bits = _top_terms(s, q1, pattern)
+    total = 0
+    for i in range(s + 1):
+        if i == len(terms):
+            with _top_lock:
+                if i == len(terms):
+                    terms.append(next(rest))
+        total = (total << e) + terms[i]
+        if total and total.bit_length() + e > bits + 1:
+            break
+    return (total > 0) - (total < 0)
 
 
 def bernoulli_sum(f: PeriodicFunction, ss: list[int]) -> list[tuple[int, int]]:
@@ -321,14 +405,15 @@ def bernoulli_sum(f: PeriodicFunction, ss: list[int]) -> list[tuple[int, int]]:
     lets each residue share the Bernoulli value of its mirror, so the weight
     is folded once per parity, and kept with the weight.  The weights go
     over their lcm L, and each sum is returned over L D, D = P_s M**s, never
-    reduced, so a sign test runs no gcd.  Residue 0 contributes at the right
-    endpoint x = 1 of the period window.
+    reduced.  Residue 0 contributes at the right endpoint x = 1 of the
+    period window.
 
     Below 2**ANCHOR_E0 in M, one kernel call gives the values over D for
-    every s.  Above it, the sum is read from its expansion at the anchors
-    a/q1 (see _anchor_terms), a polynomial in 2**e summed by shifts and
-    adds, and the expansion's coefficients are memoized, so that they serve
-    every period q1 2**e with the same pattern, such as every torus32t member.
+    every s.  Above it, each sum is the polynomial in 2**e of all s + 1
+    terms of its expansion at the anchors a/q1 (see _terms_from_top),
+    summed by shifts and adds; the terms of the last 256 indices are
+    memoized.  A sign test needs no full value: bernoulli_sign reads
+    it from the leading terms.
     """
     if not ss or ss[0] < 0 or (
         len(ss) > 1 and any(b <= a or (b - a) % 2 for a, b in zip(ss, ss[1:]))

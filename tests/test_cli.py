@@ -11,6 +11,7 @@ import pytest
 
 import habiro.cli as cli
 import habiro.families as families
+import habiro.thetaside as thetaside
 from habiro.cli import main
 
 pytestmark = pytest.mark.usefixtures("isolated_cache")
@@ -343,6 +344,23 @@ def test_verify_json_matches_frozen_digest(capsys, entry):
     code, out, err = run(capsys, "verify", *entry["args"], "--format", "json")
     assert code == entry.get("exit", 0) and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == entry["digest"]
+
+
+def test_verify_sign_tests_build_no_full_anchor_sums(capsys, monkeypatch):
+    # From t = 63 the period is divisible by 2**64 and the sign tests take the
+    # anchor route; they must read only the leading terms, never every term.
+    def refuse(*args):
+        raise AssertionError("a sign test built every term of an anchor expansion")
+
+    thetaside._top_terms.cache_clear()
+    monkeypatch.setattr(thetaside, "_anchor_terms", refuse)
+    code, out, err = run(capsys, "verify", "--family", "torus32t", "--t", "63:70",
+                         "--format", "json")
+    assert code == 0 and err == ""
+    rows = json.loads(out)
+    assert [r["N_used"] for r in rows] == [30, 31, 31, 32, 32, 33, 33, 34]
+    assert all(r["verdict"] == "proved-positive" and "note" not in r for r in rows)
+    assert all(sign == 1 for r in rows for _, sign, _ in r["checks"])
 
 
 def test_verify_tiny_precision_cap_is_undecided(capsys):

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import sys
+import threading
 from fractions import Fraction
 from math import comb, factorial
 from pathlib import Path
@@ -22,7 +24,9 @@ from habiro.thetaside import (
     StrangeIdentity,
     _anchor_pattern,
     _g_terms,
+    _top_terms,
     b_sequence,
+    bernoulli_sign,
     bernoulli_sum,
     c_sequence,
     find_k_nu,
@@ -72,6 +76,22 @@ def test_parameter_validation():
         make_chi_m_ell(2, -1)
     with pytest.raises(ValueError):
         make_chi_k(0)
+
+
+def four_residue_weights():
+    yield from (make_chi_t(t) for t in range(1, 201))
+    yield from (make_chi_m_ell(m, ell) for m in range(1, 41) for ell in range(m))
+    yield from (make_chi_k(k) for k in range(1, 61))
+
+
+def test_four_residue_weights_match_the_validated_constructor():
+    # The family weights skip __post_init__: the validated constructor must
+    # accept their entries and give the same integer form and folds.
+    for f in four_residue_weights():
+        ref = PeriodicFunction(f.period, f.entries)
+        assert f == ref and f.entries == ref.entries
+        assert (f._scale, f._ints) == (ref._scale, ref._ints)
+        assert all(f._fold(sign) == ref._fold(sign) for sign in (1, -1))
 
 
 def test_mean_zero_and_parity_sweep():
@@ -198,6 +218,128 @@ def test_anchor_route_gives_the_horner_kernels_sums(case):
     if anchor is not None:
         assert lifted._fold(sign).anchor[1:] == anchor[1:]
     assert bernoulli_sum(lifted, ss) == horner_bernoulli_sum(lifted, ss)
+
+
+def sign(x: int) -> int:
+    return (x > 0) - (x < 0)
+
+
+def terms_read(f: PeriodicFunction, s: int) -> int:
+    """How many anchor terms the sign tests of index s have built so far."""
+    _, q1, pattern = f._fold(-1 if s % 2 else 1).anchor
+    return len(_top_terms(s, q1, pattern)[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=anchored_sums())
+def test_sign_route_gives_the_sign_of_the_full_sum(case):
+    f, ss = case
+    for s in ss:
+        [(num, _)] = bernoulli_sum(f, [s])
+        [(ref, _)] = horner_bernoulli_sum(f, [s])
+        assert bernoulli_sign(f, s) == sign(num) == sign(ref)
+
+
+@st.composite
+def cancelling_sums(draw):
+    """A weight of period q1 2**e, e >= ANCHOR_E0, whose points near each anchor
+    carry weights (w, w, -2w) at a 2**e + d, a 2**e - d and a 2**e, so that U_s
+    and U_(s-1) cancel and the sign test has to read on."""
+    q1 = draw(st.sampled_from(range(3, 16, 2)))
+    e = draw(st.integers(ANCHOR_E0, 160))
+    anchors = draw(st.lists(st.integers(1, q1 - 1), min_size=1, max_size=3, unique=True))
+    entries = {}
+    for a in anchors:
+        d = draw(st.integers(1, 2**20))
+        w = Fraction(draw(st.integers(1, 9)), draw(st.sampled_from([1, 2, 3])))
+        for r, v in (((a << e) + d, w), ((a << e) - d, w), (a << e, -2 * w)):
+            entries[r] = v
+    s = draw(st.integers(2, 60))
+    return PeriodicFunction(q1 << e, tuple(entries.items())), s
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=cancelling_sums())
+def test_sign_route_reads_past_cancelling_top_terms(case):
+    f, s = case
+    [(ref, _)] = horner_bernoulli_sum(f, [s])
+    assert bernoulli_sign(f, s) == sign(ref)
+    if f._fold(-1 if s % 2 else 1).anchor is not None:
+        assert terms_read(f, s) >= 3
+
+
+def test_sign_route_stops_early_on_a_torus32t_member():
+    # verify's checks for this member run up to s = 2n + 2 = 68
+    ident = identity_for(FamilySpec("torus32t", t=ANCHOR_E0 + 6))
+    for s in (10, 40, 68):
+        [(num, _)] = bernoulli_sum(ident.f, [s])
+        assert bernoulli_sign(ident.f, s) == sign(num) != 0
+        assert terms_read(ident.f, s) <= 4 < s + 1
+
+
+def exact_zero_weights(e: int, s: int):
+    """Anchored weights whose Bernoulli sum at index s is exactly 0."""
+    q = 3 << e
+    r = (1 << e) + 5
+    # B_s(2x) = 2**(s-1) (B_s(x) + B_s(x + 1/2)), at x = r/q
+    yield PeriodicFunction(q, ((r, Fraction(2 ** (s - 1))), (r + q // 2, Fraction(2 ** (s - 1))),
+                               (2 * r, Fraction(-1))))
+    if s % 2:  # B_s(1/2) = 0 for odd s
+        yield PeriodicFunction(q, ((q // 2, Fraction(1)),))
+
+
+@pytest.mark.parametrize("e", [ANCHOR_E0, 100])
+@pytest.mark.parametrize("s", [1, 2, 7, 30])
+def test_sign_route_falls_back_to_the_exact_sum(e, s):
+    zeros = list(exact_zero_weights(e, s))
+    # residues far from their anchors, |d| within 2**10 of 2**(e-1)
+    far = PeriodicFunction(3 << e, (((1 << (e - 1)) - 999, Fraction(3)),
+                                    ((5 << (e - 1)) + 77, Fraction(-2, 3))))
+    for f in [*zeros, far]:
+        [(num, _)] = bernoulli_sum(f, [s])
+        [(ref, _)] = horner_bernoulli_sum(f, [s])
+        assert f._fold(-1 if s % 2 else 1).anchor is not None
+        assert bernoulli_sign(f, s) == sign(num) == sign(ref)
+        assert terms_read(f, s) == s + 1
+    assert all(bernoulli_sign(f, s) == 0 for f in zeros)
+
+
+def test_sign_memo_shared_by_threads():
+    # Threads read and extend the same memo entries at once; far residues make
+    # every test run to U_0, so the threads race through whole expansions.
+    e = ANCHOR_E0 + 3
+    weights = [PeriodicFunction(3 << e, (((1 << (e - 1)) - 999 - j, Fraction(3)),
+                                         ((5 << (e - 1)) + 77 + j, Fraction(-2, 3))))
+               for j in range(3)] + [make_chi_t(e - 1)]
+    cases = [(f, s) for s in range(1, 41) for f in weights]
+    want = [sign(horner_bernoulli_sum(f, [s])[0][0]) for f, s in cases]
+    _top_terms.cache_clear()
+    results, errors = [None] * 4, []
+
+    def worker(i):
+        try:
+            results[i] = [bernoulli_sign(f, s) for f, s in cases]
+        except Exception as err:  # reported by the main thread
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and results == [want] * 4
+
+
+def test_bernoulli_sign_rejects_a_negative_index():
+    for t in (2, 70):
+        with pytest.raises(ValueError, match="nonnegative"):
+            bernoulli_sign(make_chi_t(t), -2)
 
 
 @pytest.mark.parametrize("t", [2, 70])  # period 3*2**4 on the kernel, 3*2**72 on the anchors
