@@ -29,14 +29,6 @@ def log_positive_int(x: int, precision: int = DEFAULT_PRECISION) -> IntervalReal
     return window + IntervalReal.from_int(2, precision).log() * shift
 
 
-def _log_abs_coeff(c, precision: int) -> IntervalReal:
-    if isinstance(c, Fraction):
-        return log_positive_int(abs(c.numerator), precision) - log_positive_int(
-            c.denominator, precision
-        )
-    return log_positive_int(abs(c), precision)
-
-
 @dataclass(frozen=True)
 class AsymptoticProfile:
     """Identity data with the Fourier coefficient and first correction enclosed."""
@@ -79,8 +71,8 @@ def make_profile(
 ) -> AsymptoticProfile:
     """Build the asymptotic profile of an identity, refining until G is signed."""
     k = find_k_nu(ident.f, ident.nu)
-    numeric = signed_enclosure(lambda p: g_value(ident.f, ident.nu, k, p), min(precision, cap),
-                               cap, "Fourier coefficient enclosure kept straddling zero")
+    numeric = signed_enclosure(lambda p: g_value(ident.f, ident.nu, k, p), precision, cap,
+                               "Fourier coefficient enclosure kept straddling zero")
     return AsymptoticProfile(
         ident.f.period, ident.a, ident.b, ident.nu, k, numeric, _alpha1(ident, k, precision)
     )
@@ -92,20 +84,21 @@ def profile_for_family(
     return make_profile(identity_for(spec), precision, cap)
 
 
-# row kind -> (slope in n of the power of 2, weight of the exponential factor x).
-# The one-over-one-plus-q row g inverts the factor of the one-minus-q row xi;
-# the two-q-over-one-plus-q row h carries 2**(3n+nu) and no such factor.
-_MAIN_TERMS = {"xi": (2, 1), "g": (2, -1), "h": (3, 0)}
+# transform -> (slope in n of the power of 2, weight of the exponential factor x),
+# keyed by the CLI's --transform names.  The one-over-one-plus-q row g inverts
+# the factor of the one-minus-q row xi; the two-q-over-one-plus-q row h carries
+# 2**(3n+nu) and no such factor.
+_MAIN_TERMS = {"one-minus-q": (2, 1), "inv-one-plus-q": (2, -1), "ratio": (3, 0)}
 
 
 def main_term_log(
-    p: AsymptoticProfile, n: int, precision: int = DEFAULT_PRECISION, which: str = "xi"
+    p: AsymptoticProfile, n: int, precision: int = DEFAULT_PRECISION, which: str = "one-minus-q"
 ) -> tuple[int, IntervalReal]:
-    """Sign and log magnitude of the leading asymptotic term of row `which` at n."""
+    """Sign and log magnitude of the leading asymptotic term of transform `which`'s row at n."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if which not in _MAIN_TERMS:
-        raise ValueError("which must be 'xi', 'g' or 'h'")
+        raise ValueError("which must be 'one-minus-q', 'inv-one-plus-q' or 'ratio'")
     slope, x_weight = _MAIN_TERMS[which]
     pi = IntervalReal.pi(precision)
     M = IntervalReal.from_int(p.period, precision)
@@ -138,27 +131,25 @@ def ratio_diagnostics(
     p: AsymptoticProfile,
     ns: list[int],
     correction: bool = False,
-    which: str = "xi",
-    precision: int = DEFAULT_PRECISION,
+    which: str = "one-minus-q",
 ) -> list[RatioSample]:
     """Ratios of exact coefficients to the asymptotic main term at sampled n.
 
     With correction enabled the main term is multiplied by (1 - alpha1/n),
     removing the first-order error term.  Every n must be at least 1, zero
-    coefficients included.
+    coefficients included, and the coefficients are integers.
     """
     out = []
     for n in ns:
-        sign, log_main = main_term_log(p, n, precision, which)
+        sign, log_main = main_term_log(p, n, which=which)
         c = exact.coefficient(n)
         if c == 0:
             out.append(RatioSample(n, None, True))
             continue
-        ratio = (_log_abs_coeff(c, precision) - log_main).exp()
+        ratio = (log_positive_int(abs(c)) - log_main).exp()
         if correction:
-            factor = IntervalReal.from_int(1, precision) - p.alpha1 / IntervalReal.from_int(
-                n, precision
-            )
+            n_ival = IntervalReal.from_int(n, DEFAULT_PRECISION)
+            factor = IntervalReal.from_int(1, DEFAULT_PRECISION) - p.alpha1 / n_ival
             if factor.contains_zero():
                 raise ValueError(f"correction factor straddles zero at n={n}")
             ratio = ratio / factor

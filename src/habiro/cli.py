@@ -19,13 +19,13 @@ from habiro.signcheck import verify_positivity
 # calls it: the theta route goes from C to xi in one xi_from_theta pass.
 from habiro.thetaside import b_sequence, c_sequence, xi_from_theta
 
-# transform -> (main-term kind, function that computes the row).  Each function
-# reads the module global when called, so rebinding transform_g or transform_h on
-# this module reaches both expand and asym.
+# transform -> function that computes the row; asym's main terms take the same
+# names.  Each function reads the module global when called, so rebinding
+# transform_g or transform_h on this module reaches both expand and asym.
 TRANSFORM_ROWS = {
-    "one-minus-q": ("xi", lambda xi: xi),
-    "inv-one-plus-q": ("g", lambda xi: transform_g(xi)),
-    "ratio": ("h", lambda xi: transform_h(xi)),
+    "one-minus-q": lambda xi: xi,
+    "inv-one-plus-q": lambda xi: transform_g(xi),
+    "ratio": lambda xi: transform_h(xi),
 }
 
 
@@ -160,17 +160,17 @@ def _emit(args, **forms) -> None:
 
 def _transform_row(
     spec: FamilySpec, xi: TruncatedSeries, transform: str, published: bool
-) -> tuple[TruncatedSeries, str]:
-    """The row a transform names, and the kind of main term that describes it.
+) -> TruncatedSeries:
+    """The row a transform names.
 
     The published inv-one-plus-q rows of habiro-g follow the unsigned binomial
     convention, so expand (published=True) prints binomial_transform there.
-    The g main term describes the alternating row, which asym diagnoses.
+    The inv-one-plus-q main term describes the alternating row, which asym
+    diagnoses.
     """
-    kind, row = TRANSFORM_ROWS[transform]
-    if published and spec.kind == "habiro-g" and kind == "g":
-        return binomial_transform(xi), kind
-    return row(xi), kind
+    if published and spec.kind == "habiro-g" and transform == "inv-one-plus-q":
+        return binomial_transform(xi)
+    return TRANSFORM_ROWS[transform](xi)
 
 
 def _theta_series(spec: FamilySpec, order: int) -> TruncatedSeries:
@@ -181,7 +181,7 @@ def _theta_series(spec: FamilySpec, order: int) -> TruncatedSeries:
 def cmd_expand(args) -> int:
     spec = _spec_from_args(args)
     xi = cached_expansion(spec, args.N, _cache_dir(args))
-    row, _ = _transform_row(spec, xi, args.transform, published=True)
+    row = _transform_row(spec, xi, args.transform, published=True)
     coeffs = row.integer_coeffs()
     _emit(args,
           plain=lambda: ", ".join(str(c) for c in coeffs),
@@ -301,10 +301,10 @@ def cmd_asym(args) -> int:
         series = cached_expansion(spec, args.N, _cache_dir(args))
     else:
         series = _theta_series(spec, top)
-    series, which = _transform_row(spec, series, args.transform, published=False)
+    series = _transform_row(spec, series, args.transform, published=False)
     table = [(sample.n, _decimal_digits(series.coefficient(sample.n)),
               None if sample.zero_coefficient else abs(sample.ratio).log().mid_float())
-             for sample in ratio_diagnostics(series, profile, samples, which=which)]
+             for sample in ratio_diagnostics(series, profile, samples, which=args.transform)]
 
     def cells():
         return [(str(n), str(d), "" if r is None else repr(r)) for n, d, r in table]

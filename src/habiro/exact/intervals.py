@@ -203,10 +203,11 @@ def _first_decided(
 ) -> tuple[T, int]:
     """First value fn(prec) with a nonzero sign(value), and that sign, doubling prec from start.
 
-    Raises PrecisionCapError(message, cap) if the value at the cap is still
-    undecided (sign 0), which is the reported outcome rather than a guess.
+    A start above the cap starts at the cap, so fn never sees more than cap
+    bits.  Raises PrecisionCapError(message, cap) if the value at the cap is
+    still undecided (sign 0), which is the reported outcome rather than a guess.
     """
-    prec = start
+    prec = min(start, cap)
     while True:
         x = fn(prec)
         s = sign(x)

@@ -28,7 +28,7 @@ from habiro.thetaside import (
 )
 
 # perfbench/tracing.py wraps these names here, so they stay bound though no kernel
-# stands behind them and nothing calls them.  The line goes with ROADMAP item 1.
+# stands behind them and nothing calls them.  The line goes with ROADMAP item 3.
 mul_dense_int = mul_sparse_binomial_int = qbinomial = subst_one_minus_int = None
 
 
@@ -424,7 +424,7 @@ def _write_cache(path: Path, spec: FamilySpec, N: int, coeffs: list[int]) -> Non
 
 
 def cached_expansion(
-    spec: FamilySpec, N: int, cache_dir: str | os.PathLike | None, fresh: bool = False
+    spec: FamilySpec, N: int, cache_dir: str | os.PathLike, fresh: bool = False
 ) -> TruncatedSeries:
     """Expansion at q = 1-u, reusing and extending a JSON cache directory.
 
@@ -435,8 +435,6 @@ def cached_expansion(
     overwriting.  The fresh row is stored when it is longer than the stored one.
     """
     _check_order(N)
-    if cache_dir is None:
-        return expand_family(spec, N)
     path = Path(cache_dir) / (spec.cache_key() + ".json")
     data = _read_cache(path)
     if data is not None and (data.get("family") != spec.kind or data.get("params") != spec.params()):

@@ -47,9 +47,6 @@ class TruncatedSeries:
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self.coeffs[:8])
         tail = ", ..." if len(self.coeffs) > 8 else ""

@@ -46,7 +46,7 @@ def m_bound(
     """Enclosure of the constant dominating every |G(k)| relative to |G(k_nu)|."""
     k = find_k_nu(f, nu)
     scale = 2 * len(f.entries) * max([Fraction(1), *(abs(v) for _, v in f.entries)])
-    gap = abs(signed_enclosure(lambda p: g_value(f, nu, k, p), min(precision, cap), cap,
+    gap = abs(signed_enclosure(lambda p: g_value(f, nu, k, p), precision, cap,
                                "Fourier coefficient enclosure kept straddling zero"))
     return IntervalReal.from_rational(scale, gap.prec) / (
         gap * IntervalReal.from_int(f.period, gap.prec).sqrt()
@@ -62,15 +62,9 @@ def n_max(f: PeriodicFunction, nu: int, cap: int = PRECISION_CAP) -> int:
         return lambda prec: bound(prec) * (zeta_interval(s, prec) - 1) - 1
 
     n = 0 if nu == 1 else 1  # s = 1 has a divergent zeta value, so n = 0 never qualifies
-    while decide_sign(excess(n), min(DEFAULT_PRECISION, cap), cap, f"tail bound at n={n}") > 0:
+    while decide_sign(excess(n), DEFAULT_PRECISION, cap, f"tail bound at n={n}") > 0:
         n += 1
     return n
-
-
-@lru_cache(maxsize=64)
-def _pi(prec: int) -> IntervalReal:
-    """The enclosure of pi at a working precision, built once per precision."""
-    return IntervalReal.pi(prec)
 
 
 @lru_cache(maxsize=4096)
@@ -82,7 +76,7 @@ def _sin_pi(num: int, den: int, prec: int) -> tuple:
     `--m 1:40` torus2 sweep at each precision it visits, so the members of
     repeated sweeps share their enclosures.
     """
-    return (_pi(prec) * Fraction(num, den)).sin().ival
+    return (IntervalReal.pi(prec) * Fraction(num, den)).sin().ival
 
 
 @lru_cache(maxsize=zeta_interval.cache_info().maxsize)
@@ -128,7 +122,7 @@ def family_n_bound(spec: FamilySpec, cap: int = PRECISION_CAP) -> int:
     def excess(prec: int) -> tuple:  # at the loop's current n
         return zeta_interval(2 * n + 2, prec), _sin_pi(num, den, prec)
 
-    while decide_sign(excess, min(DEFAULT_PRECISION, cap), cap, f"check-count bound at n={n}",
+    while decide_sign(excess, DEFAULT_PRECISION, cap, f"check-count bound at n={n}",
                       _excess_sign) > 0:
         n += 1
     return n

@@ -21,17 +21,16 @@ from habiro.exact import DEFAULT_PRECISION, IntervalReal, bernoulli_poly, root_s
 from habiro.qseries import TruncatedSeries, _pascal_heads
 
 # bernoulli_sign and bernoulli_sum expand at a/q1 when 2**ANCHOR_E0 divides
-# the period q = q1 2**e.  The threshold was measured on torus32t weights
-# (q1 = 3), CPU time on a 2-core x86-64 VM with CPython 3.11, while a sign
-# test still summed every term of the expansion: with those terms memoized,
-# one member's single-index sign tests beat the Horner kernel from e = 48
-# (0.45 against 0.68 ms; 0.31 against 0.29 ms at e = 32).  A sign test now
-# reads only the leading terms, memoized per (s, q1, pattern) in _top_terms,
-# which every member of a sweep from t = 63 up shares.  Full values, which
-# c_sequence needs, are built cold per index and catch up with the Horner
-# kernel only between e = 96 and 128 (a run of 131 indices: 90 against 61 ms
-# at e = 64, 88 against 122 ms at e = 128); at 64 no cold call is more than
-# 1.5x slower.
+# the period q = q1 2**e.  The expansion's terms do not depend on e, while the
+# Horner kernel's cost grows with it.  Measured on torus32t weights (q1 = 3),
+# CPU time on a 2-core x86-64 VM with CPython 3.11: the 1,501 sign tests of
+# t = 63..100, which read a few leading terms memoized in _top_terms and
+# shared by every member of a sweep, take 0.01-0.02 s on the anchors and
+# 0.11 s on the kernel.  Full values, which c_sequence needs, are built cold
+# per index: at t = 63 (e = 64) the kernel is faster at N = 50-150 and 300
+# (0.47 against 0.68 s at N = 300) and the anchors near N = 200, at most 1.6x
+# apart; at t = 100 the anchors are faster from N = 100 (0.72 against 0.90 s
+# at N = 300), and at t = 200 from N = 50 (0.89 against 2.7 s at N = 300).
 ANCHOR_E0 = 64
 
 
@@ -285,10 +284,12 @@ def find_k_nu(f: PeriodicFunction, nu: int) -> int:
 # (q1, a) -> (N_0..N_K, steps, P_0..P_K) with N_i = P_i q1**i B_i(a/q1),
 # P_i the prefix lcm of the Bernoulli denominators, and steps[i] = P_i / P_(i-1).
 # An entry is replaced, never mutated, when it grows; at most _ANCHOR_TABLES
-# are kept.
+# are kept, the first built evicted first.  _anchor_lock guards only the insert
+# and eviction; not _top_lock, which bernoulli_sign holds while tables are built.
 _AnchorTable = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 _anchor_tables: dict[tuple[int, int], _AnchorTable] = {}
 _ANCHOR_TABLES = 64
+_anchor_lock = threading.Lock()
 
 
 def _anchor_table(q1: int, a: int, top: int) -> _AnchorTable:
@@ -302,9 +303,11 @@ def _anchor_table(q1: int, a: int, top: int) -> _AnchorTable:
             for k, ([n], d) in zip(ks, bernoulli_poly(ks, [a], q1)):
                 nums[k], dens[k] = n, d
         steps = (1, *(dens[i] // (dens[i - 1] * q1) for i in range(1, top + 1)))
-        if (q1, a) not in _anchor_tables and len(_anchor_tables) >= _ANCHOR_TABLES:
-            _anchor_tables.pop(next(iter(_anchor_tables)))
-        table = _anchor_tables[(q1, a)] = (tuple(nums), steps, tuple(accumulate(steps, mul)))
+        table = (tuple(nums), steps, tuple(accumulate(steps, mul)))
+        with _anchor_lock:
+            if (q1, a) not in _anchor_tables and len(_anchor_tables) >= _ANCHOR_TABLES:
+                _anchor_tables.pop(next(iter(_anchor_tables)))
+            _anchor_tables[(q1, a)] = table
     return table
 
 
@@ -334,13 +337,6 @@ def _terms_from_top(s: int, q1: int, pattern: tuple) -> Iterator[int]:
         yield c * acc
         if i:
             c = c * i // (s - i + 1) * steps[i]
-
-
-@lru_cache(maxsize=256)
-def _anchor_terms(s: int, q1: int, pattern: tuple) -> tuple[tuple[int, ...], int]:
-    """U_0..U_s and P_s, every term of index s's expansion at the anchors of a pattern."""
-    terms = tuple(_terms_from_top(s, q1, pattern))[::-1]
-    return terms, _anchor_table(q1, pattern[0][0], s)[2][s]
 
 
 # Serializes the growth of _top_terms' lists: two threads must not advance one
@@ -411,9 +407,9 @@ def bernoulli_sum(f: PeriodicFunction, ss: list[int]) -> list[tuple[int, int]]:
     Below 2**ANCHOR_E0 in M, one kernel call gives the values over D for
     every s.  Above it, each sum is the polynomial in 2**e of all s + 1
     terms of its expansion at the anchors a/q1 (see _terms_from_top),
-    summed by shifts and adds; the terms of the last 256 indices are
-    memoized.  A sign test needs no full value: bernoulli_sign reads
-    it from the leading terms.
+    summed by shifts and adds in pairs.  The terms are not memoized: a run
+    asks each index once.  A sign test needs no full value: bernoulli_sign
+    reads it from the leading terms.
     """
     if not ss or ss[0] < 0 or (
         len(ss) > 1 and any(b <= a or (b - a) % 2 for a, b in zip(ss, ss[1:]))
@@ -427,12 +423,13 @@ def bernoulli_sum(f: PeriodicFunction, ss: list[int]) -> list[tuple[int, int]]:
     e, q1, pattern = fold.anchor
     out = []
     for s in ss:
-        terms, top = _anchor_terms(s, q1, pattern)
+        terms = tuple(_terms_from_top(s, q1, pattern))[::-1]  # U_0..U_s
         shift = e
         while len(terms) > 1:  # U_2j + U_(2j+1) 2**e, then those in pairs by 2**(2e), ...
             terms = [lo + (hi << shift) for lo, hi in zip_longest(terms[::2], terms[1::2],
                                                                   fillvalue=0)]
             shift *= 2
+        top = _anchor_table(q1, pattern[0][0], s)[2][s]  # P_s
         out.append((terms[0], (fold.scale * top * q1**s) << (e * s)))  # L P_s M**s
     return out
 

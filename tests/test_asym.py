@@ -130,8 +130,8 @@ def test_transform_ratios_against_main(spec):
         Fraction(p.b * p.k_nu**2, 2 * p.period**2), PREC
     )
     _, lm = main_term_log(p, n, PREC)
-    sg, lg = main_term_log(p, n, PREC, "g")
-    sh, lh = main_term_log(p, n, PREC, "h")
+    sg, lg = main_term_log(p, n, PREC, "inv-one-plus-q")
+    sh, lh = main_term_log(p, n, PREC, "ratio")
     assert sg == sh == p.sign()
     assert overlaps(lg - lm, -(x + x))
     assert overlaps(lh - lm, IntervalReal.from_int(2, PREC).log() * n - x)
@@ -139,8 +139,8 @@ def test_transform_ratios_against_main(spec):
 
 def test_transform_rejects_unknown_kind():
     p = profile_for_family(FamilySpec.fishburn())
-    with pytest.raises(ValueError, match="'xi', 'g' or 'h'"):
-        main_term_log(p, 5, which="one-minus-q")
+    with pytest.raises(ValueError, match="'one-minus-q', 'inv-one-plus-q' or 'ratio'"):
+        main_term_log(p, 5, which="xi")
 
 
 # -- ratio diagnostics -------------------------------------------------------
@@ -189,8 +189,8 @@ def test_diagnostics_demand_covered_window():
 
 def test_diagnostics_reject_unknown_term():
     p = profile_for_family(FamilySpec.fishburn())
-    with pytest.raises(ValueError, match="'xi', 'g' or 'h'"):
-        ratio_diagnostics(expand_fishburn(5), p, [3], which="f")
+    with pytest.raises(ValueError, match="'one-minus-q', 'inv-one-plus-q' or 'ratio'"):
+        ratio_diagnostics(expand_fishburn(5), p, [3], which="g")
 
 
 # -- big-integer logarithms --------------------------------------------------

@@ -349,11 +349,16 @@ def test_verify_json_matches_frozen_digest(capsys, entry):
 def test_verify_sign_tests_build_no_full_anchor_sums(capsys, monkeypatch):
     # From t = 63 the period is divisible by 2**64 and the sign tests take the
     # anchor route; they must read only the leading terms, never every term.
-    def refuse(*args):
-        raise AssertionError("a sign test built every term of an anchor expansion")
+    entries = []
+    real = thetaside._top_terms
 
-    thetaside._top_terms.cache_clear()
-    monkeypatch.setattr(thetaside, "_anchor_terms", refuse)
+    def recorded(s, q1, pattern):
+        entry = real(s, q1, pattern)
+        entries.append((s, entry[0]))
+        return entry
+
+    real.cache_clear()
+    monkeypatch.setattr(thetaside, "_top_terms", recorded)
     code, out, err = run(capsys, "verify", "--family", "torus32t", "--t", "63:70",
                          "--format", "json")
     assert code == 0 and err == ""
@@ -361,6 +366,8 @@ def test_verify_sign_tests_build_no_full_anchor_sums(capsys, monkeypatch):
     assert [r["N_used"] for r in rows] == [30, 31, 31, 32, 32, 33, 33, 34]
     assert all(r["verdict"] == "proved-positive" and "note" not in r for r in rows)
     assert all(sign == 1 for r in rows for _, sign, _ in r["checks"])
+    assert len(entries) == sum(r["N_used"] for r in rows)
+    assert all(len(built) <= 4 and len(built) < s + 1 for s, built in entries)
 
 
 def test_verify_tiny_precision_cap_is_undecided(capsys):

@@ -471,9 +471,3 @@ def test_cache_rows_of_another_format_are_recomputed(tmp_path):
         assert cached_expansion(spec, 6, tmp_path) == expand_fishburn(6)
         data = json.loads(path.read_text())
         assert data["format"] == families.CACHE_FORMAT and data["N"] == 6
-
-
-def test_cache_dir_none_computes_directly(tmp_path):
-    spec = FamilySpec.habiro_g(1)
-    assert cached_expansion(spec, 6, None) == expand_habiro_g(1, 6)
-    assert list(tmp_path.iterdir()) == []

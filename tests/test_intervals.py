@@ -100,6 +100,21 @@ def test_decide_sign_cap_error_on_zero():
         decide_sign(fn, start=64, cap=128)
 
 
+def test_decide_sign_start_above_the_cap_starts_at_the_cap():
+    asked = []
+
+    def enclosure_of(value):
+        def fn(p):
+            asked.append(p)
+            return IntervalReal.from_rational(value, p)
+        return fn
+
+    assert decide_sign(enclosure_of(Fraction(1, 3)), start=128, cap=64) == 1
+    with pytest.raises(PrecisionCapError):
+        decide_sign(enclosure_of(Fraction(0)), start=128, cap=64)
+    assert asked == [64, 64]
+
+
 fractions_strategy = st.fractions(
     min_value=Fraction(-1000), max_value=Fraction(1000), max_denominator=997
 )

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.functions.combinatorial.numbers import stirling
 
+from habiro import thetaside
 from habiro.exact import IntervalReal, bernoulli_poly, root_sum_is_zero
 from habiro.families import FamilySpec, identity_for
 from habiro.thetaside import (
@@ -23,6 +24,7 @@ from habiro.thetaside import (
     PeriodicFunction,
     StrangeIdentity,
     _anchor_pattern,
+    _anchor_table,
     _g_terms,
     _top_terms,
     b_sequence,
@@ -211,7 +213,7 @@ def test_anchor_route_gives_the_horner_kernels_sums(case):
     assert (anchor is not None) == (e >= ANCHOR_E0 and bool(folded(f, sign)))
     assert bernoulli_sum(f, ss) == horner_bernoulli_sum(f, ss)
     # Each residue a 2**e + d moved to a 2**(e+1) + d keeps the pattern (a, d, w),
-    # so above ANCHOR_E0 the doubled period reads the coefficients just memoized.
+    # so above ANCHOR_E0 the doubled period reads the anchor tables just built.
     half = 1 << (e - 1)
     lifted = PeriodicFunction(2 * f.period, tuple(
         (r + (((r + half) >> e) << e), v) for r, v in f.entries))
@@ -334,6 +336,63 @@ def test_sign_memo_shared_by_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == [] and results == [want] * 4
+
+
+def test_anchored_sum_leaves_the_sign_memo_alone():
+    f = make_chi_t(70)
+    ss = [1, 3, 5, 7]
+    before = _top_terms.cache_info()
+    assert bernoulli_sum(f, ss) == horner_bernoulli_sum(f, ss)
+    assert _top_terms.cache_info() == before
+
+
+def build_anchor_tables() -> list:
+    """The anchor tables of q1 = 139 at a = 1..70, built in that order."""
+    return [_anchor_table(139, a, 5) for a in range(1, 71)]
+
+
+def check_anchor_tables_after_70_builds(first: list) -> None:
+    kept = thetaside._anchor_tables
+    assert len(kept) == thetaside._ANCHOR_TABLES == 64 and (139, 70) in kept
+    assert all(table == first[a - 1] for (_, a), table in kept.items())
+    gone = next(a for a in range(1, 71) if (139, a) not in kept)
+    assert _anchor_table(139, gone, 5) == first[gone - 1]  # rebuilt as it was first built
+
+
+def test_anchor_tables_evict_the_first_built(monkeypatch):
+    monkeypatch.setattr(thetaside, "_anchor_tables", {})
+    first = build_anchor_tables()
+    assert sorted(thetaside._anchor_tables) == [(139, a) for a in range(7, 71)]
+    check_anchor_tables_after_70_builds(first)
+
+
+def test_anchor_tables_evict_safely_from_threads(monkeypatch):
+    monkeypatch.setattr(thetaside, "_anchor_tables", {})
+    want = build_anchor_tables()
+    thetaside._anchor_tables.clear()
+    results, errors = [None] * 4, []
+
+    def worker(i):  # forty rounds each, so that the threads' evictions overlap
+        try:
+            for _ in range(40):
+                results[i] = build_anchor_tables()
+        except Exception as err:  # reported by the main thread
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and results == [want] * 4
+    # which of the first tables survive depends on how the threads interleave
+    check_anchor_tables_after_70_builds(want)
 
 
 def test_bernoulli_sign_rejects_a_negative_index():
