@@ -91,30 +91,44 @@ def profile_for_family(
 _MAIN_TERMS = {"one-minus-q": (2, 1), "inv-one-plus-q": (2, -1), "ratio": (3, 0)}
 
 
-def main_term_log(
-    p: AsymptoticProfile, n: int, precision: int = DEFAULT_PRECISION, which: str = "one-minus-q"
-) -> tuple[int, IntervalReal]:
-    """Sign and log magnitude of the leading asymptotic term of transform `which`'s row at n."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+def _main_term(p: AsymptoticProfile, precision: int, which: str):
+    """n -> sign and log magnitude of the leading asymptotic term of transform `which`'s row at n.
+
+    The n-free factors are built once, and each n adds them in one fixed order.
+    """
     if which not in _MAIN_TERMS:
         raise ValueError("which must be 'one-minus-q', 'inv-one-plus-q' or 'ratio'")
     slope, x_weight = _MAIN_TERMS[which]
     pi = IntervalReal.pi(precision)
     M = IntervalReal.from_int(p.period, precision)
-    total = (M / (pi * (2 * p.k_nu))).log() * (2 * n + p.nu + 1)
-    total = total + abs(p.g).log()
-    total = total + IntervalReal.from_int(2, precision).log() * (slope * n + p.nu)
-    total = total + log_positive_int(factorial(n), precision)
-    total = total + IntervalReal.from_int(n, precision).log() * Fraction(2 * p.nu - 1, 2)
+    log_scale = (M / (pi * (2 * p.k_nu))).log()
+    log_g = abs(p.g).log()
+    log_two = IntervalReal.from_int(2, precision).log()
+    n_power = IntervalReal.from_rational(Fraction(2 * p.nu - 1, 2), precision)
     if x_weight:
         x = pi * pi * IntervalReal.from_rational(
             Fraction(p.b * p.k_nu**2, 2 * p.period**2), precision
         )
-        total = total + x * x_weight
-    total = total - IntervalReal.from_int(p.b, precision).log() * n
-    total = total - (pi * M).log() * Fraction(1, 2)
-    return p.sign(), total
+        x_term = x * x_weight
+    log_b = IntervalReal.from_int(p.b, precision).log()
+    half_log_pi_m = (pi * M).log() * Fraction(1, 2)
+    sign = p.sign()
+
+    def at(n: int) -> tuple[int, IntervalReal]:
+        if n < 1:
+            raise ValueError("n must be at least 1")
+        total = log_scale * (2 * n + p.nu + 1)
+        total = total + log_g
+        total = total + log_two * (slope * n + p.nu)
+        total = total + log_positive_int(factorial(n), precision)
+        total = total + IntervalReal.from_int(n, precision).log() * n_power
+        if x_weight:
+            total = total + x_term
+        total = total - log_b * n
+        total = total - half_log_pi_m
+        return sign, total
+
+    return at
 
 
 @dataclass(frozen=True)
@@ -139,9 +153,10 @@ def ratio_diagnostics(
     removing the first-order error term.  Every n must be at least 1, zero
     coefficients included, and the coefficients are integers.
     """
+    main_term = _main_term(p, DEFAULT_PRECISION, which)
     out = []
     for n in ns:
-        sign, log_main = main_term_log(p, n, which=which)
+        sign, log_main = main_term(n)
         c = exact.coefficient(n)
         if c == 0:
             out.append(RatioSample(n, None, True))

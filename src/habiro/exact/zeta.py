@@ -22,8 +22,11 @@ def zeta_even(k: int) -> Fraction:
     return Fraction(r)
 
 
-# Positivity sweeps ask for the same (s, prec) for every family member; the
-# bound keeps a long-running process from holding every enclosure it ever made.
+# Callers ask for the same (s, prec) again and again; the bound keeps a
+# long-running process from holding every enclosure it ever made.  A verify
+# sweep walks more keys than that for each member, so it keeps its own table
+# of enclosures for as long as it runs (signcheck.family_n_bound) and asks
+# here once per key.
 @lru_cache(maxsize=1024)
 def zeta_interval(s: int, prec: int = DEFAULT_PRECISION) -> IntervalReal:
     """Enclosure of zeta(s) for an integer s >= 2, memoized per (s, prec).

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import add, sub
 from typing import Sequence, Union
 
 Coeff = Union[int, Fraction]
@@ -86,12 +87,18 @@ def _pascal_heads(row: Sequence[Coeff], weights) -> list[Coeff]:
     """Head of row before and after each step row <- [w*x + y for adjacent x, y].
 
     After k steps with weight w the head is sum_i C(k, i) w**(k-i) row[i], so
-    one pass over a triangle gives every binomial sum of the row.
+    one pass over a triangle gives every binomial sum of the row.  A step of
+    weight 1 or -1 is an addition or a subtraction of adjacent entries.
     """
     row = list(row)
     heads = row[:1]
     for w in weights:
-        row = [w * x + y for x, y in zip(row, row[1:])]
+        if w == 1:
+            row = list(map(add, row, row[1:]))
+        elif w == -1:
+            row = list(map(sub, row[1:], row))
+        else:
+            row = [w * x + y for x, y in zip(row, row[1:])]
         heads.append(row[0])
     return heads
 

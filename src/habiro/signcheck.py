@@ -83,8 +83,10 @@ def _sin_pi(num: int, den: int, prec: int) -> tuple:
 def _zeta_cuts(zeta_ival: tuple, prec: int) -> tuple:
     """zeta.hi - (1 - 2**-prec) and zeta.lo - (1 + 2**(1-prec)), per zeta enclosure.
 
-    Keyed by the enclosure, not by (s, prec), so the check-count loop still
-    asks zeta_interval at every step; bounded as zeta_interval's memo is.
+    Keyed by the enclosure, so it serves every caller of _excess_sign, with or
+    without a sweep's table of enclosures; bounded as zeta_interval's memo is.
+    A sweep that walks more enclosures than that rebuilds a cut pair, two
+    subtractions, and never the enclosure itself.
     """
     z_lo, z_hi = zeta_ival
     return (mpf_sub(z_hi, from_man_exp((1 << prec) - 1, -prec)),
@@ -107,20 +109,28 @@ def _excess_sign(zeta_and_sin: tuple) -> int:
     return int(mpf_le(s_hi, above))
 
 
-def family_n_bound(spec: FamilySpec, cap: int = PRECISION_CAP) -> int:
+def family_n_bound(spec: FamilySpec, cap: int = PRECISION_CAP, zetas: dict | None = None) -> int:
     """Check count for a built-in family: the first n with zeta(2n+2) - sin(pi*theta) < 1.
 
-    A family without an angle needs its single check.
+    A family without an angle needs its single check.  zetas maps (n, prec) to
+    the enclosure of zeta(2n+2) at prec bits.  The members of a sweep share one
+    such table and walk the same keys, so each enclosure is built once per
+    sweep however many keys it walks; without one, a fresh table is used.
     """
     angle = FAMILIES[spec.kind].angle(*spec.args)
     if angle is None:
         return 1
     num, den = angle.numerator, angle.denominator
+    if zetas is None:
+        zetas = {}
 
     n = 0
 
     def excess(prec: int) -> tuple:  # at the loop's current n
-        return zeta_interval(2 * n + 2, prec), _sin_pi(num, den, prec)
+        zeta = zetas.get((n, prec))
+        if zeta is None:
+            zeta = zetas[n, prec] = zeta_interval(2 * n + 2, prec)
+        return zeta, _sin_pi(num, den, prec)
 
     while decide_sign(excess, DEFAULT_PRECISION, cap, f"check-count bound at n={n}",
                       _excess_sign) > 0:
@@ -179,14 +189,17 @@ def verdict_for_identity(
     return PositivityVerdict(family, params, n_used, tuple(checks), verdict, "; ".join(notes))
 
 
-def verify_positivity(spec: FamilySpec, cap: int = PRECISION_CAP) -> PositivityVerdict:
+def verify_positivity(
+    spec: FamilySpec, cap: int = PRECISION_CAP, zetas: dict | None = None
+) -> PositivityVerdict:
     """Certify that every coefficient of a built-in family is positive.
 
     The member's identity is built only when a sign test runs: with a check
-    count of 0 the tail bound alone proves positivity.
+    count of 0 the tail bound alone proves positivity.  zetas is the sweep's
+    table of zeta enclosures (see family_n_bound).
     """
     try:
-        n_used = family_n_bound(spec, cap)
+        n_used = family_n_bound(spec, cap, zetas)
     except PrecisionCapError as err:
         return PositivityVerdict(
             spec.kind, spec.params(), 0, (), "undecided-at-precision-cap", str(err)

@@ -487,13 +487,19 @@ def xi_from_theta(
     # x**i (x+a) ... (x+a+(n-1)b) under x**k -> L values[k].  Then
     # W_n[i] = W_(n-1)[i+1] + (a+(n-1)b) W_(n-1)[i] and W_n[0] = L n! b**n xi_n:
     # the Stirling recurrence runs implicitly, multiplying by a small integer only.
-    row, scale = _over_common_denominator(values[: N + 1])
+    # The divisor L n! b**n is kept as odd * 2**twos: a head whose low twos bits
+    # are not all zero is not a multiple of it, and the rest is shifted out
+    # before the division by the odd part.
+    row, den = _over_common_denominator(values[: N + 1])
+    odd, twos = 1, 0
     out: list[int] = []
     for n, head in enumerate(_pascal_heads(row, range(a, a + N * b, b))):
-        if n:
-            scale *= n * b  # L n! b**n
-        val, rem = divmod(head, scale)
-        if rem:
+        step = n * b if n else den  # L, then the factors n b of L n! b**n
+        v = (step & -step).bit_length() - 1
+        odd *= step >> v
+        twos += v
+        val, rem = divmod(head >> twos, odd)
+        if rem or head & ((1 << twos) - 1):
             raise ValueError("strange-identity data inconsistent with integrality")
         out.append(val)
     return TruncatedSeries(out)

@@ -8,18 +8,25 @@ from math import factorial
 import pytest
 
 from habiro.asym import (
+    _MAIN_TERMS,
+    _main_term,
     log_positive_int,
-    main_term_log,
     make_profile,
     profile_for_family,
     ratio_diagnostics,
 )
-from habiro.exact import IntervalReal
+from habiro.cli import TRANSFORM_ROWS
+from habiro.exact import DEFAULT_PRECISION, IntervalReal
 from habiro.families import FamilySpec, expand_fishburn, identity_for
 from habiro.qseries import TruncatedSeries
 from habiro.thetaside import b_sequence, c_sequence, xi_from_theta
 
 PREC = 96
+
+
+def main_term_log(p, n, precision=DEFAULT_PRECISION, which="one-minus-q"):
+    """The main term at one n, its n-free factors built for that n alone."""
+    return _main_term(p, precision, which)(n)
 
 
 def overlaps(a: IntervalReal, b: IntervalReal) -> bool:
@@ -144,6 +151,52 @@ def test_transform_rejects_unknown_kind():
 
 
 # -- ratio diagnostics -------------------------------------------------------
+
+
+def _main_term_log_ref(p, n, precision, which):
+    """The main term with every factor rebuilt at n, each added in the package's order."""
+    slope, x_weight = _MAIN_TERMS[which]
+    pi = IntervalReal.pi(precision)
+    M = IntervalReal.from_int(p.period, precision)
+    total = (M / (pi * (2 * p.k_nu))).log() * (2 * n + p.nu + 1)
+    total = total + abs(p.g).log()
+    total = total + IntervalReal.from_int(2, precision).log() * (slope * n + p.nu)
+    total = total + log_positive_int(factorial(n), precision)
+    total = total + IntervalReal.from_int(n, precision).log() * Fraction(2 * p.nu - 1, 2)
+    if x_weight:
+        x = pi * pi * IntervalReal.from_rational(
+            Fraction(p.b * p.k_nu**2, 2 * p.period**2), precision
+        )
+        total = total + x * x_weight
+    total = total - IntervalReal.from_int(p.b, precision).log() * n
+    total = total - (pi * M).log() * Fraction(1, 2)
+    return p.sign(), total
+
+
+@pytest.mark.parametrize(
+    "spec", [FamilySpec.fishburn(), FamilySpec.torus2(5, 2), FamilySpec.habiro_g(4)],
+    ids=lambda s: s.label(),
+)
+@pytest.mark.parametrize("which", list(TRANSFORM_ROWS))
+def test_ratio_samples_match_the_main_term_rebuilt_at_each_n(spec, which):
+    # The factors that do not depend on n are built once per call; every
+    # sample must still have the endpoints of the main term built afresh at n.
+    ident = identity_for(spec)
+    row = TRANSFORM_ROWS[which](xi_from_theta(c_sequence(ident, 40), 40, ident.a, ident.b))
+    p = profile_for_family(spec)
+    ns = [1, 2, 7, 20, 33, 40]
+    samples = ratio_diagnostics(row, p, ns, which=which)
+    assert [s.n for s in samples] == ns
+    for sample in samples:
+        sign, log_main = _main_term_log_ref(p, sample.n, DEFAULT_PRECISION, which)
+        assert main_term_log(p, sample.n, which=which)[1].ival == log_main.ival
+        c = row.coefficient(sample.n)
+        assert sample.zero_coefficient == (c == 0)
+        if c:
+            want = (log_positive_int(abs(c)) - log_main).exp()
+            if (1 if c > 0 else -1) * sign < 0:
+                want = -want
+            assert (sample.ratio.ival, sample.ratio.prec) == (want.ival, want.prec)
 
 
 def test_fishburn_ratios_converge_and_correction_helps():

@@ -11,6 +11,7 @@ from transform_ref import binomial_transform_ref, transform_g_ref, transform_h_r
 
 from habiro.qseries import (
     TruncatedSeries,
+    _pascal_heads,
     binomial_transform,
     mul_trunc_int,
     one_minus_power_int,
@@ -200,6 +201,27 @@ def test_transforms_match_their_defining_sums(coeffs):
     xi = TruncatedSeries(coeffs)
     for transform, ref in TRANSFORM_REFS:
         assert transform(xi) == TruncatedSeries(ref(coeffs))
+
+
+def _heads_by_definition(row, weights):
+    row = list(row)
+    heads = row[:1]
+    for w in weights:
+        row = [w * x + y for x, y in zip(row, row[1:])]
+        heads.append(row[0])
+    return heads
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), row=st.one_of(st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=40),
+                                     st.lists(coefficient, min_size=1, max_size=40)))
+def test_unit_weight_steps_match_the_weighted_step(data, row):
+    # Steps of weight 1 and -1 add or subtract adjacent entries; the heads,
+    # and whether each is an int or a Fraction, are those of w*x + y.
+    weights = data.draw(st.lists(st.sampled_from([1, -1, 3]), max_size=len(row) - 1))
+    got = _pascal_heads(row, weights)
+    want = _heads_by_definition(row, weights)
+    assert [(type(h), h) for h in got] == [(type(h), h) for h in want]
 
 
 def test_integer_coeffs_guard():

@@ -299,6 +299,30 @@ def test_check_count_requests_every_zeta_enclosure(monkeypatch):
         assert len(requests) == 71
 
 
+def test_members_sharing_a_table_ask_each_enclosure_once(monkeypatch):
+    # A sweep's members walk the same (n, prec) keys; with one table each key
+    # reaches zeta_interval once, and every check count and cap failure is the
+    # one a member bounded alone gets.
+    real_zeta = sc.zeta_interval
+    requests = []
+
+    def noting_zeta(s, prec):
+        requests.append((s, prec))
+        return real_zeta(s, prec)
+
+    specs = [FamilySpec.torus32t(t) for t in (100, 101, 40, 150)] + [FamilySpec.torus2(5, 2)]
+    for cap in (16, 64, 4096):
+        alone = [_n_bound_outcome(family_n_bound, spec, cap) for spec in specs]
+        monkeypatch.setattr(sc, "zeta_interval", noting_zeta)
+        zetas, requests[:] = {}, []
+        shared = [_n_bound_outcome(lambda spec, cap: family_n_bound(spec, cap, zetas), spec, cap)
+                  for spec in specs]
+        monkeypatch.setattr(sc, "zeta_interval", real_zeta)
+        assert shared == alone, cap
+        assert sorted(requests) == sorted(set(requests)) == sorted((2 * n + 2, p) for n, p in zetas)
+    assert zetas[0, 64] is real_zeta(2, 64)
+
+
 def test_zeta_body_runs_once_per_distinct_argument_pair(monkeypatch):
     real_even = zeta_module.zeta_even
     real_zeta = sc.zeta_interval
@@ -437,7 +461,7 @@ def test_zero_sign_test_counts_as_nonnegative():
 
 
 def test_precision_cap_becomes_undecided_verdict(monkeypatch):
-    def boom(spec, cap):
+    def boom(spec, cap, zetas):
         raise PrecisionCapError("sign of check-count bound undecided", cap)
 
     monkeypatch.setattr(sc, "family_n_bound", boom)

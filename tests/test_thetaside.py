@@ -681,6 +681,20 @@ def test_one_pass_xi_rejects_c_off_by_one_over_a_large_prime(spec, n, data, p):
         xi_from_theta(tuple(c), n, ident.a, ident.b)
 
 
+@settings(max_examples=60, deadline=None)
+@given(spec=MEMBERS, n=st.integers(0, 60), data=st.data())
+def test_one_pass_xi_rejects_c_off_by_a_power_of_two(spec, n, data):
+    # The power of two in L n! b**n is shifted out before the division, so a
+    # head that is no multiple of it must be caught by its low bits.
+    ident = identity_for(spec)
+    c = list(c_sequence(ident, n))
+    k = data.draw(st.integers(0, n))
+    j = data.draw(st.integers(1, 3 * n + 80))
+    c[k] += data.draw(st.sampled_from([1, -1])) * Fraction(1, 2**j)
+    with pytest.raises(ValueError, match="integrality"):
+        xi_from_theta(tuple(c), n, ident.a, ident.b)
+
+
 def test_c_sign_stabilization_fishburn():
     # Required sign (-1)**nu * G = +1 here, and the bound module later pins
     # the threshold at 0, so every C value must already be positive.
