@@ -259,8 +259,7 @@ def _verdict_json(v) -> dict:
 
 def cmd_verify(args) -> int:
     varied, every_ell, specs = _verify_specs(args)
-    zetas: dict = {}  # the members share their zeta enclosures, see family_n_bound
-    verdicts = [verify_positivity(spec, cap=args.precision_cap, zetas=zetas) for spec in specs]
+    verdicts = [verify_positivity(spec, cap=args.precision_cap) for spec in specs]
 
     def shown(v) -> str:
         return "-" if v.verdict == "undecided-at-precision-cap" else str(v.n_used)

@@ -108,11 +108,9 @@ def bernoulli_poly(ks: list[int], ps: list[int], q: int) -> list[tuple[list[int]
     # An index 2 above the one before it takes that index's terms times
     # C(k,j) / C(k-2,j) = k(k-1) / ((k-j)(k-j-1)), plus one new term, so a
     # run of indices builds each (P_j B_j) q1**j once.
+    # Each point's Horner multipliers p**2 P_j / P_(j-2) are formed once per call.
     nums, growth = table.numerators, table.growth[4 : ks[-1] + 1 : 2]
-    # Several indices read each point's Horner multipliers p**2 P_j / P_(j-2),
-    # so they are formed once per call.  One index reads each once, and forms
-    # it as it reads it: a list built first costs a lone index more than it saves.
-    mults = [[pp * g for g in growth] for pp in [p * p for p in ps]] if len(ks) > 1 else None
+    mults = [[pp * g for g in growth] for pp in [p * p for p in ps]]
     e = (q & -q).bit_length() - 1
     q1sq = (q >> e) ** 2
     out = []
@@ -140,15 +138,10 @@ def bernoulli_poly(ks: list[int], ps: list[int], q: int) -> list[tuple[list[int]
                 q1pow *= q1sq
         step2 = k * (k - 1) // 2 * q * q
         values = []
-        for i, p in enumerate(ps):
-            pp = p * p
-            acc = 6 * pp - 3 * k * p * q + step2
-            if mults is None:
-                for g, t in zip(growth, terms):
-                    acc = acc * (pp * g) + t
-            else:
-                for m, t in zip(mults[i], terms):
-                    acc = acc * m + t
+        for p, ms in zip(ps, mults):
+            acc = 6 * p * p - 3 * k * p * q + step2
+            for m, t in zip(ms, terms):
+                acc = acc * m + t
             values.append(acc * p if k % 2 else acc)  # odd step k has no term; P_k = P_(k-1)
         out.append((values, den))
     return out

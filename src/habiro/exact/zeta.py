@@ -23,11 +23,11 @@ def zeta_even(k: int) -> Fraction:
 
 
 # Callers ask for the same (s, prec) again and again; the bound keeps a
-# long-running process from holding every enclosure it ever made.  A verify
-# sweep walks more keys than that for each member, so it keeps its own table
-# of enclosures for as long as it runs (signcheck.family_n_bound) and asks
-# here once per key.
-@lru_cache(maxsize=1024)
+# long-running process from holding every enclosure it ever made.  Each member
+# of a verify sweep walks the same keys from n = 0, so the bound must hold the
+# widest member's walk, or every key is evicted before the next member reads
+# it.  torus32t(t) walks 1,535 keys at t = 800 and 5,028 at t = 2000.
+@lru_cache(maxsize=8192)
 def zeta_interval(s: int, prec: int = DEFAULT_PRECISION) -> IntervalReal:
     """Enclosure of zeta(s) for an integer s >= 2, memoized per (s, prec).
 

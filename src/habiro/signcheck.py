@@ -83,10 +83,9 @@ def _sin_pi(num: int, den: int, prec: int) -> tuple:
 def _zeta_cuts(zeta_ival: tuple, prec: int) -> tuple:
     """zeta.hi - (1 - 2**-prec) and zeta.lo - (1 + 2**(1-prec)), per zeta enclosure.
 
-    Keyed by the enclosure, so it serves every caller of _excess_sign, with or
-    without a sweep's table of enclosures; bounded as zeta_interval's memo is.
-    A sweep that walks more enclosures than that rebuilds a cut pair, two
-    subtractions, and never the enclosure itself.
+    Keyed by the enclosure, not by (s, prec), so the check-count loop still
+    asks zeta_interval at every step; bounded as zeta_interval's memo is, so
+    a sweep whose enclosures that memo holds finds their cut pairs here too.
     """
     z_lo, z_hi = zeta_ival
     return (mpf_sub(z_hi, from_man_exp((1 << prec) - 1, -prec)),
@@ -109,28 +108,20 @@ def _excess_sign(zeta_and_sin: tuple) -> int:
     return int(mpf_le(s_hi, above))
 
 
-def family_n_bound(spec: FamilySpec, cap: int = PRECISION_CAP, zetas: dict | None = None) -> int:
+def family_n_bound(spec: FamilySpec, cap: int = PRECISION_CAP) -> int:
     """Check count for a built-in family: the first n with zeta(2n+2) - sin(pi*theta) < 1.
 
-    A family without an angle needs its single check.  zetas maps (n, prec) to
-    the enclosure of zeta(2n+2) at prec bits.  The members of a sweep share one
-    such table and walk the same keys, so each enclosure is built once per
-    sweep however many keys it walks; without one, a fresh table is used.
+    A family without an angle needs its single check.
     """
     angle = FAMILIES[spec.kind].angle(*spec.args)
     if angle is None:
         return 1
     num, den = angle.numerator, angle.denominator
-    if zetas is None:
-        zetas = {}
 
     n = 0
 
     def excess(prec: int) -> tuple:  # at the loop's current n
-        zeta = zetas.get((n, prec))
-        if zeta is None:
-            zeta = zetas[n, prec] = zeta_interval(2 * n + 2, prec)
-        return zeta, _sin_pi(num, den, prec)
+        return zeta_interval(2 * n + 2, prec), _sin_pi(num, den, prec)
 
     while decide_sign(excess, DEFAULT_PRECISION, cap, f"check-count bound at n={n}",
                       _excess_sign) > 0:
@@ -167,6 +158,17 @@ class PositivityVerdict:
             raise ValueError("proved-positive requires every check to pass")
 
 
+@cache
+def _check(n: int, sign: int) -> tuple[int, int, bool]:
+    """The record of sign test n, one object per (n, sign).
+
+    The members of a sweep pass the same leading tests alike, so their
+    verdicts share these records: the verdicts of `verify --family torus32t
+    --t 401:800` hold 119,600 checks, 399 of them distinct.
+    """
+    return n, sign, sign >= 0
+
+
 def verdict_for_identity(
     family: str,
     params: dict,
@@ -184,22 +186,19 @@ def verdict_for_identity(
         sign = bernoulli_sign_test(ident, n)
         if sign == 0:
             notes.append(f"sign test returned zero at n={n}; accepted as nonnegative")
-        checks.append((n, sign, sign >= 0))
+        checks.append(_check(n, sign))
     verdict = "proved-positive" if all(ok for _, _, ok in checks) else "condition-failed"
     return PositivityVerdict(family, params, n_used, tuple(checks), verdict, "; ".join(notes))
 
 
-def verify_positivity(
-    spec: FamilySpec, cap: int = PRECISION_CAP, zetas: dict | None = None
-) -> PositivityVerdict:
+def verify_positivity(spec: FamilySpec, cap: int = PRECISION_CAP) -> PositivityVerdict:
     """Certify that every coefficient of a built-in family is positive.
 
     The member's identity is built only when a sign test runs: with a check
-    count of 0 the tail bound alone proves positivity.  zetas is the sweep's
-    table of zeta enclosures (see family_n_bound).
+    count of 0 the tail bound alone proves positivity.
     """
     try:
-        n_used = family_n_bound(spec, cap, zetas)
+        n_used = family_n_bound(spec, cap)
     except PrecisionCapError as err:
         return PositivityVerdict(
             spec.kind, spec.params(), 0, (), "undecided-at-precision-cap", str(err)

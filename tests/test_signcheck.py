@@ -299,28 +299,17 @@ def test_check_count_requests_every_zeta_enclosure(monkeypatch):
         assert len(requests) == 71
 
 
-def test_members_sharing_a_table_ask_each_enclosure_once(monkeypatch):
-    # A sweep's members walk the same (n, prec) keys; with one table each key
-    # reaches zeta_interval once, and every check count and cap failure is the
-    # one a member bounded alone gets.
-    real_zeta = sc.zeta_interval
-    requests = []
-
-    def noting_zeta(s, prec):
-        requests.append((s, prec))
-        return real_zeta(s, prec)
-
-    specs = [FamilySpec.torus32t(t) for t in (100, 101, 40, 150)] + [FamilySpec.torus2(5, 2)]
-    for cap in (16, 64, 4096):
-        alone = [_n_bound_outcome(family_n_bound, spec, cap) for spec in specs]
-        monkeypatch.setattr(sc, "zeta_interval", noting_zeta)
-        zetas, requests[:] = {}, []
-        shared = [_n_bound_outcome(lambda spec, cap: family_n_bound(spec, cap, zetas), spec, cap)
-                  for spec in specs]
-        monkeypatch.setattr(sc, "zeta_interval", real_zeta)
-        assert shared == alone, cap
-        assert sorted(requests) == sorted(set(requests)) == sorted((2 * n + 2, p) for n, p in zetas)
-    assert zetas[0, 64] is real_zeta(2, 64)
+def test_wide_sweep_members_find_every_enclosure_memoized():
+    # torus32t(600) walks 1,035 (n, prec) keys, more than a 1,024-entry memo
+    # holds.  The next member of its sweep walks the same keys from n = 0, so
+    # it finds every enclosure and cut pair built, or rebuilds them all.
+    zeta_interval.cache_clear()
+    sc._zeta_cuts.cache_clear()
+    assert family_n_bound(FamilySpec.torus32t(600)) == 299
+    assert zeta_interval.cache_info().misses > 1024
+    built = [memo.cache_info().misses for memo in (zeta_interval, sc._zeta_cuts)]
+    assert family_n_bound(FamilySpec.torus32t(601)) == 299
+    assert [memo.cache_info().misses for memo in (zeta_interval, sc._zeta_cuts)] == built
 
 
 def test_zeta_body_runs_once_per_distinct_argument_pair(monkeypatch):
@@ -424,6 +413,13 @@ def test_identity_is_built_only_when_a_sign_test_runs(monkeypatch):
     assert built == [FamilySpec.torus32t(3)]
 
 
+def test_members_share_their_check_records():
+    # The records are shared objects, so they must compare as freshly built ones.
+    a, b = (verify_positivity(FamilySpec.torus32t(t)) for t in (40, 42))
+    assert a.checks == tuple((n, 1, True) for n in range(a.n_used))
+    assert all(x is y for x, y in zip(a.checks, b.checks)) and b.n_used > a.n_used
+
+
 def test_verdict_sweeps():
     for t in range(1, 13):
         assert verify_positivity(FamilySpec.torus32t(t)).verdict == "proved-positive"
@@ -461,7 +457,7 @@ def test_zero_sign_test_counts_as_nonnegative():
 
 
 def test_precision_cap_becomes_undecided_verdict(monkeypatch):
-    def boom(spec, cap, zetas):
+    def boom(spec, cap):
         raise PrecisionCapError("sign of check-count bound undecided", cap)
 
     monkeypatch.setattr(sc, "family_n_bound", boom)
