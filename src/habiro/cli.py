@@ -251,7 +251,7 @@ def _verify_specs(args) -> tuple[str, bool, list[FamilySpec]]:
 
 def _verdict_json(v) -> dict:
     out = {"family": v.family, "params": v.params, "N_used": v.n_used,
-           "checks": v.checks, "verdict": v.verdict}
+           "checks": [[n, s, s >= 0] for n, s in enumerate(v.signs)], "verdict": v.verdict}
     if v.note:
         out["note"] = v.note
     return out

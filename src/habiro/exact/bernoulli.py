@@ -108,9 +108,10 @@ def bernoulli_poly(ks: list[int], ps: list[int], q: int) -> list[tuple[list[int]
     # An index 2 above the one before it takes that index's terms times
     # C(k,j) / C(k-2,j) = k(k-1) / ((k-j)(k-j-1)), plus one new term, so a
     # run of indices builds each (P_j B_j) q1**j once.
-    # Each point's Horner multipliers p**2 P_j / P_(j-2) are formed once per call.
+    # Each point's Horner multipliers p**2 P_j / P_(j-2) are formed once per
+    # call, and only when an index reaches 4: most sign-test calls stop at k = 2.
     nums, growth = table.numerators, table.growth[4 : ks[-1] + 1 : 2]
-    mults = [[pp * g for g in growth] for pp in [p * p for p in ps]]
+    mults = [[pp * g for g in growth] for pp in [p * p for p in ps]] if growth else [()] * len(ps)
     e = (q & -q).bit_length() - 1
     q1sq = (q >> e) ** 2
     out = []

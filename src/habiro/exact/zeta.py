@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 from mpmath.libmp import fone, fzero, mpi_add, mpi_div, mpi_mul, mpi_pow
@@ -22,17 +21,8 @@ def zeta_even(k: int) -> Fraction:
     return Fraction(r)
 
 
-# Callers ask for the same (s, prec) again and again; the bound keeps a
-# long-running process from holding every enclosure it ever made.  Each member
-# of a verify sweep walks the same keys from n = 0, so the bound must hold the
-# widest member's walk, or every key is evicted before the next member reads
-# it.  torus32t(t) walks 1,535 keys at t = 800 and 5,028 at t = 2000.
-@lru_cache(maxsize=8192)
 def zeta_interval(s: int, prec: int = DEFAULT_PRECISION) -> IntervalReal:
-    """Enclosure of zeta(s) for an integer s >= 2, memoized per (s, prec).
-
-    Callers share the returned IntervalReal, which no operation mutates.
-    """
+    """Enclosure of zeta(s) for an integer s >= 2."""
     if s < 2:
         raise ValueError("argument must be an integer >= 2")
     if s % 2 == 0:

@@ -79,30 +79,33 @@ def _sin_pi(num: int, den: int, prec: int) -> tuple:
     return (IntervalReal.pi(prec) * Fraction(num, den)).sin().ival
 
 
-@lru_cache(maxsize=zeta_interval.cache_info().maxsize)
-def _zeta_cuts(zeta_ival: tuple, prec: int) -> tuple:
-    """zeta.hi - (1 - 2**-prec) and zeta.lo - (1 + 2**(1-prec)), per zeta enclosure.
-
-    Keyed by the enclosure, not by (s, prec), so the check-count loop still
-    asks zeta_interval at every step; bounded as zeta_interval's memo is, so
-    a sweep whose enclosures that memo holds finds their cut pairs here too.
-    """
-    z_lo, z_hi = zeta_ival
+def _cuts(zeta: IntervalReal) -> tuple:
+    """zeta.hi - (1 - 2**-p) and zeta.lo - (1 + 2**(1-p)), p the enclosure's own precision."""
+    (z_lo, z_hi), prec = zeta.ival, zeta.prec
     return (mpf_sub(z_hi, from_man_exp((1 << prec) - 1, -prec)),
             mpf_sub(z_lo, from_man_exp((1 << (prec - 1)) + 1, 1 - prec)))
 
 
-def _excess_sign(zeta_and_sin: tuple) -> int:
+# Each member of a verify sweep walks the same (s, prec) keys from n = 0, so the
+# bound must hold the widest member's walk, or every key is evicted before the
+# next member reads it.  torus32t(t) walks 1,535 keys at t = 800 and 5,028 at
+# t = 2000.
+@lru_cache(maxsize=8192)
+def _zeta_cuts(s: int, prec: int) -> tuple:
+    """The cut points of zeta(s)'s enclosure at prec bits, built once per (s, prec)."""
+    return _cuts(zeta_interval(s, prec))
+
+
+def _excess_sign(cuts_and_sin: tuple) -> int:
     """Sign of the interval (zeta - S) - 1 IntervalReal builds at zeta's precision, 0 if it holds 0.
 
     With p bits, mpmath's correctly rounded subtractions give that difference
     a negative upper end exactly when zeta.hi - S.lo <= 1 - 2**-p, and a
     positive lower end exactly when zeta.lo - S.hi >= 1 + 2**(1-p).  So S's
-    endpoints are compared with two exact cut points of zeta, and no interval
+    endpoints are compared with zeta's two exact cut points, and no interval
     is built.
     """
-    zeta, (s_lo, s_hi) = zeta_and_sin
-    below, above = _zeta_cuts(zeta.ival, zeta.prec)
+    (below, above), (s_lo, s_hi) = cuts_and_sin
     if mpf_ge(s_lo, below):
         return -1
     return int(mpf_le(s_hi, above))
@@ -121,7 +124,7 @@ def family_n_bound(spec: FamilySpec, cap: int = PRECISION_CAP) -> int:
     n = 0
 
     def excess(prec: int) -> tuple:  # at the loop's current n
-        return zeta_interval(2 * n + 2, prec), _sin_pi(num, den, prec)
+        return _zeta_cuts(2 * n + 2, prec), _sin_pi(num, den, prec)
 
     while decide_sign(excess, DEFAULT_PRECISION, cap, f"check-count bound at n={n}",
                       _excess_sign) > 0:
@@ -147,26 +150,15 @@ class PositivityVerdict:
     family: str
     params: dict
     n_used: int
-    checks: tuple[tuple[int, int, bool], ...]
+    signs: tuple[int, ...]  # of the sign tests n = 0, 1, ...
     verdict: str
     note: str = ""
 
     def __post_init__(self):
         if self.verdict not in VERDICTS:
             raise ValueError("unknown verdict")
-        if self.verdict == "proved-positive" and not all(ok for _, _, ok in self.checks):
+        if self.verdict == "proved-positive" and not all(s >= 0 for s in self.signs):
             raise ValueError("proved-positive requires every check to pass")
-
-
-@cache
-def _check(n: int, sign: int) -> tuple[int, int, bool]:
-    """The record of sign test n, one object per (n, sign).
-
-    The members of a sweep pass the same leading tests alike, so their
-    verdicts share these records: the verdicts of `verify --family torus32t
-    --t 401:800` hold 119,600 checks, 399 of them distinct.
-    """
-    return n, sign, sign >= 0
 
 
 def verdict_for_identity(
@@ -180,15 +172,11 @@ def verdict_for_identity(
     A zero test value counts as passing under the built-in families'
     nonnegativity phrasing.
     """
-    checks = []
-    notes = []
-    for n in range(n_used):
-        sign = bernoulli_sign_test(ident, n)
-        if sign == 0:
-            notes.append(f"sign test returned zero at n={n}; accepted as nonnegative")
-        checks.append(_check(n, sign))
-    verdict = "proved-positive" if all(ok for _, _, ok in checks) else "condition-failed"
-    return PositivityVerdict(family, params, n_used, tuple(checks), verdict, "; ".join(notes))
+    signs = tuple(bernoulli_sign_test(ident, n) for n in range(n_used))
+    notes = [f"sign test returned zero at n={n}; accepted as nonnegative"
+             for n, sign in enumerate(signs) if sign == 0]
+    verdict = "proved-positive" if all(s >= 0 for s in signs) else "condition-failed"
+    return PositivityVerdict(family, params, n_used, signs, verdict, "; ".join(notes))
 
 
 def verify_positivity(spec: FamilySpec, cap: int = PRECISION_CAP) -> PositivityVerdict:

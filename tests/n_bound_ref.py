@@ -2,8 +2,7 @@
 
 This is the tail-bound loop as it read before its enclosures were shared: at
 every n and every precision it builds pi, the angle, sin(pi*theta) and
-zeta(2n+2) afresh, calls the uncached body of zeta_interval, and compares
-with 1 through IntervalReal's own coercion.  It is the reference the memoized
+zeta(2n+2) afresh, and compares with 1 through IntervalReal's own coercion.  It is the reference the memoized
 habiro.signcheck.family_n_bound is compared against.
 """
 
@@ -16,8 +15,6 @@ from habiro.exact import (
     decide_sign,
     zeta_interval,
 )
-
-_zeta_uncached = zeta_interval.__wrapped__
 
 
 def family_n_bound_ref(spec, precision: int = DEFAULT_PRECISION, cap: int = PRECISION_CAP) -> int:
@@ -33,7 +30,7 @@ def family_n_bound_ref(spec, precision: int = DEFAULT_PRECISION, cap: int = PREC
     def excess(n: int):
         def value(prec: int) -> IntervalReal:
             theta = IntervalReal.pi(prec) * angle
-            return _zeta_uncached(2 * n + 2, prec) - theta.sin()
+            return zeta_interval(2 * n + 2, prec) - theta.sin()
 
         return value
 

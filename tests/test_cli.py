@@ -13,6 +13,7 @@ import habiro.cli as cli
 import habiro.families as families
 import habiro.thetaside as thetaside
 from habiro.cli import main
+from habiro.signcheck import PositivityVerdict
 
 pytestmark = pytest.mark.usefixtures("isolated_cache")
 
@@ -330,6 +331,12 @@ def test_verify_json_rows(capsys):
     assert [r["params"] for r in rows] == [{"t": 3}, {"t": 4}]
     assert all(r["verdict"] == "proved-positive" for r in rows)
     assert rows[0]["N_used"] == 1 and rows[0]["checks"] == [[0, 1, True]]
+
+
+def test_verdict_json_records_each_sign_test():
+    # A verdict keeps only its signs; the JSON row gives each test's index and pass flag.
+    v = PositivityVerdict("custom", {}, 3, (1, 0, -1), "condition-failed")
+    assert cli._verdict_json(v)["checks"] == [[0, 1, True], [1, 0, True], [2, -1, False]]
 
 
 VERIFY_DIGESTS = json.loads(

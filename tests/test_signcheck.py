@@ -228,9 +228,10 @@ def test_cut_points_classify_as_the_interval_difference():
             sin = (IntervalReal.pi(prec) * angle).sin()
             for n in range(31):
                 zeta = zeta_interval(2 * n + 2, prec)
+                assert sc._zeta_cuts(2 * n + 2, prec) == sc._cuts(zeta)
                 diff = zeta - sin - IntervalReal.from_int(1, prec)
                 want = -1 if diff.is_negative() else int(diff.is_positive())
-                assert sc._excess_sign((zeta, sin.ival)) == want, (prec, angle, n)
+                assert sc._excess_sign((sc._cuts(zeta), sin.ival)) == want, (prec, angle, n)
                 seen[want] += 1
     assert set(seen) == {-1, 0, 1}
     # Point enclosures with zeta - S = 1 - k * 2**-prec land on and next to
@@ -244,7 +245,7 @@ def test_cut_points_classify_as_the_interval_difference():
                 diff = zeta - s - IntervalReal.from_int(1, prec)
                 want = -1 if diff.is_negative() else int(diff.is_positive())
                 assert want == (-1 if k >= 1 else int(k <= -2)), (prec, j, k)
-                assert sc._excess_sign((zeta, s.ival)) == want, (prec, j, k)
+                assert sc._excess_sign((sc._cuts(zeta), s.ival)) == want, (prec, j, k)
 
 
 def test_family_n_bound_builds_sin_once_per_precision(monkeypatch):
@@ -263,6 +264,7 @@ def test_family_n_bound_builds_sin_once_per_precision(monkeypatch):
     monkeypatch.setattr(IntervalReal, "sin", counting_sin)
     monkeypatch.setattr(sc, "zeta_interval", noting_zeta)
     sc._sin_pi.cache_clear()
+    sc._zeta_cuts.cache_clear()
     assert family_n_bound(FamilySpec.torus32t(100)) == 49
     assert len(zeta_precs) > 1  # the loop escalates past the start precision
     assert sorted(sin_precs) == sorted(zeta_precs)
@@ -278,13 +280,13 @@ def test_family_n_bound_builds_sin_once_per_precision(monkeypatch):
     assert sin_precs == []
 
 
-def test_cut_point_memo_is_bounded_as_the_zeta_memo():
-    assert sc._zeta_cuts.cache_info().maxsize == zeta_interval.cache_info().maxsize
+def test_cut_point_memo_is_bounded():
+    assert sc._zeta_cuts.cache_info().maxsize is not None
 
 
 def test_check_count_requests_every_zeta_enclosure(monkeypatch):
-    # The cut points are memoized per enclosure, so the loop still asks
-    # zeta_interval once per step and precision: 71 requests, the count without it.
+    # The cut points are memoized per (s, prec), so a cold walk asks
+    # zeta_interval once per step and precision, 71 times, and a warm one never.
     real_zeta = sc.zeta_interval
     requests = []
 
@@ -293,41 +295,41 @@ def test_check_count_requests_every_zeta_enclosure(monkeypatch):
         return real_zeta(s, prec)
 
     monkeypatch.setattr(sc, "zeta_interval", noting_zeta)
-    for _ in range(2):  # cold and warm memos ask alike
+    sc._zeta_cuts.cache_clear()
+    for asked in (71, 0):
         requests.clear()
         assert family_n_bound(FamilySpec.torus32t(100)) == 49
-        assert len(requests) == 71
+        assert len(requests) == asked
 
 
 def test_wide_sweep_members_find_every_enclosure_memoized():
     # torus32t(600) walks 1,035 (n, prec) keys, more than a 1,024-entry memo
     # holds.  The next member of its sweep walks the same keys from n = 0, so
-    # it finds every enclosure and cut pair built, or rebuilds them all.
-    zeta_interval.cache_clear()
+    # it finds every cut pair built, or rebuilds them all.
     sc._zeta_cuts.cache_clear()
     assert family_n_bound(FamilySpec.torus32t(600)) == 299
-    assert zeta_interval.cache_info().misses > 1024
-    built = [memo.cache_info().misses for memo in (zeta_interval, sc._zeta_cuts)]
+    built = sc._zeta_cuts.cache_info().misses
+    assert built > 1024
     assert family_n_bound(FamilySpec.torus32t(601)) == 299
-    assert [memo.cache_info().misses for memo in (zeta_interval, sc._zeta_cuts)] == built
+    assert sc._zeta_cuts.cache_info().misses == built
 
 
 def test_zeta_body_runs_once_per_distinct_argument_pair(monkeypatch):
     real_even = zeta_module.zeta_even
-    real_zeta = sc.zeta_interval
+    real_cuts = sc._zeta_cuts
     body_args, requested = Counter(), Counter()
 
     def counting_even(k):
         body_args[k] += 1
         return real_even(k)
 
-    def noting_zeta(s, prec):
+    def noting_cuts(s, prec):
         requested[s, prec] += 1
-        return real_zeta(s, prec)
+        return real_cuts(s, prec)
 
     monkeypatch.setattr(zeta_module, "zeta_even", counting_even)
-    monkeypatch.setattr(sc, "zeta_interval", noting_zeta)
-    zeta_interval.cache_clear()
+    monkeypatch.setattr(sc, "_zeta_cuts", noting_cuts)
+    real_cuts.cache_clear()
     for t in (100, 101):  # two members of one verify window
         family_n_bound(FamilySpec.torus32t(t))
     assert sum(requested.values()) > len(requested)  # the members share arguments
@@ -387,13 +389,13 @@ def test_verdict_shapes():
     v = verify_positivity(FamilySpec.torus32t(3))
     assert isinstance(v, PositivityVerdict)
     assert v.n_used == 1
-    assert v.checks == ((0, 1, True),)
+    assert v.signs == (1,)
     assert v.verdict == "proved-positive"
 
 
 def test_verdict_with_no_checks_needed():
     v = verify_positivity(FamilySpec.fishburn())
-    assert v.n_used == 0 and v.checks == () and v.verdict == "proved-positive"
+    assert v.n_used == 0 and v.signs == () and v.verdict == "proved-positive"
 
 
 def test_identity_is_built_only_when_a_sign_test_runs(monkeypatch):
@@ -409,15 +411,15 @@ def test_identity_is_built_only_when_a_sign_test_runs(monkeypatch):
         assert v.n_used == 0 and v.verdict == "proved-positive"
     assert built == []
     v = verify_positivity(FamilySpec.torus32t(3))
-    assert v.n_used == 1 and v.checks == ((0, 1, True),)
+    assert v.n_used == 1 and v.signs == (1,)
     assert built == [FamilySpec.torus32t(3)]
 
 
 def test_members_share_their_check_records():
-    # The records are shared objects, so they must compare as freshly built ones.
+    # Members of a sweep pass the same leading tests alike.
     a, b = (verify_positivity(FamilySpec.torus32t(t)) for t in (40, 42))
-    assert a.checks == tuple((n, 1, True) for n in range(a.n_used))
-    assert all(x is y for x, y in zip(a.checks, b.checks)) and b.n_used > a.n_used
+    assert a.signs == (1,) * a.n_used
+    assert b.signs[:a.n_used] == a.signs and b.n_used > a.n_used
 
 
 def test_verdict_sweeps():
@@ -444,7 +446,7 @@ def test_condition_failed_for_flipped_weight():
     )
     v = verdict_for_identity("custom", {}, flipped, 1)
     assert v.verdict == "condition-failed"
-    assert v.checks == ((0, -1, False),)
+    assert v.signs == (-1,)
 
 
 def test_zero_sign_test_counts_as_nonnegative():
@@ -452,7 +454,7 @@ def test_zero_sign_test_counts_as_nonnegative():
     zero_ident = StrangeIdentity(0, 1, 0, periodic((0, 1, -2, 1)))
     assert bernoulli_sign_test(zero_ident, 0) == 0
     lax = verdict_for_identity("custom", {}, zero_ident, 1)
-    assert lax.checks[0][1] == 0 and lax.verdict == "proved-positive"
+    assert lax.signs == (0,) and lax.verdict == "proved-positive"
     assert "zero" in lax.note
 
 
@@ -463,14 +465,14 @@ def test_precision_cap_becomes_undecided_verdict(monkeypatch):
     monkeypatch.setattr(sc, "family_n_bound", boom)
     v = sc.verify_positivity(FamilySpec.torus32t(2))
     assert v.verdict == "undecided-at-precision-cap"
-    assert v.checks == ()
+    assert v.signs == ()
 
 
 def test_verdict_construction_guards():
     with pytest.raises(ValueError, match="unknown verdict"):
         PositivityVerdict("x", {}, 0, (), "maybe")
     with pytest.raises(ValueError, match="every check to pass"):
-        PositivityVerdict("x", {}, 1, ((0, -1, False),), "proved-positive")
+        PositivityVerdict("x", {}, 1, (-1,), "proved-positive")
 
 
 # -- residue-class certificates ----------------------------------------------

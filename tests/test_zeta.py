@@ -73,20 +73,6 @@ def test_interval_large_odd_argument():
     assert enc.width_fraction() <= Fraction(2) ** (1 - 128)
 
 
-def test_interval_cache_is_bounded():
-    assert zeta_interval.cache_info().maxsize is not None
-
-
-@pytest.mark.parametrize("s", [2, 3, 12, 21])
-@pytest.mark.parametrize("prec", [64, 256])
-def test_cached_interval_has_the_uncached_endpoints(s, prec):
-    cached = zeta_interval(s, prec)
-    assert zeta_interval(s, prec) is cached
-    fresh = zeta_interval.__wrapped__(s, prec)
-    assert cached.prec == fresh.prec
-    assert (cached.lo_fraction(), cached.hi_fraction()) == (fresh.lo_fraction(), fresh.hi_fraction())
-
-
 @pytest.mark.parametrize("s", [1, 0, -3])
 def test_cache_does_not_swallow_small_argument_errors(s):
     for _ in range(2):
