@@ -34,7 +34,6 @@ class AsymptoticProfile:
     """Identity data with the Fourier coefficient and first correction enclosed."""
 
     period: int
-    a: int
     b: int
     nu: int
     k_nu: int
@@ -74,7 +73,7 @@ def make_profile(
     numeric = signed_enclosure(lambda p: g_value(ident.f, ident.nu, k, p), precision, cap,
                                "Fourier coefficient enclosure kept straddling zero")
     return AsymptoticProfile(
-        ident.f.period, ident.a, ident.b, ident.nu, k, numeric, _alpha1(ident, k, precision)
+        ident.f.period, ident.b, ident.nu, k, numeric, _alpha1(ident, k, precision)
     )
 
 
@@ -137,7 +136,6 @@ class RatioSample:
 
     n: int
     ratio: IntervalReal | None
-    zero_coefficient: bool = False
 
 
 def ratio_diagnostics(
@@ -159,7 +157,7 @@ def ratio_diagnostics(
         sign, log_main = main_term(n)
         c = exact.coefficient(n)
         if c == 0:
-            out.append(RatioSample(n, None, True))
+            out.append(RatioSample(n, None))
             continue
         ratio = (log_positive_int(abs(c)) - log_main).exp()
         if correction:

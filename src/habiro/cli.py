@@ -191,20 +191,13 @@ def cmd_expand(args) -> int:
     return 0
 
 
-def _direct_route(spec: FamilySpec, N: int, cache_dir) -> list[int]:
-    # Always expanded afresh: a stale or corrupt cache row must not stand in
-    # for one side of the oracle.  The cache is only checked and extended.
-    return cached_expansion(spec, N, cache_dir, fresh=True).integer_coeffs()
-
-
-def _theta_route(spec: FamilySpec, N: int) -> list[int]:
-    return _theta_series(spec, N).integer_coeffs()
-
-
 def cmd_crosscheck(args) -> int:
     spec = _spec_from_args(args)
-    direct = _direct_route(spec, args.N, _cache_dir(args))
-    theta = _theta_route(spec, args.N)
+    # The direct row is always expanded afresh: a stale or corrupt cache row
+    # must not stand in for one side of the oracle.  The cache is only checked
+    # and extended.
+    direct = cached_expansion(spec, args.N, _cache_dir(args), fresh=True).integer_coeffs()
+    theta = _theta_series(spec, args.N).integer_coeffs()
     bad = next((n for n, (x, y) in enumerate(zip(direct, theta)) if x != y), None)
     header = ("status", "index", "direct", "theta")
 
@@ -249,11 +242,11 @@ def _verify_specs(args) -> tuple[str, bool, list[FamilySpec]]:
     return varied, every_ell, specs
 
 
-def _verdict_json(v) -> dict:
-    out = {"family": v.family, "params": v.params, "N_used": v.n_used,
-           "checks": [[n, s, s >= 0] for n, s in enumerate(v.signs)], "verdict": v.verdict}
-    if v.note:
-        out["note"] = v.note
+def _verdict_json(spec: FamilySpec, v) -> dict:
+    out = {"family": spec.kind, "params": spec.params(), "N_used": v.n_used,
+           "checks": v.checks, "verdict": v.verdict}
+    if note := v.note:
+        out["note"] = note
     return out
 
 
@@ -282,7 +275,7 @@ def cmd_verify(args) -> int:
     _emit(args, plain=plain,
           csv=lambda: [("family", "N", "verdict")] + [
               (spec.label(), shown(v), v.verdict) for spec, v in zip(specs, verdicts)],
-          json=lambda: [_verdict_json(v) for v in verdicts])
+          json=lambda: [_verdict_json(spec, v) for spec, v in zip(specs, verdicts)])
     if any(v.verdict == "condition-failed" for v in verdicts):
         return 2
     if any(v.verdict == "undecided-at-precision-cap" for v in verdicts):
@@ -303,7 +296,7 @@ def cmd_asym(args) -> int:
         series = _theta_series(spec, top)
     series = _transform_row(spec, series, args.transform, published=False)
     table = [(sample.n, _decimal_digits(series.coefficient(sample.n)),
-              None if sample.zero_coefficient else abs(sample.ratio).log().mid_float())
+              None if sample.ratio is None else abs(sample.ratio).log().mid_float())
              for sample in ratio_diagnostics(series, profile, samples, which=args.transform)]
 
     def cells():

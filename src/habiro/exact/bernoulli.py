@@ -4,12 +4,11 @@ Uses the B_1 = -1/2 convention throughout.  Even-index values come from the
 integer tangent-number triangle (Brent-Harvey), which avoids rational
 arithmetic in the quadratic-cost part of the recurrence.
 
-B_0..B_K are memoized as one table.  Beside the Fractions it holds integer
-numerators over the prefix denominators P_j = lcm(den B_0, ..., den B_j), so
-that Bernoulli polynomial values at several points p_i/q and several indices
-k come out of one integer kernel call, for each k as numerators over the one
-denominator P_k q**k, never reduced: a caller that needs only a sign, or a
-sum of values, runs no gcd.  Indices 2 apart, such as the s = 2n + nu + 1 of
+B_0..B_K are memoized as one table of integer numerators over the prefix
+denominators P_j = lcm(den B_0, ..., den B_j), so that Bernoulli polynomial
+values at several points p_i/q and several indices k come out of one integer
+kernel call, for each k as numerators over the one denominator P_k q**k, never
+reduced: a caller that needs only a sign, or a sum of values, runs no gcd.  Indices 2 apart, such as the s = 2n + nu + 1 of
 the L-values C_0..C_N, share their terms: each index rescales the terms of
 the one before by small integers, so the index-free part (P_j B_j) q**j of
 each term is built once per call, not once per index.
@@ -24,7 +23,6 @@ from typing import NamedTuple
 
 
 class _Table(NamedTuple):
-    values: tuple[Fraction, ...]  # B_j
     denominators: tuple[int, ...]  # P_j
     numerators: tuple[int, ...]  # P_j * B_j
     growth: tuple[int, ...]  # P_j / P_(j-2) for even j >= 2, else 1
@@ -33,7 +31,7 @@ class _Table(NamedTuple):
 _lock = threading.Lock()
 # Replaced, never mutated, so a reader that loads it once sees the numerators
 # and denominators of the same table.  Grown under _lock.
-_table = _Table((Fraction(1), Fraction(-1, 2)), (1, 2), (1, -1), (1, 1))
+_table = _Table((1, 2), (1, -1), (1, 1))
 
 
 def _tangent_numbers(n: int) -> list[int]:
@@ -64,18 +62,18 @@ def _build_table(top: int) -> _Table:
         dens.append(lcm(dens[-1], v.denominator))
     nums = [v.numerator * (d // v.denominator) for v, d in zip(values, dens)]
     growth = [1, 1] + [dens[j] // dens[j - 2] if j % 2 == 0 else 1 for j in range(2, top + 1)]
-    return _Table(tuple(values), tuple(dens), tuple(nums), tuple(growth))
+    return _Table(tuple(dens), tuple(nums), tuple(growth))
 
 
 def _table_through(k: int) -> _Table:
     """A table holding B_0 .. B_k, grown by doubling when it is too short."""
     global _table
     table = _table
-    if len(table.values) <= k:
+    if len(table.numerators) <= k:
         with _lock:
             table = _table
-            if len(table.values) <= k:
-                table = _table = _build_table(max(k, 2 * (len(table.values) - 1)))
+            if len(table.numerators) <= k:
+                table = _table = _build_table(max(k, 2 * (len(table.numerators) - 1)))
     return table
 
 
@@ -83,7 +81,8 @@ def bernoulli_number(k: int) -> Fraction:
     """Return B_k as a Fraction, with B_1 = -1/2."""
     if k < 0:
         raise ValueError("Bernoulli index must be nonnegative")
-    return _table_through(k).values[k]
+    table = _table_through(k)
+    return Fraction(table.numerators[k], table.denominators[k])
 
 
 def bernoulli_poly(ks: list[int], ps: list[int], q: int) -> list[tuple[list[int], int]]:

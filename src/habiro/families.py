@@ -116,27 +116,22 @@ def _q_power(e: int, order: int) -> list[int]:
     return out
 
 
-# q**e = (1-u)**e is applied as e difference passes when e <= _PASSES_MAX*order,
-# as a dense product with _q_power above.  Timed on random windows (orders
-# 20-200, 60-1200-bit coefficients; CPU time, 2-core x86-64 VM, CPython 3.11),
-# the dense product took 1.9-2.9x the passes' time at e = order/4, 0.94-1.8x at
-# e = order and 0.64-0.89x at e = 2*order up to order 100 (1.6x at order 200).
-# Whole expansions (torus2(3,1) and habiro-g(2) at N = 26-100) moved by no more
-# than the noise with limits of 1.5-4 orders.
-_PASSES_MAX = 1
-
-
 def _times_q_power(e: int, p: list[int], order: int) -> list[int]:
     """q**e * p through u**order, where q = 1-u, as a window of order + 1 entries.
 
     Each pass multiplies by 1-u in place, from p's first nonzero entry on, so
-    it costs one C-level subtraction per entry and no product; above
-    _PASSES_MAX*order it is a dense product.  e = 0 gives p itself when it is
-    already that long.
+    it costs one C-level subtraction per entry and no product; above e = order
+    it is a dense product.  e = 0 gives p itself when it is already that long.
     """
     if e == 0 and len(p) == order + 1:
         return p
-    if e > _PASSES_MAX * order:
+    # Past e = order the dense product with _q_power is used.  Timed on random
+    # windows (orders 20-200, 60-1200-bit coefficients; CPU time, 2-core x86-64
+    # VM, CPython 3.11), it took 1.9-2.9x the passes' time at e = order/4,
+    # 0.94-1.8x at e = order and 0.64-0.89x at e = 2*order up to order 100
+    # (1.6x at order 200).  Whole expansions (torus2(3,1) and habiro-g(2) at
+    # N = 26-100) moved by no more than the noise with limits of 1.5-4 orders.
+    if e > order:
         return mul_trunc_int(_q_power(e, order), p, order)
     out = p[:order + 1]
     out += [0] * (order + 1 - len(out))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 from math import gcd
 
 from mpmath.libmp import from_man_exp, mpf_ge, mpf_le, mpf_sub
@@ -33,8 +33,6 @@ from habiro.thetaside import (
     find_k_nu,
     g_value,
 )
-
-VERDICTS = ("proved-positive", "condition-failed", "undecided-at-precision-cap")
 
 
 def m_bound(
@@ -145,38 +143,41 @@ def bernoulli_sign_test(ident: StrangeIdentity, n: int) -> int:
 
 @dataclass(frozen=True)
 class PositivityVerdict:
-    """Outcome of a positivity run: which checks ran and what they decided."""
+    """Outcome of a positivity run: the signs of the sign tests it ran, or the
+    precision-cap message that stopped its check-count bound before any test.
 
-    family: str
-    params: dict
-    n_used: int
-    signs: tuple[int, ...]  # of the sign tests n = 0, 1, ...
-    verdict: str
-    note: str = ""
-
-    def __post_init__(self):
-        if self.verdict not in VERDICTS:
-            raise ValueError("unknown verdict")
-        if self.verdict == "proved-positive" and not all(s >= 0 for s in self.signs):
-            raise ValueError("proved-positive requires every check to pass")
-
-
-def verdict_for_identity(
-    family: str,
-    params: dict,
-    ident: StrangeIdentity,
-    n_used: int,
-) -> PositivityVerdict:
-    """Run the leading sign tests and fold the results into a verdict.
-
-    A zero test value counts as passing under the built-in families'
-    nonnegativity phrasing.
+    A zero sign counts as passing under the built-in families' nonnegativity
+    phrasing, so a run whose signs are all nonnegative proves positivity.
     """
-    signs = tuple(bernoulli_sign_test(ident, n) for n in range(n_used))
-    notes = [f"sign test returned zero at n={n}; accepted as nonnegative"
-             for n, sign in enumerate(signs) if sign == 0]
-    verdict = "proved-positive" if all(s >= 0 for s in signs) else "condition-failed"
-    return PositivityVerdict(family, params, n_used, signs, verdict, "; ".join(notes))
+
+    signs: tuple[int, ...] = ()  # of the sign tests n = 0, 1, ...
+    cap_message: str = ""  # empty unless the run is undecided
+
+    @property
+    def n_used(self) -> int:
+        return len(self.signs)
+
+    @property
+    def checks(self) -> list[list]:
+        """[n, sign, passed] for each sign test."""
+        return [[n, s, s >= 0] for n, s in enumerate(self.signs)]
+
+    @cached_property
+    def verdict(self) -> str:
+        if self.cap_message:
+            return "undecided-at-precision-cap"
+        return "proved-positive" if all(ok for _, _, ok in self.checks) else "condition-failed"
+
+    @property
+    def note(self) -> str:
+        return self.cap_message or "; ".join(
+            f"sign test returned zero at n={n}; accepted as nonnegative"
+            for n, s in enumerate(self.signs) if s == 0)
+
+
+def verdict_for_identity(ident: StrangeIdentity | None, n_used: int) -> PositivityVerdict:
+    """Run the leading n_used sign tests; ident may be None when n_used is 0."""
+    return PositivityVerdict(tuple(bernoulli_sign_test(ident, n) for n in range(n_used)))
 
 
 def verify_positivity(spec: FamilySpec, cap: int = PRECISION_CAP) -> PositivityVerdict:
@@ -188,12 +189,8 @@ def verify_positivity(spec: FamilySpec, cap: int = PRECISION_CAP) -> PositivityV
     try:
         n_used = family_n_bound(spec, cap)
     except PrecisionCapError as err:
-        return PositivityVerdict(
-            spec.kind, spec.params(), 0, (), "undecided-at-precision-cap", str(err)
-        )
-    if n_used == 0:
-        return PositivityVerdict(spec.kind, spec.params(), 0, (), "proved-positive")
-    return verdict_for_identity(spec.kind, spec.params(), identity_for(spec), n_used)
+        return PositivityVerdict(cap_message=str(err))
+    return verdict_for_identity(identity_for(spec) if n_used else None, n_used)
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,7 @@ def tight(x: IntervalReal, bits: int = 40) -> bool:
 def test_profiles_of_builtin_families(spec):
     p = profile_for_family(spec)
     ident = identity_for(spec)
-    assert (p.period, p.a, p.b, p.nu) == (ident.f.period, ident.a, ident.b, ident.nu)
+    assert (p.period, p.b, p.nu) == (ident.f.period, ident.b, ident.nu)
     assert p.k_nu == 1
     assert not p.g.contains_zero()
     # nu=1 weights have negative leading Fourier value, nu=0 positive; the
@@ -191,7 +191,7 @@ def test_ratio_samples_match_the_main_term_rebuilt_at_each_n(spec, which):
         sign, log_main = _main_term_log_ref(p, sample.n, DEFAULT_PRECISION, which)
         assert main_term_log(p, sample.n, which=which)[1].ival == log_main.ival
         c = row.coefficient(sample.n)
-        assert sample.zero_coefficient == (c == 0)
+        assert (sample.ratio is None) == (c == 0)
         if c:
             want = (log_positive_int(abs(c)) - log_main).exp()
             if (1 if c > 0 else -1) * sign < 0:
@@ -223,8 +223,7 @@ def test_zero_coefficient_is_reported_per_sample():
     p = profile_for_family(FamilySpec.fishburn())
     series = TruncatedSeries([1, 2, 0, 4])
     rows = ratio_diagnostics(series, p, [2, 3])
-    assert rows[0].zero_coefficient and rows[0].ratio is None
-    assert not rows[1].zero_coefficient and rows[1].ratio is not None
+    assert rows[0].ratio is None and rows[1].ratio is not None
 
 
 def test_negative_coefficient_flips_ratio_sign():

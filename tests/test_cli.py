@@ -6,6 +6,7 @@ import math
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,7 +14,10 @@ import habiro.cli as cli
 import habiro.families as families
 import habiro.thetaside as thetaside
 from habiro.cli import main
-from habiro.signcheck import PositivityVerdict
+from habiro.qseries import TruncatedSeries
+from habiro.signcheck import PositivityVerdict, verdict_for_identity
+from habiro.thetaside import StrangeIdentity
+from tests.test_thetaside import periodic
 
 pytestmark = pytest.mark.usefixtures("isolated_cache")
 
@@ -203,14 +207,14 @@ def test_torus32t_over_budget_exits_one_at_once(capsys, command):
 
 
 def test_crosscheck_reports_first_mismatch(capsys, monkeypatch):
-    real = cli._theta_route
+    real = cli._theta_series
 
-    def perturbed(spec, N):
-        out = real(spec, N)
+    def perturbed(spec, order):
+        out = real(spec, order).integer_coeffs()
         out[3] += 1
-        return out
+        return TruncatedSeries(out)
 
-    monkeypatch.setattr(cli, "_theta_route", perturbed)
+    monkeypatch.setattr(cli, "_theta_series", perturbed)
     code, out, _ = run(capsys, "crosscheck", "--family", "fishburn", "-N", "8")
     assert code == 2
     assert out == "mismatch at n=3: direct 5, theta-side 6\n"
@@ -335,8 +339,16 @@ def test_verify_json_rows(capsys):
 
 def test_verdict_json_records_each_sign_test():
     # A verdict keeps only its signs; the JSON row gives each test's index and pass flag.
-    v = PositivityVerdict("custom", {}, 3, (1, 0, -1), "condition-failed")
-    assert cli._verdict_json(v)["checks"] == [[0, 1, True], [1, 0, True], [2, -1, False]]
+    custom = SimpleNamespace(kind="custom", params=dict)
+    v = PositivityVerdict((1, 0, -1))
+    assert cli._verdict_json(custom, v)["checks"] == [[0, 1, True], [1, 0, True], [2, -1, False]]
+    # A zero sign test passes, and its note closes the row.
+    zero_ident = StrangeIdentity(0, 1, 0, periodic((0, 1, -2, 1)))
+    row = cli._verdict_json(custom, verdict_for_identity(zero_ident, 1))
+    assert list(row.items()) == [
+        ("family", "custom"), ("params", {}), ("N_used", 1), ("checks", [[0, 0, True]]),
+        ("verdict", "proved-positive"),
+        ("note", "sign test returned zero at n=0; accepted as nonnegative")]
 
 
 VERIFY_DIGESTS = json.loads(

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import habiro.cli as cli
+from habiro.qseries import TruncatedSeries
 
 ROOT = Path(__file__).resolve().parent.parent
 RUNS = json.loads((ROOT / "tests" / "data" / "cli_outputs.json").read_text())["runs"]
@@ -29,14 +30,14 @@ def replay(capsys, monkeypatch, tmp_path, args) -> tuple[int, str, str]:
 def test_cli_output_is_frozen(capsys, monkeypatch, tmp_path, entry):
     at = entry.get("theta_plus_one_at")
     if at is not None:
-        real = cli._theta_route
+        real = cli._theta_series
 
-        def perturbed(spec, N):
-            row = real(spec, N)
+        def perturbed(spec, order):
+            row = real(spec, order).integer_coeffs()
             row[at] += 1
-            return row
+            return TruncatedSeries(row)
 
-        monkeypatch.setattr(cli, "_theta_route", perturbed)
+        monkeypatch.setattr(cli, "_theta_series", perturbed)
     assert replay(capsys, monkeypatch, tmp_path, entry["args"]) == (
         entry["exit"], entry["stdout"], entry["stderr"])
 

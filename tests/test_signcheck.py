@@ -444,7 +444,7 @@ def test_condition_failed_for_flipped_weight():
         base.a, base.b, base.nu,
         PeriodicFunction(base.f.period, tuple((r, -v) for r, v in base.f.entries)),
     )
-    v = verdict_for_identity("custom", {}, flipped, 1)
+    v = verdict_for_identity(flipped, 1)
     assert v.verdict == "condition-failed"
     assert v.signs == (-1,)
 
@@ -453,7 +453,7 @@ def test_zero_sign_test_counts_as_nonnegative():
     # mean zero and vanishing first moment make the n = 0 quantity exactly zero
     zero_ident = StrangeIdentity(0, 1, 0, periodic((0, 1, -2, 1)))
     assert bernoulli_sign_test(zero_ident, 0) == 0
-    lax = verdict_for_identity("custom", {}, zero_ident, 1)
+    lax = verdict_for_identity(zero_ident, 1)
     assert lax.signs == (0,) and lax.verdict == "proved-positive"
     assert "zero" in lax.note
 
@@ -465,14 +465,8 @@ def test_precision_cap_becomes_undecided_verdict(monkeypatch):
     monkeypatch.setattr(sc, "family_n_bound", boom)
     v = sc.verify_positivity(FamilySpec.torus32t(2))
     assert v.verdict == "undecided-at-precision-cap"
-    assert v.signs == ()
-
-
-def test_verdict_construction_guards():
-    with pytest.raises(ValueError, match="unknown verdict"):
-        PositivityVerdict("x", {}, 0, (), "maybe")
-    with pytest.raises(ValueError, match="every check to pass"):
-        PositivityVerdict("x", {}, 1, (-1,), "proved-positive")
+    assert v.signs == () and v.n_used == 0
+    assert v.note == "sign of check-count bound undecided"
 
 
 # -- residue-class certificates ----------------------------------------------
