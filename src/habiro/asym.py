@@ -7,9 +7,9 @@ exact big integers enter through their bit length and top limb.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 from habiro.exact import DEFAULT_PRECISION, PRECISION_CAP, IntervalReal, signed_enclosure
 from habiro.families import FamilySpec, identity_for
@@ -29,22 +29,20 @@ def log_positive_int(x: int, precision: int = DEFAULT_PRECISION) -> IntervalReal
     return window + IntervalReal.from_int(2, precision).log() * shift
 
 
-@dataclass(frozen=True)
-class AsymptoticProfile:
+class AsymptoticProfile(NamedTuple("AsymptoticProfile", [
+        ("period", int), ("b", int), ("nu", int), ("k_nu", int),
+        ("g", IntervalReal), ("alpha1", IntervalReal)])):
     """Identity data with the Fourier coefficient and first correction enclosed."""
 
-    period: int
-    b: int
-    nu: int
-    k_nu: int
-    g: IntervalReal
-    alpha1: IntervalReal
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k_nu < 1:
+    def __new__(cls, period: int, b: int, nu: int, k_nu: int, g: IntervalReal,
+                alpha1: IntervalReal):
+        if k_nu < 1:
             raise ValueError("k_nu must be at least 1")
-        if self.g.contains_zero():
+        if g.contains_zero():
             raise ValueError("Fourier coefficient enclosure must exclude zero")
+        return tuple.__new__(cls, (period, b, nu, k_nu, g, alpha1))
 
     def sign(self) -> int:
         """Sign of the main term: the sign of (-1)**nu times the Fourier value."""
@@ -130,8 +128,7 @@ def _main_term(p: AsymptoticProfile, precision: int, which: str):
     return at
 
 
-@dataclass(frozen=True)
-class RatioSample:
+class RatioSample(NamedTuple):
     """One sampled exact-to-asymptotic ratio; ratio is None on a zero coefficient."""
 
     n: int

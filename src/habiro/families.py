@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import takewhile
 from math import comb, isqrt
@@ -35,38 +34,41 @@ mul_dense_int = mul_sparse_binomial_int = qbinomial = subst_one_minus_int = None
 _PARAMS = ("t", "m", "ell", "k")  # FamilySpec's parameter fields
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A family kind together with the integer parameters that pin one member."""
+class FamilySpec(NamedTuple("FamilySpec", [("kind", str), ("t", int | None), ("m", int | None),
+                                           ("ell", int | None), ("k", int | None)])):
+    """A family kind together with the integer parameters that pin one member.
 
-    kind: str
-    t: int | None = None
-    m: int | None = None
-    ell: int | None = None
-    k: int | None = None
-    # the parameter values in the order of the family's row, as its functions take them
-    args: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    The record compares and hashes as its five fields.  args, the parameter
+    values in the order of the family's row as its functions take them, sits
+    in the instance dict, and no attribute can be assigned.
+    """
 
-    def __post_init__(self):
-        family = FAMILIES.get(self.kind)
+    def __new__(cls, kind: str, t: int | None = None, m: int | None = None,
+                ell: int | None = None, k: int | None = None):
+        family = FAMILIES.get(kind)
         if family is None:
-            raise ValueError(f"unknown family kind: {self.kind!r}")
+            raise ValueError(f"unknown family kind: {kind!r}")
         want = family.params
-        args = tuple([getattr(self, name) for name in want])
-        given = (self.t, self.m, self.ell, self.k)
+        spec = tuple.__new__(cls, (kind, t, m, ell, k))
+        args = tuple([getattr(spec, name) for name in want])
+        given = (t, m, ell, k)
         if None in args or len(args) + given.count(None) != len(given):
             # a parameter is missing or foreign: name the first in field order
             name = next(name for name, val in zip(_PARAMS, given)
                         if (val is None) == (name in want))
             verb = "needs" if name in want else "does not take"
-            raise ValueError(f"family {self.kind} {verb} parameter {name}")
-        object.__setattr__(self, "args", args)
+            raise ValueError(f"family {kind} {verb} parameter {name}")
         for name, val in zip(want, args):
             if name == "ell":
-                if not 0 <= val <= self.m - 1:
-                    raise ValueError(f"ell must lie in [0, {self.m - 1}]")
+                if not 0 <= val <= m - 1:
+                    raise ValueError(f"ell must lie in [0, {m - 1}]")
             elif val < 1:
                 raise ValueError(f"{name} must be at least 1")
+        spec.__dict__["args"] = args
+        return spec
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @classmethod
     def fishburn(cls) -> "FamilySpec":

@@ -7,10 +7,10 @@ exactly through Bernoulli polynomial values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 from math import gcd
+from typing import NamedTuple
 
 from mpmath.libmp import from_man_exp, mpf_ge, mpf_le, mpf_sub
 
@@ -141,17 +141,22 @@ def bernoulli_sign_test(ident: StrangeIdentity, n: int) -> int:
     return sign if n % 2 else -sign
 
 
-@dataclass(frozen=True)
-class PositivityVerdict:
+class PositivityVerdict(NamedTuple("PositivityVerdict",
+                                   [("signs", tuple[int, ...]), ("cap_message", str)])):
     """Outcome of a positivity run: the signs of the sign tests it ran, or the
     precision-cap message that stopped its check-count bound before any test.
 
     A zero sign counts as passing under the built-in families' nonnegativity
-    phrasing, so a run whose signs are all nonnegative proves positivity.
+    phrasing, so a run whose signs are all nonnegative proves positivity.  The
+    verdict is cached in the instance dict; no attribute can be assigned.
     """
 
-    signs: tuple[int, ...] = ()  # of the sign tests n = 0, 1, ...
-    cap_message: str = ""  # empty unless the run is undecided
+    def __new__(cls, signs: tuple[int, ...] = (), cap_message: str = ""):
+        # signs of the sign tests n = 0, 1, ...; cap_message empty unless undecided
+        return tuple.__new__(cls, (signs, cap_message))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def n_used(self) -> int:
@@ -193,8 +198,7 @@ def verify_positivity(spec: FamilySpec, cap: int = PRECISION_CAP) -> PositivityV
     return verdict_for_identity(identity_for(spec) if n_used else None, n_used)
 
 
-@dataclass(frozen=True)
-class FamilyCertificate:
+class FamilyCertificate(NamedTuple):
     """Result of the residue-class certificate for nested-family positivity."""
 
     certified: bool

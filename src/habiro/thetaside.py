@@ -9,7 +9,6 @@ xi_from_theta makes the change of point and the Stirling step in one pass.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import accumulate, repeat, zip_longest
@@ -43,39 +42,48 @@ class _Fold(NamedTuple):
     anchor: tuple | None  # (e, q1, ((a, d, w), ...)) with p = a 2**e + d, if e >= ANCHOR_E0
 
 
-@dataclass(frozen=True)
-class PeriodicFunction:
+class PeriodicFunction(NamedTuple("PeriodicFunction",
+                                  [("period", int), ("entries", tuple[tuple[int, Fraction], ...])])):
     """Rational-valued function on the integers with a fixed period.
 
     Stored by its nonzero residues so that a few-point weight with a huge
     period stays cheap to build and sum over.  Its integer form, L the lcm of
     the values' denominators and the integers L*f(r), is worked out once at
     construction; the parity and mean tests and the folds read only that.
+    The record compares and hashes as the pair (period, entries); the integer
+    form and the folds sit in the instance dict, and no attribute can be
+    assigned.
     """
 
-    period: int
-    entries: tuple[tuple[int, Fraction], ...]
-
-    def __post_init__(self):
-        if self.period < 2:
+    def __new__(cls, period: int, entries: tuple[tuple[int, Fraction], ...]):
+        if not isinstance(period, int):
+            raise ValueError(f"period must be an integer: {period!r}")
+        if period < 2:
             raise ValueError("period must be at least 2")
         values: dict[int, Fraction] = {}
-        for r, v in self.entries:
-            if not 0 <= r < self.period:
+        for r, v in entries:
+            if not isinstance(r, int):
+                raise ValueError(f"support residue must be an integer: {r!r}")
+            if not 0 <= r < period:
                 raise ValueError("support residue out of range")
             if r in values:
                 raise ValueError("duplicate support residue")
-            values[int(r)] = v if type(v) is Fraction else Fraction(v)
+            values[r] = v if type(v) is Fraction else Fraction(v)
         kept = sorted((r, v) for r, v in values.items() if v)
         scale = lcm(*(v.denominator for _, v in kept))
-        self._set_form(tuple(kept), scale,
-                       {r: v.numerator * (scale // v.denominator) for r, v in kept})
+        return cls._with_form(period, tuple(kept), scale,
+                              {r: v.numerator * (scale // v.denominator) for r, v in kept})
 
-    def _set_form(self, entries: tuple, scale: int, ints: dict[int, int]) -> None:
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_scale", scale)  # L
-        object.__setattr__(self, "_ints", ints)  # r -> L*f(r)
-        object.__setattr__(self, "_folds", {})  # sign -> _Fold, filled by _fold
+    @classmethod
+    def _with_form(cls, period: int, entries: tuple, scale: int, ints: dict[int, int]):
+        """The weight with its integer form given, built without the checks."""
+        f = tuple.__new__(cls, (period, entries))
+        # L, r -> L*f(r), and sign -> _Fold filled by _fold
+        f.__dict__.update(_scale=scale, _ints=ints, _folds={})
+        return f
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __call__(self, n: int) -> Fraction:
         return Fraction(self._ints.get(n % self.period, 0), self._scale)
@@ -142,8 +150,8 @@ def _four_residues(period: int, minus: tuple[int, int], plus: tuple[int, int],
 
     Its integer form comes straight from the counts c, as L = the lcm of the
     den/gcd(c, den) and L*f(r) = c*L/den, and each value c/den is a Fraction
-    shared by every weight.  It skips PeriodicFunction.__post_init__, whose
-    checks hold by construction: the residues are reduced mod the period and
+    shared by every weight.  It skips PeriodicFunction's checks, which
+    hold by construction: the residues are reduced mod the period and
     counted in a dict, and every caller's period is at least 6.
     """
     counts: dict[int, int] = {}
@@ -153,11 +161,8 @@ def _four_residues(period: int, minus: tuple[int, int], plus: tuple[int, int],
         counts[r % period] = counts.get(r % period, 0) + 1
     kept = sorted((r, c) for r, c in counts.items() if c)
     scale = lcm(*(den // gcd(c, den) for _, c in kept))
-    f = object.__new__(PeriodicFunction)
-    object.__setattr__(f, "period", period)
-    f._set_form(tuple((r, _ratio(c, den)) for r, c in kept), scale,
-                {r: c * scale // den for r, c in kept})
-    return f
+    return PeriodicFunction._with_form(period, tuple((r, _ratio(c, den)) for r, c in kept), scale,
+                                       {r: c * scale // den for r, c in kept})
 
 
 def make_chi_t(t: int) -> PeriodicFunction:
@@ -190,33 +195,30 @@ def make_chi_k(k: int) -> PeriodicFunction:
     return _four_residues(period, (3 * k + 1, 3 * k + 2), (k, k + 1), 1)
 
 
-@dataclass(frozen=True)
-class StrangeIdentity:
+class StrangeIdentity(NamedTuple("StrangeIdentity", [("a", int), ("b", int), ("nu", int),
+                                                     ("f", PeriodicFunction)])):
     """Data (a, b, nu, f) tying a Habiro element to a partial theta series."""
 
-    a: int
-    b: int
-    nu: int
-    f: PeriodicFunction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a < 0:
+    def __new__(cls, a: int, b: int, nu: int, f: PeriodicFunction):
+        if a < 0:
             raise ValueError("a must be nonnegative")
-        if self.b < 1:
+        if b < 1:
             raise ValueError("b must be positive")
-        if self.nu not in (0, 1):
+        if nu not in (0, 1):
             raise ValueError("nu must be 0 or 1")
-        if not self.f.mean_is_zero():
+        if not f.mean_is_zero():
             raise ValueError("identity parameters inconsistent: weight has nonzero mean")
-        period = self.f.period
-        scan = max(lcm(period, self.b), isqrt(self.a) + 1)
+        period = f.period
+        scan = max(lcm(period, b), isqrt(a) + 1)
         for base in range(0, scan + period - 1, period):
-            for r, _ in self.f.entries:
+            for r, _ in f.entries:
                 n = base + r
                 if n >= scan:
                     continue
-                e = n * n - self.a
-                if e % self.b:
+                e = n * n - a
+                if e % b:
                     raise ValueError(
                         f"identity parameters inconsistent: non-integral exponent at n={n}"
                     )
@@ -224,6 +226,7 @@ class StrangeIdentity:
                     raise ValueError(
                         f"identity parameters inconsistent: negative exponent at n={n}"
                     )
+        return tuple.__new__(cls, (a, b, nu, f))
 
 
 def _g_terms(f: PeriodicFunction, nu: int, k: int) -> tuple[int, dict[int, Fraction]]:

@@ -80,6 +80,19 @@ def test_parameter_validation():
         make_chi_k(0)
 
 
+@pytest.mark.parametrize("period, entries, message", [
+    (1, (), "period must be at least 2"),
+    (4.0, ((1, 1),), "period must be an integer: 4.0"),
+    (4, ((1.5, 1), (3, -1)), "support residue must be an integer: 1.5"),
+    (4, ((4, 1),), "support residue out of range"),
+    (4, ((1, 1), (1, -1)), "duplicate support residue"),
+])
+def test_periodic_function_rejects_bad_data(period, entries, message):
+    with pytest.raises(ValueError) as err:
+        PeriodicFunction(period, entries)
+    assert str(err.value) == message
+
+
 def four_residue_weights():
     yield from (make_chi_t(t) for t in range(1, 201))
     yield from (make_chi_m_ell(m, ell) for m in range(1, 41) for ell in range(m))
@@ -87,7 +100,7 @@ def four_residue_weights():
 
 
 def test_four_residue_weights_match_the_validated_constructor():
-    # The family weights skip __post_init__: the validated constructor must
+    # The family weights skip the checks: the validated constructor must
     # accept their entries and give the same integer form and folds.
     for f in four_residue_weights():
         ref = PeriodicFunction(f.period, f.entries)
