@@ -199,13 +199,15 @@ def _enclosure_sign(x: IntervalReal) -> int:
 
 
 def _first_decided(
-    fn: Callable[[int], T], start: int, cap: int, message: str, sign: Callable[[T], int]
+    fn: Callable[[int], T], start: int, cap: int, message: Callable[[], str],
+    sign: Callable[[T], int],
 ) -> tuple[T, int]:
     """First value fn(prec) with a nonzero sign(value), and that sign, doubling prec from start.
 
     A start above the cap starts at the cap, so fn never sees more than cap
-    bits.  Raises PrecisionCapError(message, cap) if the value at the cap is
-    still undecided (sign 0), which is the reported outcome rather than a guess.
+    bits.  Raises PrecisionCapError(message(), cap) if the value at the cap is
+    still undecided (sign 0), which is the reported outcome rather than a
+    guess; the message is built only then.
     """
     prec = min(start, cap)
     while True:
@@ -214,7 +216,7 @@ def _first_decided(
         if s:
             return x, s
         if prec >= cap:
-            raise PrecisionCapError(message, cap)
+            raise PrecisionCapError(message(), cap)
         prec = min(2 * prec, cap)
 
 
@@ -227,19 +229,24 @@ def signed_enclosure(
     PrecisionCapError(message, cap) if the enclosure at the cap still holds
     zero.
     """
-    return _first_decided(fn, start, cap, message, _enclosure_sign)[0]
+    return _first_decided(fn, start, cap, lambda: message, _enclosure_sign)[0]
 
 
 def decide_sign(
     fn: Callable[[int], T],
     start: int = DEFAULT_PRECISION,
     cap: int = PRECISION_CAP,
-    what: str = "quantity",
+    what: str | Callable[[], str] = "quantity",
     sign: Callable[[T], int] = _enclosure_sign,
 ) -> int:
     """Sign of a provably nonzero quantity, doubling prec from start as signed_enclosure does.
 
     By default fn(prec) is an enclosure; with sign, fn(prec) is any value
-    that sign maps to -1 or 1 once decided and to 0 before.
+    that sign maps to -1 or 1 once decided and to 0 before.  what names the
+    quantity in the cap message; a loop passes a callable that names it, so
+    the name is formatted only when the cap is reached.
     """
-    return _first_decided(fn, start, cap, f"sign of {what} undecided at {cap} bits", sign)[1]
+    def message() -> str:
+        return f"sign of {what() if callable(what) else what} undecided at {cap} bits"
+
+    return _first_decided(fn, start, cap, message, sign)[1]

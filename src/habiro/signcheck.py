@@ -8,7 +8,7 @@ exactly through Bernoulli polynomial values.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache
+from functools import cache, lru_cache
 from math import gcd
 from typing import NamedTuple
 
@@ -60,21 +60,9 @@ def n_max(f: PeriodicFunction, nu: int, cap: int = PRECISION_CAP) -> int:
         return lambda prec: bound(prec) * (zeta_interval(s, prec) - 1) - 1
 
     n = 0 if nu == 1 else 1  # s = 1 has a divergent zeta value, so n = 0 never qualifies
-    while decide_sign(excess(n), DEFAULT_PRECISION, cap, f"tail bound at n={n}") > 0:
+    while decide_sign(excess(n), DEFAULT_PRECISION, cap, lambda: f"tail bound at n={n}") > 0:
         n += 1
     return n
-
-
-@lru_cache(maxsize=4096)
-def _sin_pi(num: int, den: int, prec: int) -> tuple:
-    """sin(pi*num/den)'s endpoints at a working precision, built once per (angle, precision).
-
-    The angle is keyed by its reduced numerator and denominator: a Fraction
-    key would be rehashed on every lookup.  The bound holds every angle of a
-    `--m 1:40` torus2 sweep at each precision it visits, so the members of
-    repeated sweeps share their enclosures.
-    """
-    return (IntervalReal.pi(prec) * Fraction(num, den)).sin().ival
 
 
 def _cuts(zeta: IntervalReal) -> tuple:
@@ -112,21 +100,44 @@ def _excess_sign(cuts_and_sin: tuple) -> int:
 def family_n_bound(spec: FamilySpec, cap: int = PRECISION_CAP) -> int:
     """Check count for a built-in family: the first n with zeta(2n+2) - sin(pi*theta) < 1.
 
-    A family without an angle needs its single check.
+    A family without an angle needs its single check.  Raises
+    PrecisionCapError when the cap leaves the count undecided.
     """
     angle = FAMILIES[spec.kind].angle(*spec.args)
     if angle is None:
         return 1
-    num, den = angle.numerator, angle.denominator
+    count = _check_count(angle.numerator, angle.denominator, cap)
+    if isinstance(count, str):
+        raise PrecisionCapError(count, cap)
+    return count
 
+
+# The walk depends only on the reduced angle and the cap, so the members of a
+# sweep that share theta walk once.  A --m 1:40 torus2 sweep has 678 distinct
+# angles; the bound holds several such sweeps.
+@lru_cache(maxsize=4096)
+def _check_count(num: int, den: int, cap: int) -> int | str:
+    """The check count at theta = num/den under cap, or the message of the cap error that stopped it.
+
+    The angle is keyed by its reduced numerator and denominator: a Fraction
+    key would be rehashed on every lookup.
+    """
+    angle = Fraction(num, den)
+    # one per precision the walk visits, not per n, and dropped with the walk
+    sin_pi = cache(lambda prec: (IntervalReal.pi(prec) * angle).sin().ival)
     n = 0
 
     def excess(prec: int) -> tuple:  # at the loop's current n
-        return _zeta_cuts(2 * n + 2, prec), _sin_pi(num, den, prec)
+        return _zeta_cuts(2 * n + 2, prec), sin_pi(prec)
 
-    while decide_sign(excess, DEFAULT_PRECISION, cap, f"check-count bound at n={n}",
-                      _excess_sign) > 0:
-        n += 1
+    def what() -> str:  # formatted only at the cap
+        return f"check-count bound at n={n}"
+
+    try:
+        while decide_sign(excess, DEFAULT_PRECISION, cap, what, _excess_sign) > 0:
+            n += 1
+    except PrecisionCapError as err:
+        return str(err)
     return n
 
 
@@ -148,12 +159,20 @@ class PositivityVerdict(NamedTuple("PositivityVerdict",
 
     A zero sign counts as passing under the built-in families' nonnegativity
     phrasing, so a run whose signs are all nonnegative proves positivity.  The
-    verdict is cached in the instance dict; no attribute can be assigned.
+    verdict is derived from the signs and the cap message once, when the
+    record is built, and kept in the instance dict; no attribute can be
+    assigned.
     """
 
     def __new__(cls, signs: tuple[int, ...] = (), cap_message: str = ""):
         # signs of the sign tests n = 0, 1, ...; cap_message empty unless undecided
-        return tuple.__new__(cls, (signs, cap_message))
+        self = tuple.__new__(cls, (signs, cap_message))
+        if cap_message:
+            verdict = "undecided-at-precision-cap"
+        else:
+            verdict = "proved-positive" if all(s >= 0 for s in signs) else "condition-failed"
+        self.__dict__["verdict"] = verdict
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -166,12 +185,6 @@ class PositivityVerdict(NamedTuple("PositivityVerdict",
     def checks(self) -> list[list]:
         """[n, sign, passed] for each sign test."""
         return [[n, s, s >= 0] for n, s in enumerate(self.signs)]
-
-    @cached_property
-    def verdict(self) -> str:
-        if self.cap_message:
-            return "undecided-at-precision-cap"
-        return "proved-positive" if all(ok for _, _, ok in self.checks) else "condition-failed"
 
     @property
     def note(self) -> str:

@@ -365,6 +365,23 @@ def test_verify_json_matches_frozen_digest(capsys, entry):
     assert hashlib.sha256(out.encode()).hexdigest() == entry["digest"]
 
 
+@pytest.mark.parametrize("entry", [
+    pytest.param(e, id=" ".join(e["args"]))
+    for e in VERIFY_DIGESTS if "--precision-cap" in e["args"] and not e.get("slow")
+])
+def test_capped_verify_replays_its_bytes(capsys, entry):
+    # An uncapped run of the same members memoizes their counts first; the
+    # capped sweep then runs twice, the second time reading every count and
+    # every cap failure back from the memo.
+    args = entry["args"]
+    cut = args.index("--precision-cap")
+    run(capsys, "verify", *args[:cut], *args[cut + 2:], "--format", "json")
+    for _ in range(2):
+        code, out, err = run(capsys, "verify", *args, "--format", "json")
+        assert code == entry.get("exit", 0) and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == entry["digest"]
+
+
 def test_verify_sign_tests_build_no_full_anchor_sums(capsys, monkeypatch):
     # From t = 63 the period is divisible by 2**64 and the sign tests take the
     # anchor route; they must read only the leading terms, never every term.

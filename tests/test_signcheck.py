@@ -189,12 +189,14 @@ def _n_bound_outcome(fn, spec, cap):
 def _capped_outcomes_in_both_orders(specs, caps):
     """Compare every outcome with the reference; return how many end at the cap.
 
-    The caps run upward and then downward, each from an empty sin memo, so a
-    low cap also runs with higher-precision enclosures already memoized.
+    The caps run upward and then downward, each from an empty check-count
+    memo, so a low cap also runs with higher-precision zeta enclosures
+    already memoized, and members that share theta replay the memo's count
+    or cap failure.
     """
     capped = 0
     for ordered in (caps, caps[::-1]):
-        sc._sin_pi.cache_clear()
+        sc._check_count.cache_clear()
         for cap in ordered:
             for spec in specs:
                 want = _n_bound_outcome(family_n_bound_ref, spec, cap)
@@ -263,13 +265,13 @@ def test_family_n_bound_builds_sin_once_per_precision(monkeypatch):
 
     monkeypatch.setattr(IntervalReal, "sin", counting_sin)
     monkeypatch.setattr(sc, "zeta_interval", noting_zeta)
-    sc._sin_pi.cache_clear()
+    sc._check_count.cache_clear()
     sc._zeta_cuts.cache_clear()
     assert family_n_bound(FamilySpec.torus32t(100)) == 49
     assert len(zeta_precs) > 1  # the loop escalates past the start precision
     assert sorted(sin_precs) == sorted(zeta_precs)
-    # The memo is per (theta, precision), so a member bounded again, or another
-    # member with the same reduced theta (3/9 = 1/3), builds no sin at all.
+    # The count is memoized per (theta, cap), so a member bounded again, or
+    # another member with the same reduced theta (3/9 = 1/3), builds no sin at all.
     sin_precs.clear()
     assert family_n_bound(FamilySpec.torus32t(100)) == 49
     assert sin_precs == []
@@ -297,6 +299,7 @@ def test_check_count_requests_every_zeta_enclosure(monkeypatch):
     monkeypatch.setattr(sc, "zeta_interval", noting_zeta)
     sc._zeta_cuts.cache_clear()
     for asked in (71, 0):
+        sc._check_count.cache_clear()
         requests.clear()
         assert family_n_bound(FamilySpec.torus32t(100)) == 49
         assert len(requests) == asked
@@ -306,6 +309,7 @@ def test_wide_sweep_members_find_every_enclosure_memoized():
     # torus32t(600) walks 1,035 (n, prec) keys, more than a 1,024-entry memo
     # holds.  The next member of its sweep walks the same keys from n = 0, so
     # it finds every cut pair built, or rebuilds them all.
+    sc._check_count.cache_clear()
     sc._zeta_cuts.cache_clear()
     assert family_n_bound(FamilySpec.torus32t(600)) == 299
     built = sc._zeta_cuts.cache_info().misses
@@ -330,10 +334,70 @@ def test_zeta_body_runs_once_per_distinct_argument_pair(monkeypatch):
     monkeypatch.setattr(zeta_module, "zeta_even", counting_even)
     monkeypatch.setattr(sc, "_zeta_cuts", noting_cuts)
     real_cuts.cache_clear()
+    sc._check_count.cache_clear()
     for t in (100, 101):  # two members of one verify window
         family_n_bound(FamilySpec.torus32t(t))
     assert sum(requested.values()) > len(requested)  # the members share arguments
     assert body_args == Counter(s for s, _ in requested)
+
+
+def test_members_sharing_theta_walk_once(monkeypatch):
+    # torus2(1, 0), (4, 2) and (7, 4) all have theta = 1/3, so only the first
+    # walks: the others build neither a sin nor a zeta enclosure.
+    real_sin, real_zeta = IntervalReal.sin, sc.zeta_interval
+    built = []
+
+    def counting_sin(self):
+        built.append("sin")
+        return real_sin(self)
+
+    def counting_zeta(s, prec):
+        built.append("zeta")
+        return real_zeta(s, prec)
+
+    monkeypatch.setattr(IntervalReal, "sin", counting_sin)
+    monkeypatch.setattr(sc, "zeta_interval", counting_zeta)
+    sc._check_count.cache_clear()
+    sc._zeta_cuts.cache_clear()
+    counts = []
+    for m, ell in ((1, 0), (4, 2), (7, 4)):
+        built.clear()
+        counts.append(family_n_bound(FamilySpec.torus2(m, ell)))
+        assert bool(built) == (m == 1), (m, ell)
+    assert counts == [0, 0, 0]
+
+
+def test_cap_failure_replays_from_the_memo():
+    spec, cap = FamilySpec.torus32t(2), 4
+    sc._check_count.cache_clear()
+    errors = []
+    for _ in range(2):  # a walk, then a memo hit
+        with pytest.raises(PrecisionCapError) as caught:
+            family_n_bound(spec, cap=cap)
+        errors.append((str(caught.value), caught.value.precision))
+    assert sc._check_count.cache_info().hits == 1
+    assert errors[0] == errors[1] == _n_bound_outcome(family_n_bound_ref, spec, cap)
+    assert errors[0] == ("sign of check-count bound at n=0 undecided at 4 bits", 4)
+
+
+def test_check_count_memo_is_bounded():
+    assert sc._check_count.cache_info().maxsize is not None
+
+
+def test_decide_sign_names_the_quantity_only_at_the_cap():
+    named = []
+
+    def what():
+        named.append(1)
+        return "the gap"
+
+    assert sc.decide_sign(lambda p: IntervalReal.from_int(1, p), 64, 128, what) == 1
+    assert named == []
+    with pytest.raises(PrecisionCapError) as caught:
+        sc.decide_sign(lambda p: IntervalReal.from_int(0, p), 64, 128, what)
+    assert named == [1]
+    assert str(caught.value) == "sign of the gap undecided at 128 bits"
+    assert caught.value.precision == 128
 
 
 # -- exact sign tests --------------------------------------------------------
