@@ -152,7 +152,9 @@ def ratio_diagnostics(
     out = []
     for n in ns:
         sign, log_main = main_term(n)
-        c = exact.coefficient(n)
+        if n >= len(exact):
+            raise ValueError(f"coefficient {n} lies beyond truncation order {len(exact) - 1}")
+        c = exact[n]
         if c == 0:
             out.append(RatioSample(n, None))
             continue

@@ -19,6 +19,8 @@ from habiro.signcheck import verify_positivity
 # calls it: the theta route goes from C to xi in one xi_from_theta pass.
 from habiro.thetaside import b_sequence, c_sequence, xi_from_theta
 
+_PARAMS = FamilySpec._fields[1:]  # the parameter flags, one per FamilySpec field
+
 # transform -> function that computes the row; asym's main terms take the same
 # names.  Each function reads the module global when called, so rebinding
 # transform_g or transform_h on this module reaches both expand and asym.
@@ -89,14 +91,13 @@ def _build_parser() -> _Parser:
 
     def common(p, spans: bool = False):
         p.add_argument("--family", required=True, choices=FAMILIES)
-        if spans:
-            for name in ("t", "m", "k"):
-                p.add_argument(f"--{name}", type=_span, default=None,
-                               help="single value or inclusive lo:hi range")
-            p.add_argument("--ell", type=int, default=None)
-        else:
-            for name in ("t", "m", "ell", "k"):
-                p.add_argument(f"--{name}", type=int, default=None)
+        names = _PARAMS
+        if spans:  # ell is never swept, and its flag comes last
+            names = [name for name in names if name != "ell"] + ["ell"]
+        for name in names:
+            ranged = spans and name != "ell"
+            p.add_argument(f"--{name}", type=_span if ranged else int, default=None,
+                           help="single value or inclusive lo:hi range" if ranged else None)
         p.add_argument("--format", choices=_WRITERS)
         p.add_argument("--cache-dir", default=None)
         p.add_argument("--precision-cap", type=_precision_cap, default=PRECISION_CAP)
@@ -128,8 +129,7 @@ def _build_parser() -> _Parser:
 
 
 def _spec_from_args(args) -> FamilySpec:
-    params = {name: getattr(args, name) for name in ("t", "m", "ell", "k")
-              if getattr(args, name) is not None}
+    params = {name: getattr(args, name) for name in _PARAMS if getattr(args, name) is not None}
     return FamilySpec(args.family, **params)
 
 
@@ -225,8 +225,7 @@ def _verify_specs(args) -> tuple[str, bool, list[FamilySpec]]:
     """
     kind = args.family
     varied = next(iter(FAMILIES[kind].params), "")  # the parameter a range sweeps
-    given = {name: getattr(args, name) for name in ("t", "m", "ell", "k")
-             if getattr(args, name) is not None}
+    given = {name: getattr(args, name) for name in _PARAMS if getattr(args, name) is not None}
     span = given.pop(varied, None)
     if span is None:
         # fishburn; any other family lacks its varied parameter and is rejected
@@ -295,7 +294,7 @@ def cmd_asym(args) -> int:
     else:
         series = _theta_series(spec, top)
     series = _transform_row(spec, series, args.transform, published=False)
-    table = [(sample.n, _decimal_digits(series.coefficient(sample.n)),
+    table = [(sample.n, _decimal_digits(series[sample.n]),
               None if sample.ratio is None else abs(sample.ratio).log().mid_float())
              for sample in ratio_diagnostics(series, profile, samples, which=args.transform)]
 

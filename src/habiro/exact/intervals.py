@@ -207,8 +207,11 @@ def _first_decided(
     A start above the cap starts at the cap, so fn never sees more than cap
     bits.  Raises PrecisionCapError(message(), cap) if the value at the cap is
     still undecided (sign 0), which is the reported outcome rather than a
-    guess; the message is built only then.
+    guess; the message is built only then.  A start or cap below 1 bit raises
+    ValueError before fn is called, since doubling would never reach the cap.
     """
+    if start < 1 or cap < 1:
+        raise ValueError(f"precision start {start} and cap {cap} must be at least 1 bit")
     prec = min(start, cap)
     while True:
         x = fn(prec)

@@ -31,9 +31,6 @@ from habiro.thetaside import (
 mul_dense_int = mul_sparse_binomial_int = qbinomial = subst_one_minus_int = None
 
 
-_PARAMS = ("t", "m", "ell", "k")  # FamilySpec's parameter fields
-
-
 class FamilySpec(NamedTuple("FamilySpec", [("kind", str), ("t", int | None), ("m", int | None),
                                            ("ell", int | None), ("k", int | None)])):
     """A family kind together with the integer parameters that pin one member.
@@ -51,10 +48,10 @@ class FamilySpec(NamedTuple("FamilySpec", [("kind", str), ("t", int | None), ("m
         want = family.params
         spec = tuple.__new__(cls, (kind, t, m, ell, k))
         args = tuple([getattr(spec, name) for name in want])
-        given = (t, m, ell, k)
+        given = spec[1:]
         if None in args or len(args) + given.count(None) != len(given):
             # a parameter is missing or foreign: name the first in field order
-            name = next(name for name, val in zip(_PARAMS, given)
+            name = next(name for name, val in zip(cls._fields[1:], given)
                         if (val is None) == (name in want))
             verb = "needs" if name in want else "does not take"
             raise ValueError(f"family {kind} {verb} parameter {name}")

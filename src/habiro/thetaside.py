@@ -235,21 +235,13 @@ def _g_terms(f: PeriodicFunction, nu: int, k: int) -> tuple[int, dict[int, Fract
     conductor = lcm(4, 2 * period)
     step = conductor // period
     terms: dict[int, Fraction] = {}
-    if nu == 1:
-        # 2cos(2 pi e / C) = z**e + z**-e
-        for m, v in f.entries:
-            e = (m * k * step) % conductor
-            terms[e] = terms.get(e, Fraction(0)) + v
-            terms[-e % conductor] = terms.get(-e % conductor, Fraction(0)) + v
-    else:
-        # 2sin(2 pi e / C) = z**(e + 3C/4) - z**(-e + 3C/4)
-        rot = 3 * conductor // 4
-        for m, v in f.entries:
-            e = (m * k * step) % conductor
-            p = (e + rot) % conductor
-            q = (-e + rot) % conductor
-            terms[p] = terms.get(p, Fraction(0)) + v
-            terms[q] = terms.get(q, Fraction(0)) - v
+    # 2cos(2 pi e / C) = z**e + z**-e
+    # 2sin(2 pi e / C) = z**(e + 3C/4) - z**(-e + 3C/4)
+    rot, sign = (0, 1) if nu == 1 else (3 * conductor // 4, -1)
+    for m, v in f.entries:
+        e = m * k * step
+        for key, w in (((rot + e) % conductor, v), ((rot - e) % conductor, sign * v)):
+            terms[key] = terms.get(key, Fraction(0)) + w
     return conductor, terms
 
 
@@ -484,6 +476,8 @@ def xi_from_theta(
     Given C and an identity's (a, b), the same pass also makes b_sequence's
     change of expansion point, since b**j B_j = Lam((x+a)**j).
     """
+    if N < 0:
+        raise ValueError("need a nonnegative count")
     if len(values) <= N:
         raise ValueError("values do not cover the requested range")
     # Let L be the lcm denominator of values[0..N] and W_n[i] the image of

@@ -190,7 +190,7 @@ def test_ratio_samples_match_the_main_term_rebuilt_at_each_n(spec, which):
     for sample in samples:
         sign, log_main = _main_term_log_ref(p, sample.n, DEFAULT_PRECISION, which)
         assert main_term_log(p, sample.n, which=which)[1].ival == log_main.ival
-        c = row.coefficient(sample.n)
+        c = row[sample.n]
         assert (sample.ratio is None) == (c == 0)
         if c:
             want = (log_positive_int(abs(c)) - log_main).exp()

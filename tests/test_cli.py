@@ -14,6 +14,7 @@ import habiro.cli as cli
 import habiro.families as families
 import habiro.thetaside as thetaside
 from habiro.cli import main
+from habiro.families import FamilySpec, expand_family
 from habiro.qseries import TruncatedSeries
 from habiro.signcheck import PositivityVerdict, verdict_for_identity
 from habiro.thetaside import StrangeIdentity
@@ -512,7 +513,7 @@ def test_transform_rows_call_the_function_bound_at_call_time(capsys, monkeypatch
     real = getattr(cli, name)
 
     def counted(xi):
-        calls.append(xi.order)
+        calls.append(len(xi) - 1)
         return real(xi)
 
     monkeypatch.setattr(cli, name, counted)
@@ -542,6 +543,14 @@ def test_asym_plain_format(capsys):
                        "--samples", "16", "--format", "plain")
     assert code == 0
     assert out.startswith("n=16 digits=15 log_ratio=")
+
+
+@pytest.mark.parametrize("spec", [FamilySpec.fishburn(), FamilySpec.torus32t(2),
+                                  FamilySpec.torus2(3, 1), FamilySpec.habiro_g(2)])
+def test_both_routes_build_int_coefficients(spec):
+    # nothing converts entries on the way to _decimal_digits, which takes ints
+    for series in (expand_family(spec, 12), cli._theta_series(spec, 12)):
+        assert all(type(c) is int for c in series)
 
 
 def test_decimal_digits_matches_str():

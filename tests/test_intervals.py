@@ -115,6 +115,17 @@ def test_decide_sign_start_above_the_cap_starts_at_the_cap():
     assert asked == [64, 64]
 
 
+@pytest.mark.parametrize("start, cap", [(0, 128), (-3, 128), (64, 0), (64, -1)])
+def test_decide_sign_refuses_a_start_or_cap_below_one_bit(start, cap):
+    # doubling from 0 bits or fewer never reaches the cap
+    def fn(p):
+        assert p >= 1, f"asked for {p} bits"
+        return IntervalReal.from_int(1, p)
+
+    with pytest.raises(ValueError, match="at least 1 bit"):
+        decide_sign(fn, start=start, cap=cap)
+
+
 fractions_strategy = st.fractions(
     min_value=Fraction(-1000), max_value=Fraction(1000), max_denominator=997
 )

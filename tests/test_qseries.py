@@ -41,13 +41,6 @@ def test_series_mul_truncated_geometric():
     assert mul_trunc_int([1] * (n + 1), [1, -1], n) == [1] + [0] * n
 
 
-def test_coefficient_access_beyond_order():
-    s = TruncatedSeries([1, 2])
-    assert s.coefficient(0) == 1
-    with pytest.raises(ValueError, match="beyond truncation"):
-        s.coefficient(2)
-
-
 def test_pochhammer_example():
     assert poch_at_one_minus(2, 3) == [0, 0, 2, -1]
 
@@ -146,11 +139,11 @@ def test_transform_h_fishburn_prefix():
 
 def _compose_with(xi: TruncatedSeries, inner: list) -> TruncatedSeries:
     """xi(inner(q)) through q**order, by Horner's rule on reference polynomials."""
-    n = xi.order
+    n = len(xi) - 1
     acc = {}
     for j in range(n, -1, -1):
         acc = {e: c for e, c in mul(acc, poly(*inner)).items() if e <= n}
-        acc = add(acc, poly(xi.coefficient(j)))
+        acc = add(acc, poly(xi[j]))
     return TruncatedSeries([acc.get(e, 0) for e in range(n + 1)])
 
 

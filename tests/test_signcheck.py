@@ -380,6 +380,14 @@ def test_cap_failure_replays_from_the_memo():
     assert errors[0] == ("sign of check-count bound at n=0 undecided at 4 bits", 4)
 
 
+def test_cap_below_one_bit_raises_and_is_not_memoized():
+    before = sc._check_count.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match="at least 1 bit"):
+            verify_positivity(FamilySpec.torus2(3, 1), cap=0)
+    assert sc._check_count.cache_info().currsize == before
+
+
 def test_check_count_memo_is_bounded():
     assert sc._check_count.cache_info().maxsize is not None
 

@@ -618,7 +618,7 @@ def test_b_and_xi_match_their_defining_sums():
     xi = xi_from_theta(b, 30)
     for n in range(31):
         want = sum(int(stirling(n, j, kind=1, signed=False)) * b[j] for j in range(n + 1))
-        assert xi.coefficient(n) == want / factorial(n)
+        assert xi[n] == want / factorial(n)
 
 
 def test_xi_integrality_guard():
@@ -629,6 +629,13 @@ def test_xi_integrality_guard():
         xi_from_theta((Fraction(1, 2),), 0)
     with pytest.raises(ValueError, match="cover"):
         xi_from_theta(bad, 5)
+
+
+@pytest.mark.parametrize("N", [-1, -5])
+def test_xi_from_theta_refuses_a_negative_count(N):
+    c = c_sequence(identity_for(FamilySpec.fishburn()), 4)
+    with pytest.raises(ValueError, match="need a nonnegative count"):
+        xi_from_theta(c, N)
 
 
 MEMBERS = st.one_of(
