@@ -25,13 +25,13 @@ from typing import NamedTuple
 class _Table(NamedTuple):
     denominators: tuple[int, ...]  # P_j
     numerators: tuple[int, ...]  # P_j * B_j
-    growth: tuple[int, ...]  # P_j / P_(j-2) for even j >= 2, else 1
+    steps: tuple[int, ...]  # P_j / P_(j-1), 1 at j = 0
 
 
 _lock = threading.Lock()
 # Replaced, never mutated, so a reader that loads it once sees the numerators
 # and denominators of the same table.  Grown under _lock.
-_table = _Table((1, 2), (1, -1), (1, 1))
+_table = _Table((1, 2), (1, -1), (1, 2))
 
 
 def _tangent_numbers(n: int) -> list[int]:
@@ -61,12 +61,12 @@ def _build_table(top: int) -> _Table:
     for v in values[1:]:
         dens.append(lcm(dens[-1], v.denominator))
     nums = [v.numerator * (d // v.denominator) for v, d in zip(values, dens)]
-    growth = [1, 1] + [dens[j] // dens[j - 2] if j % 2 == 0 else 1 for j in range(2, top + 1)]
-    return _Table(tuple(dens), tuple(nums), tuple(growth))
+    steps = [1] + [dens[j] // dens[j - 1] for j in range(1, top + 1)]
+    return _Table(tuple(dens), tuple(nums), tuple(steps))
 
 
-def _table_through(k: int) -> _Table:
-    """A table holding B_0 .. B_k, grown by doubling when it is too short."""
+def bernoulli_table(k: int) -> _Table:
+    """The table of B_0 .. B_k or beyond: P_j, P_j B_j and P_j / P_(j-1), grown by doubling."""
     global _table
     table = _table
     if len(table.numerators) <= k:
@@ -81,7 +81,7 @@ def bernoulli_number(k: int) -> Fraction:
     """Return B_k as a Fraction, with B_1 = -1/2."""
     if k < 0:
         raise ValueError("Bernoulli index must be nonnegative")
-    table = _table_through(k)
+    table = bernoulli_table(k)
     return Fraction(table.numerators[k], table.denominators[k])
 
 
@@ -97,20 +97,21 @@ def bernoulli_poly(ks: list[int], ps: list[int], q: int) -> list[tuple[list[int]
         raise ValueError("Bernoulli indices must be nonnegative, strictly ascending, of one parity")
     if q < 1:
         raise ValueError("denominator must be positive")
-    table = _table_through(ks[-1])
+    table = bernoulli_table(ks[-1])
     # P_k q**k B_k(p/q) = sum_j C(k,j) (P_k B_j) q**j p**(k-j) is step k of a
     # Horner loop in p whose accumulator after step j is the sum over i <= j
     # of C(k,i) (P_j B_i) q**i p**(j-i); step 2 leaves 6p**2 - 3kpq + C(k,2) q**2.
     # B_j vanishes for odd j >= 3, so the even j >= 4 take two steps at once,
-    # scaling by p**2 and by P_j / P_(j-2).  Their terms C(k,j) (P_j B_j) q**j
-    # are shared by the points; with q = q1 2**e the power of 2 is a shift.
+    # scaling by p**2 and by P_j / P_(j-2), which is the step P_j / P_(j-1)
+    # since P_(j-1) = P_(j-2).  Their terms C(k,j) (P_j B_j) q**j are shared
+    # by the points; with q = q1 2**e the power of 2 is a shift.
     # An index 2 above the one before it takes that index's terms times
     # C(k,j) / C(k-2,j) = k(k-1) / ((k-j)(k-j-1)), plus one new term, so a
     # run of indices builds each (P_j B_j) q1**j once.
     # Each point's Horner multipliers p**2 P_j / P_(j-2) are formed once per
     # call, and only when an index reaches 4: most sign-test calls stop at k = 2.
-    nums, growth = table.numerators, table.growth[4 : ks[-1] + 1 : 2]
-    mults = [[pp * g for g in growth] for pp in [p * p for p in ps]] if growth else [()] * len(ps)
+    nums, steps = table.numerators, table.steps[4 : ks[-1] + 1 : 2]
+    mults = [[pp * g for g in steps] for pp in [p * p for p in ps]] if steps else [()] * len(ps)
     e = (q & -q).bit_length() - 1
     q1sq = (q >> e) ** 2
     out = []

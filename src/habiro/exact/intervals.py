@@ -54,6 +54,12 @@ def _raw_to_fraction(t) -> Fraction:
     return -v if sign else v
 
 
+def _check_precision(prec: int) -> None:
+    """Raise ValueError for a precision below 1 bit, at which mpmath's rounding and pi may never return."""
+    if prec < 1:
+        raise ValueError(f"precision {prec} must be at least 1 bit")
+
+
 def _quotient(q: Fraction, prec: int):
     """Enclosure of q as the quotient of its two integer enclosures."""
     with _lock:
@@ -71,21 +77,28 @@ class IntervalReal:
 
     # -- constructors ------------------------------------------------------
 
+    # The constructors refuse a precision below 1 bit; the operations take
+    # theirs from intervals built here.
+
     @classmethod
     def from_int(cls, n: int, prec: int = DEFAULT_PRECISION) -> "IntervalReal":
+        _check_precision(prec)
         return cls(int_endpoints(n, prec), prec)
 
     @classmethod
     def from_rational(cls, q: Fraction | int, prec: int = DEFAULT_PRECISION) -> "IntervalReal":
+        _check_precision(prec)
         return cls(_quotient(Fraction(q), prec), prec)
 
     @classmethod
     def pi(cls, prec: int = DEFAULT_PRECISION) -> "IntervalReal":
+        _check_precision(prec)
         with _lock:
             return cls((mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling)), prec)
 
     @classmethod
     def from_endpoints(cls, lo: Fraction | int, hi: Fraction | int, prec: int = DEFAULT_PRECISION) -> "IntervalReal":
+        _check_precision(prec)
         lo, hi = Fraction(lo), Fraction(hi)
         if lo > hi:
             raise ValueError("endpoints out of order")
@@ -97,9 +110,9 @@ class IntervalReal:
         if isinstance(other, IntervalReal):
             return other
         if isinstance(other, int):
-            return IntervalReal.from_int(other, self.prec)
+            return IntervalReal(int_endpoints(other, self.prec), self.prec)
         if isinstance(other, Fraction):
-            return IntervalReal.from_rational(other, self.prec)
+            return IntervalReal(_quotient(other, self.prec), self.prec)
         return None
 
     def _binop(self, other, op, reflected: bool = False) -> "IntervalReal":

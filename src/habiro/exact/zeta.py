@@ -8,7 +8,9 @@ from math import factorial
 from mpmath.libmp import fone, fzero, mpi_add, mpi_div, mpi_mul, mpi_pow
 
 from habiro.exact.bernoulli import bernoulli_number
-from habiro.exact.intervals import DEFAULT_PRECISION, IntervalReal, _lock, int_endpoints
+from habiro.exact.intervals import (
+    DEFAULT_PRECISION, IntervalReal, _check_precision, _lock, int_endpoints,
+)
 
 
 def zeta_even(k: int) -> Fraction:
@@ -25,6 +27,7 @@ def zeta_interval(s: int, prec: int = DEFAULT_PRECISION) -> IntervalReal:
     """Enclosure of zeta(s) for an integer s >= 2."""
     if s < 2:
         raise ValueError("argument must be an integer >= 2")
+    _check_precision(prec)
     if s % 2 == 0:
         return IntervalReal.from_rational(zeta_even(s), prec) * IntervalReal.pi(prec).pow_int(s)
     return _zeta_euler_maclaurin(s, prec)

@@ -106,18 +106,16 @@ def family_n_bound(spec: FamilySpec, cap: int = PRECISION_CAP) -> int:
     angle = FAMILIES[spec.kind].angle(*spec.args)
     if angle is None:
         return 1
-    count = _check_count(angle.numerator, angle.denominator, cap)
-    if isinstance(count, str):
-        raise PrecisionCapError(count, cap)
-    return count
+    return _check_count(angle.numerator, angle.denominator, cap)
 
 
 # The walk depends only on the reduced angle and the cap, so the members of a
 # sweep that share theta walk once.  A --m 1:40 torus2 sweep has 678 distinct
-# angles; the bound holds several such sweeps.
+# angles; the bound holds several such sweeps.  A walk stopped by the cap
+# raises, and lru_cache keeps no exception, so a capped member walks again.
 @lru_cache(maxsize=4096)
-def _check_count(num: int, den: int, cap: int) -> int | str:
-    """The check count at theta = num/den under cap, or the message of the cap error that stopped it.
+def _check_count(num: int, den: int, cap: int) -> int:
+    """The check count at theta = num/den under cap.
 
     The angle is keyed by its reduced numerator and denominator: a Fraction
     key would be rehashed on every lookup.
@@ -133,11 +131,8 @@ def _check_count(num: int, den: int, cap: int) -> int | str:
     def what() -> str:  # formatted only at the cap
         return f"check-count bound at n={n}"
 
-    try:
-        while decide_sign(excess, DEFAULT_PRECISION, cap, what, _excess_sign) > 0:
-            n += 1
-    except PrecisionCapError as err:
-        return str(err)
+    while decide_sign(excess, DEFAULT_PRECISION, cap, what, _excess_sign) > 0:
+        n += 1
     return n
 
 

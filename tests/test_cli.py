@@ -372,8 +372,8 @@ def test_verify_json_matches_frozen_digest(capsys, entry):
 ])
 def test_capped_verify_replays_its_bytes(capsys, entry):
     # An uncapped run of the same members memoizes their counts first; the
-    # capped sweep then runs twice, the second time reading every count and
-    # every cap failure back from the memo.
+    # capped sweep then runs twice, the second time reading every count back
+    # from the memo and walking again to every cap failure.
     args = entry["args"]
     cut = args.index("--precision-cap")
     run(capsys, "verify", *args[:cut], *args[cut + 2:], "--format", "json")
@@ -383,7 +383,7 @@ def test_capped_verify_replays_its_bytes(capsys, entry):
         assert hashlib.sha256(out.encode()).hexdigest() == entry["digest"]
 
 
-def test_verify_sign_tests_build_no_full_anchor_sums(capsys, monkeypatch):
+def test_verify_sign_tests_build_no_full_anchor_sums(capsys, monkeypatch, exact_exits):
     # From t = 63 the period is divisible by 2**64 and the sign tests take the
     # anchor route; they must read only the leading terms, never every term.
     entries = []
@@ -404,7 +404,17 @@ def test_verify_sign_tests_build_no_full_anchor_sums(capsys, monkeypatch):
     assert all(r["verdict"] == "proved-positive" and "note" not in r for r in rows)
     assert all(sign == 1 for r in rows for _, sign, _ in r["checks"])
     assert len(entries) == sum(r["N_used"] for r in rows)
-    assert all(len(built) <= 4 and len(built) < s + 1 for s, built in entries)
+    assert all(len(terms) == min(4, s + 1) for s, terms in entries)
+    assert exact_exits == []
+
+
+def test_verify_sign_tests_decide_from_the_leading_terms(capsys, exact_exits):
+    # Every sign test of this window is decided within thetaside._TOP_TERMS
+    # terms; a change to the terms kept or to the bound that left them
+    # undecided would turn each test into a full exact sum.
+    code, _, err = run(capsys, "verify", "--family", "torus32t", "--t", "63:120")
+    assert code == 0 and err == ""
+    assert exact_exits == []
 
 
 def test_verify_tiny_precision_cap_is_undecided(capsys):

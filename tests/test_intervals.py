@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_int, mpf_pi, mpi_div
 
+from habiro.exact import intervals as intervals_module
 from habiro.exact import PRECISION_CAP, IntervalReal, PrecisionCapError, decide_sign, zeta_interval
 from interval_ref import IntervalRef, zeta_odd_ref
 
@@ -124,6 +126,30 @@ def test_decide_sign_refuses_a_start_or_cap_below_one_bit(start, cap):
 
     with pytest.raises(ValueError, match="at least 1 bit"):
         decide_sign(fn, start=start, cap=cap)
+
+
+@pytest.mark.parametrize("prec", [0, -2])
+@pytest.mark.parametrize("build", [
+    lambda prec: IntervalReal.from_int(3, prec),
+    lambda prec: IntervalReal.from_rational(Fraction(1, 3), prec),
+    lambda prec: IntervalReal.from_endpoints(Fraction(1, 3), Fraction(1, 2), prec),
+    lambda prec: IntervalReal.pi(prec),
+    lambda prec: zeta_interval(2, prec),
+    lambda prec: zeta_interval(3, prec),
+], ids=["from_int", "from_rational", "from_endpoints", "pi", "zeta_even", "zeta_odd"])
+def test_constructors_refuse_a_precision_below_one_bit(monkeypatch, build, prec):
+    # mpmath's rounding, division and pi can loop forever below 1 bit;
+    # stand-ins that fail there make a missing check fail fast instead.
+    def refusing(fn, at):  # at: the position of fn's precision argument
+        def call(*args):
+            assert args[at] >= 1, f"mpmath asked for {args[at]} bits"
+            return fn(*args)
+        return call
+
+    for name, fn, at in (("from_int", from_int, 1), ("mpi_div", mpi_div, 2), ("mpf_pi", mpf_pi, 0)):
+        monkeypatch.setattr(intervals_module, name, refusing(fn, at))
+    with pytest.raises(ValueError, match=f"precision {prec} must be at least 1 bit"):
+        build(prec)
 
 
 fractions_strategy = st.fractions(

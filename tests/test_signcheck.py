@@ -191,8 +191,8 @@ def _capped_outcomes_in_both_orders(specs, caps):
 
     The caps run upward and then downward, each from an empty check-count
     memo, so a low cap also runs with higher-precision zeta enclosures
-    already memoized, and members that share theta replay the memo's count
-    or cap failure.
+    already memoized, and members that share theta read the memo's count or
+    walk again to the same cap failure.
     """
     capped = 0
     for ordered in (caps, caps[::-1]):
@@ -367,15 +367,15 @@ def test_members_sharing_theta_walk_once(monkeypatch):
     assert counts == [0, 0, 0]
 
 
-def test_cap_failure_replays_from_the_memo():
+def test_cap_failure_walks_again_with_the_same_error():
     spec, cap = FamilySpec.torus32t(2), 4
     sc._check_count.cache_clear()
     errors = []
-    for _ in range(2):  # a walk, then a memo hit
+    for _ in range(2):  # the memo keeps no cap failure, so both calls walk
         with pytest.raises(PrecisionCapError) as caught:
             family_n_bound(spec, cap=cap)
         errors.append((str(caught.value), caught.value.precision))
-    assert sc._check_count.cache_info().hits == 1
+    assert sc._check_count.cache_info().currsize == 0
     assert errors[0] == errors[1] == _n_bound_outcome(family_n_bound_ref, spec, cap)
     assert errors[0] == ("sign of check-count bound at n=0 undecided at 4 bits", 4)
 

@@ -23,6 +23,7 @@ from habiro.thetaside import (
     ANCHOR_E0,
     PeriodicFunction,
     StrangeIdentity,
+    _anchor_nums,
     _anchor_pattern,
     _anchor_table,
     _g_terms,
@@ -239,10 +240,10 @@ def sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
-def terms_read(f: PeriodicFunction, s: int) -> int:
-    """How many anchor terms the sign tests of index s have built so far."""
+def top_terms(f: PeriodicFunction, s: int) -> tuple[int, ...]:
+    """The leading anchor terms the sign tests of index s read, from their memo."""
     _, q1, pattern = f._fold(-1 if s % 2 else 1).anchor
-    return len(_top_terms(s, q1, pattern)[0])
+    return _top_terms(s, q1, pattern)[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -280,16 +281,19 @@ def test_sign_route_reads_past_cancelling_top_terms(case):
     [(ref, _)] = horner_bernoulli_sum(f, [s])
     assert bernoulli_sign(f, s) == sign(ref)
     if f._fold(-1 if s % 2 else 1).anchor is not None:
-        assert terms_read(f, s) >= 3
+        terms = top_terms(f, s)
+        assert len(terms) == min(4, s + 1)
+        assert terms[:2] == (0, 0)  # U_s and U_(s-1) cancel, so the test reads on
 
 
-def test_sign_route_stops_early_on_a_torus32t_member():
+def test_sign_route_stops_early_on_a_torus32t_member(exact_exits):
     # verify's checks for this member run up to s = 2n + 2 = 68
     ident = identity_for(FamilySpec("torus32t", t=ANCHOR_E0 + 6))
     for s in (10, 40, 68):
         [(num, _)] = bernoulli_sum(ident.f, [s])
         assert bernoulli_sign(ident.f, s) == sign(num) != 0
-        assert terms_read(ident.f, s) <= 4 < s + 1
+        assert len(top_terms(ident.f, s)) == 4 < s + 1
+    assert exact_exits == []
 
 
 def exact_zero_weights(e: int, s: int):
@@ -305,17 +309,21 @@ def exact_zero_weights(e: int, s: int):
 
 @pytest.mark.parametrize("e", [ANCHOR_E0, 100])
 @pytest.mark.parametrize("s", [1, 2, 7, 30])
-def test_sign_route_falls_back_to_the_exact_sum(e, s):
+def test_sign_route_falls_back_to_the_exact_sum(e, s, exact_exits):
     zeros = list(exact_zero_weights(e, s))
     # residues far from their anchors, |d| within 2**10 of 2**(e-1)
     far = PeriodicFunction(3 << e, (((1 << (e - 1)) - 999, Fraction(3)),
                                     ((5 << (e - 1)) + 77, Fraction(-2, 3))))
-    for f in [*zeros, far]:
+    # The far residues' sums are decided only by their last term U_0, so the
+    # exact exit runs once the s + 1 terms outnumber the four kept.
+    for f, undecided in [*((zero, True) for zero in zeros), (far, s + 1 > 4)]:
         [(num, _)] = bernoulli_sum(f, [s])
         [(ref, _)] = horner_bernoulli_sum(f, [s])
         assert f._fold(-1 if s % 2 else 1).anchor is not None
+        exact_exits.clear()
         assert bernoulli_sign(f, s) == sign(num) == sign(ref)
-        assert terms_read(f, s) == s + 1
+        assert exact_exits == ([[s]] if undecided else [])
+        assert len(top_terms(f, s)) == min(4, s + 1)
     assert all(bernoulli_sign(f, s) == 0 for f in zeros)
 
 
@@ -365,24 +373,31 @@ def build_anchor_tables() -> list:
 
 
 def check_anchor_tables_after_70_builds(first: list) -> None:
-    kept = thetaside._anchor_tables
-    assert len(kept) == thetaside._ANCHOR_TABLES == 64 and (139, 70) in kept
-    assert all(table == first[a - 1] for (_, a), table in kept.items())
-    gone = next(a for a in range(1, 71) if (139, a) not in kept)
-    assert _anchor_table(139, gone, 5) == first[gone - 1]  # rebuilt as it was first built
+    info = _anchor_nums.cache_info()
+    assert info.maxsize == info.currsize == 64
+    # kept or evicted, every table reads as it was first built
+    assert build_anchor_tables() == first
 
 
-def test_anchor_tables_evict_the_first_built(monkeypatch):
-    monkeypatch.setattr(thetaside, "_anchor_tables", {})
+def test_anchor_tables_evict_the_least_recently_used():
+    _anchor_nums.cache_clear()
     first = build_anchor_tables()
-    assert sorted(thetaside._anchor_tables) == [(139, a) for a in range(7, 71)]
+    assert _anchor_nums.cache_info()[:2] == (0, 70)  # (hits, misses): a = 1..6 are gone
+    assert _anchor_table(139, 7, 5) == first[6]  # a hit, so a = 8 is now the least recently used
+    assert len(_anchor_table(139, 71, 5)) == 9  # through N_8, and a = 8 is evicted
+    assert _anchor_nums.cache_info()[:2] == (1, 71)
+    kept = [7, *range(9, 71)]
+    assert [_anchor_table(139, a, 5) for a in kept] == [first[a - 1] for a in kept]
+    assert _anchor_nums.cache_info()[:2] == (64, 71)  # kept beside a = 71
+    assert _anchor_table(139, 8, 5) == first[7]  # rebuilt as it was first built
+    assert _anchor_nums.cache_info()[:2] == (64, 72)
     check_anchor_tables_after_70_builds(first)
 
 
-def test_anchor_tables_evict_safely_from_threads(monkeypatch):
-    monkeypatch.setattr(thetaside, "_anchor_tables", {})
+def test_anchor_tables_evict_safely_from_threads():
+    _anchor_nums.cache_clear()
     want = build_anchor_tables()
-    thetaside._anchor_tables.clear()
+    _anchor_nums.cache_clear()
     results, errors = [None] * 4, []
 
     def worker(i):  # forty rounds each, so that the threads' evictions overlap
@@ -404,7 +419,7 @@ def test_anchor_tables_evict_safely_from_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == [] and results == [want] * 4
-    # which of the first tables survive depends on how the threads interleave
+    # which of the tables survive depends on how the threads interleave
     check_anchor_tables_after_70_builds(want)
 
 
