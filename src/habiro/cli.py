@@ -336,8 +336,11 @@ def main(argv=None) -> int:
     except PrecisionCapError as err:
         print(f"habiro: undecided at precision cap: {err}", file=sys.stderr)
         return 3
-    except (ValueError, RuntimeError, OSError) as err:
+    except (ValueError, RuntimeError, OSError, OverflowError) as err:
         print(f"habiro: error: {err}", file=sys.stderr)
+        return 1
+    except MemoryError:  # raised without text
+        print("habiro: error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -16,7 +16,6 @@ each term is built once per call, not once per index.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
@@ -28,9 +27,9 @@ class _Table(NamedTuple):
     steps: tuple[int, ...]  # P_j / P_(j-1), 1 at j = 0
 
 
-_lock = threading.Lock()
-# Replaced, never mutated, so a reader that loads it once sees the numerators
-# and denominators of the same table.  Grown under _lock.
+# Replaced, never mutated, and each caller returns the table it loaded or built,
+# so threads that race to grow it can build twice or briefly leave a smaller
+# table in place, but none is handed a torn table or one too short for it.
 _table = _Table((1, 2), (1, -1), (1, 2))
 
 
@@ -70,11 +69,16 @@ def bernoulli_table(k: int) -> _Table:
     global _table
     table = _table
     if len(table.numerators) <= k:
-        with _lock:
-            table = _table
-            if len(table.numerators) <= k:
-                table = _table = _build_table(max(k, 2 * (len(table.numerators) - 1)))
+        table = _table = _build_table(max(k, 2 * (len(table.numerators) - 1)))
     return table
+
+
+def check_indices(ks: list[int]) -> None:
+    """Raise ValueError unless ks is nonempty, nonnegative, strictly ascending and of one parity."""
+    if not ks or ks[0] < 0 or (
+        len(ks) > 1 and any(b <= a or (b - a) % 2 for a, b in zip(ks, ks[1:]))
+    ):
+        raise ValueError("Bernoulli indices must be nonnegative, strictly ascending, of one parity")
 
 
 def bernoulli_number(k: int) -> Fraction:
@@ -91,10 +95,7 @@ def bernoulli_poly(ks: list[int], ps: list[int], q: int) -> list[tuple[list[int]
     The indices must be nonnegative, strictly ascending and of one parity.
     The values come unreduced, one (n_i, D) pair per index, in the order of ks.
     """
-    if not ks or ks[0] < 0 or (
-        len(ks) > 1 and any(b <= a or (b - a) % 2 for a, b in zip(ks, ks[1:]))
-    ):
-        raise ValueError("Bernoulli indices must be nonnegative, strictly ascending, of one parity")
+    check_indices(ks)
     if q < 1:
         raise ValueError("denominator must be positive")
     table = bernoulli_table(ks[-1])

@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import Callable, TypeVar
 
 from mpmath.libmp import (
-    fnan, fninf, finf, from_int, fzero, mpf_ge, mpf_gt, mpf_le, mpf_lt, mpf_pi,
-    mpi_abs, mpi_add, mpi_cos, mpi_div, mpi_exp, mpi_log, mpi_mul, mpi_neg, mpi_pow,
+    fnan, fninf, finf, from_int, from_man_exp, fzero, mpf_ge, mpf_gt, mpf_le, mpf_lt, mpf_pi,
+    mpf_sub, mpi_abs, mpi_add, mpi_cos, mpi_div, mpi_exp, mpi_log, mpi_mul, mpi_neg, mpi_pow,
     mpi_sin, mpi_sqrt, mpi_sub, mpi_to_str, repr_dps, round_ceiling, round_floor,
 )
 
@@ -204,6 +204,28 @@ class IntervalReal:
 
     def __repr__(self) -> str:
         return f"IntervalReal({mpi_to_str(self.ival, repr_dps(self.prec))}, prec={self.prec})"
+
+
+def cut_points(z: IntervalReal) -> tuple:
+    """z.hi - (1 - 2**-p) and z.lo - (1 + 2**(1-p)), p the enclosure's own precision, both exact."""
+    (z_lo, z_hi), prec = z.ival, z.prec
+    return (mpf_sub(z_hi, from_man_exp((1 << prec) - 1, -prec)),
+            mpf_sub(z_lo, from_man_exp((1 << (prec - 1)) + 1, 1 - prec)))
+
+
+def excess_sign(cuts_and_s: tuple) -> int:
+    """Sign of the interval (z - S) - 1 IntervalReal builds at z's precision, 0 if it holds 0.
+
+    cuts_and_s pairs cut_points(z) with S's raw endpoints.  With p bits, the
+    correctly rounded subtractions give a negative upper end exactly when
+    z.hi - S.lo <= 1 - 2**-p, and a positive lower end exactly when
+    z.lo - S.hi >= 1 + 2**(1-p), so no interval is built.  The cuts are exact,
+    so a decided sign keeps z - S - 1 at least 2**-p from 0 at any S precision.
+    """
+    (below, above), (s_lo, s_hi) = cuts_and_s
+    if mpf_ge(s_lo, below):
+        return -1
+    return int(mpf_le(s_hi, above))
 
 
 def _enclosure_sign(x: IntervalReal) -> int:

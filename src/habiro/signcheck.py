@@ -10,9 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import gcd
-from typing import NamedTuple
-
-from mpmath.libmp import from_man_exp, mpf_ge, mpf_le, mpf_sub
+from typing import Callable, NamedTuple
 
 # perfbench/tracing.py wraps bernoulli_poly here, so it stays bound though unused.
 from habiro.exact import (
@@ -25,6 +23,7 @@ from habiro.exact import (
     signed_enclosure,
     zeta_interval,
 )
+from habiro.exact.intervals import cut_points, excess_sign
 from habiro.families import FAMILIES, FamilySpec, identity_for
 from habiro.thetaside import (
     PeriodicFunction,
@@ -51,25 +50,13 @@ def m_bound(
     )
 
 
-def n_max(f: PeriodicFunction, nu: int, cap: int = PRECISION_CAP) -> int:
-    """Smallest N with bound * (zeta(2n + nu + 1) - 1) < 1 for every n >= N."""
-    bound = cache(lambda prec: m_bound(f, nu, prec, cap))  # one per precision, not per n
-
-    def excess(n: int):
-        s = 2 * n + nu + 1
-        return lambda prec: bound(prec) * (zeta_interval(s, prec) - 1) - 1
-
-    n = 0 if nu == 1 else 1  # s = 1 has a divergent zeta value, so n = 0 never qualifies
-    while decide_sign(excess(n), DEFAULT_PRECISION, cap, lambda: f"tail bound at n={n}") > 0:
-        n += 1
-    return n
-
-
-def _cuts(zeta: IntervalReal) -> tuple:
-    """zeta.hi - (1 - 2**-p) and zeta.lo - (1 + 2**(1-p)), p the enclosure's own precision."""
-    (z_lo, z_hi), prec = zeta.ival, zeta.prec
-    return (mpf_sub(z_hi, from_man_exp((1 << prec) - 1, -prec)),
-            mpf_sub(z_lo, from_man_exp((1 << (prec - 1)) + 1, 1 - prec)))
+def n_max(f: PeriodicFunction, nu: int) -> int:
+    """Smallest N with bound * (zeta(2n + nu + 1) - 1) < 1 for every n >= N, that is
+    zeta(2n + nu + 1) - 1/bound < 1: the check count's walk with 1/bound for sin(pi*theta)."""
+    # one per precision, not per n; m_bound may enclose it at more bits than zeta
+    inverse = cache(lambda prec: (1 / m_bound(f, nu, prec, PRECISION_CAP)).ival)
+    # s = 1 has a divergent zeta value, so an odd weight starts at n = 1
+    return _walk(0 if nu == 1 else 1, nu + 1, inverse, PRECISION_CAP, "tail bound")
 
 
 # Each member of a verify sweep walks the same (s, prec) keys from n = 0, so the
@@ -79,22 +66,22 @@ def _cuts(zeta: IntervalReal) -> tuple:
 @lru_cache(maxsize=8192)
 def _zeta_cuts(s: int, prec: int) -> tuple:
     """The cut points of zeta(s)'s enclosure at prec bits, built once per (s, prec)."""
-    return _cuts(zeta_interval(s, prec))
+    return cut_points(zeta_interval(s, prec))
 
 
-def _excess_sign(cuts_and_sin: tuple) -> int:
-    """Sign of the interval (zeta - S) - 1 IntervalReal builds at zeta's precision, 0 if it holds 0.
+def _walk(n: int, shift: int, target: Callable[[int], tuple], cap: int, what: str) -> int:
+    """First n from the given one with zeta(2n + shift) - S < 1, S's endpoints target(prec).
 
-    With p bits, mpmath's correctly rounded subtractions give that difference
-    a negative upper end exactly when zeta.hi - S.lo <= 1 - 2**-p, and a
-    positive lower end exactly when zeta.lo - S.hi >= 1 + 2**(1-p).  So S's
-    endpoints are compared with zeta's two exact cut points, and no interval
-    is built.
-    """
-    (below, above), (s_lo, s_hi) = cuts_and_sin
-    if mpf_ge(s_lo, below):
-        return -1
-    return int(mpf_le(s_hi, above))
+    Raises PrecisionCapError naming what and n when the cap leaves a sign undecided."""
+    def excess(prec: int) -> tuple:  # at the loop's current n
+        return _zeta_cuts(2 * n + shift, prec), target(prec)
+
+    def message() -> str:  # formatted only at the cap
+        return f"{what} at n={n}"
+
+    while decide_sign(excess, DEFAULT_PRECISION, cap, message, excess_sign) > 0:
+        n += 1
+    return n
 
 
 def family_n_bound(spec: FamilySpec, cap: int = PRECISION_CAP) -> int:
@@ -123,17 +110,7 @@ def _check_count(num: int, den: int, cap: int) -> int:
     angle = Fraction(num, den)
     # one per precision the walk visits, not per n, and dropped with the walk
     sin_pi = cache(lambda prec: (IntervalReal.pi(prec) * angle).sin().ival)
-    n = 0
-
-    def excess(prec: int) -> tuple:  # at the loop's current n
-        return _zeta_cuts(2 * n + 2, prec), sin_pi(prec)
-
-    def what() -> str:  # formatted only at the cap
-        return f"check-count bound at n={n}"
-
-    while decide_sign(excess, DEFAULT_PRECISION, cap, what, _excess_sign) > 0:
-        n += 1
-    return n
+    return _walk(0, 2, sin_pi, cap, "check-count bound")
 
 
 def bernoulli_sign_test(ident: StrangeIdentity, n: int) -> int:

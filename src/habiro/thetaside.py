@@ -16,7 +16,7 @@ from operator import mul
 from typing import Iterator, NamedTuple
 
 from habiro.exact import DEFAULT_PRECISION, IntervalReal, bernoulli_poly, root_sum_is_zero
-from habiro.exact.bernoulli import bernoulli_table
+from habiro.exact.bernoulli import bernoulli_table, check_indices
 from habiro.qseries import TruncatedSeries, _pascal_heads
 
 # bernoulli_sign and bernoulli_sum expand at a/q1 when 2**ANCHOR_E0 divides
@@ -357,8 +357,7 @@ def bernoulli_sign(f: PeriodicFunction, s: int) -> int:
     the leading terms leave undecided, such as an exact zero, and every sum
     below 2**ANCHOR_E0 take the sign of bernoulli_sum's exact value.
     """
-    if s < 0:
-        raise ValueError("Bernoulli indices must be nonnegative, strictly ascending, of one parity")
+    check_indices([s])
     anchor = f._fold(-1 if s % 2 else 1).anchor
     if anchor is not None:
         e, q1, pattern = anchor
@@ -389,10 +388,7 @@ def bernoulli_sum(f: PeriodicFunction, ss: list[int]) -> list[tuple[int, int]]:
     asks each index once.  A sign test needs no full value: bernoulli_sign
     reads it from the leading terms.
     """
-    if not ss or ss[0] < 0 or (
-        len(ss) > 1 and any(b <= a or (b - a) % 2 for a, b in zip(ss, ss[1:]))
-    ):
-        raise ValueError("Bernoulli indices must be nonnegative, strictly ascending, of one parity")
+    check_indices(ss)
     period = f.period
     fold = f._fold(-1 if ss[0] % 2 else 1)
     if fold.anchor is None:

@@ -207,6 +207,34 @@ def test_torus32t_over_budget_exits_one_at_once(capsys, command):
     assert elapsed < 0.5
 
 
+HUGE_N = str(10**20)
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "--family", "fishburn", "-N", HUGE_N],
+    ["crosscheck", "--family", "fishburn", "-N", HUGE_N],
+    ["asym", "--family", "fishburn", "--samples", "10", "-N", HUGE_N],
+    ["expand", "--family", "torus2", "--m", "2", "--ell", "1", "-N", HUGE_N],
+    ["crosscheck", "--family", "habiro-g", "--k", "2", "-N", HUGE_N],
+])
+def test_an_order_past_the_index_range_is_one_error_line(capsys, argv):
+    # The expansion's first list, [[1]] * (N + D + 1), overflows before
+    # anything is allocated.
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "habiro: error: cannot fit 'int' into an index-sized integer\n"
+
+
+@pytest.mark.parametrize("command", ["expand", "crosscheck"])
+def test_running_out_of_memory_is_one_error_line(capsys, monkeypatch, command):
+    def exhausted(*args, **kwargs):
+        raise MemoryError  # as a failed allocation raises it, without text
+
+    monkeypatch.setattr(cli, "cached_expansion", exhausted)
+    assert run(capsys, command, "--family", "fishburn", "-N", "5") == (
+        1, "", "habiro: error: out of memory\n")
+
+
 def test_crosscheck_reports_first_mismatch(capsys, monkeypatch):
     real = cli._theta_series
 

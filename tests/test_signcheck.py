@@ -4,10 +4,13 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import habiro.exact.zeta as zeta_module
 import habiro.signcheck as sc
 from habiro.exact import IntervalReal, PrecisionCapError, zeta_interval
+from habiro.exact.intervals import cut_points, excess_sign
 from habiro.families import FAMILIES, FamilySpec, expand_family, identity_for
 from habiro.signcheck import (
     FamilyCertificate,
@@ -30,7 +33,7 @@ from habiro.thetaside import (
     make_chi_t,
 )
 from tests.bernoulli_ref import bernoulli_at
-from tests.n_bound_ref import family_n_bound_ref
+from tests.n_bound_ref import family_n_bound_ref, n_max_ref
 from tests.test_families import TABLES
 from tests.test_thetaside import periodic
 
@@ -133,6 +136,49 @@ def test_n_max_builds_the_bound_once_per_precision(monkeypatch):
     assert len(calls) == len(precs)
 
 
+def _n_max_outcome(fn, f, nu):
+    try:
+        return fn(f, nu)
+    except (ValueError, PrecisionCapError) as err:
+        return type(err), str(err)
+
+
+def test_n_max_matches_the_interval_reference_on_the_gate_members():
+    # criterion 5's members, whose identities the gate bounds with n_max
+    specs = [FamilySpec.torus32t(t) for t in range(1, 51)]
+    specs += [FamilySpec.torus2(m, ell) for m in range(1, 21) for ell in range(m)]
+    specs += [FamilySpec.habiro_g(k) for k in range(1, 51)]
+    assert len(specs) == 310
+    for spec in specs:
+        ident = identity_for(spec)
+        assert n_max(ident.f, ident.nu) == n_max_ref(ident.f, ident.nu), spec
+
+
+@st.composite
+def zero_mean_weights(draw):
+    """A zero-mean weight and its nu: even with nu = 1, or odd with nu = 0."""
+    period = draw(st.integers(2, 24))
+    value = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    values = dict.fromkeys(range(period), Fraction(0))
+    nu = draw(st.sampled_from([0, 1]))
+    for r in range(1, (period + 1) // 2):  # r and its mirror M - r
+        v = draw(value)
+        values[r], values[period - r] = v, (v if nu else -v)
+    if nu:  # residues 0 and M/2 are their own mirrors; 0 takes up the mean
+        if period % 2 == 0:
+            values[period // 2] = draw(value)
+        values[0] = -sum(values.values())
+    return periodic([values[r] for r in range(period)]), nu
+
+
+@settings(max_examples=100, deadline=None)
+@given(weight=zero_mean_weights())
+def test_n_max_matches_the_interval_reference(weight):
+    f, nu = weight
+    assert f.mean_is_zero() and (f.is_even() if nu else f.is_odd())
+    assert _n_max_outcome(n_max, f, nu) == _n_max_outcome(n_max_ref, f, nu)
+
+
 def test_family_n_bound_matches_reference_tables():
     table = TABLES["n_bound_torus32t"]
     lo, hi = table["t_range"]
@@ -230,10 +276,10 @@ def test_cut_points_classify_as_the_interval_difference():
             sin = (IntervalReal.pi(prec) * angle).sin()
             for n in range(31):
                 zeta = zeta_interval(2 * n + 2, prec)
-                assert sc._zeta_cuts(2 * n + 2, prec) == sc._cuts(zeta)
+                assert sc._zeta_cuts(2 * n + 2, prec) == cut_points(zeta)
                 diff = zeta - sin - IntervalReal.from_int(1, prec)
                 want = -1 if diff.is_negative() else int(diff.is_positive())
-                assert sc._excess_sign((sc._cuts(zeta), sin.ival)) == want, (prec, angle, n)
+                assert excess_sign((cut_points(zeta), sin.ival)) == want, (prec, angle, n)
                 seen[want] += 1
     assert set(seen) == {-1, 0, 1}
     # Point enclosures with zeta - S = 1 - k * 2**-prec land on and next to
@@ -247,7 +293,26 @@ def test_cut_points_classify_as_the_interval_difference():
                 diff = zeta - s - IntervalReal.from_int(1, prec)
                 want = -1 if diff.is_negative() else int(diff.is_positive())
                 assert want == (-1 if k >= 1 else int(k <= -2)), (prec, j, k)
-                assert sc._excess_sign((sc._cuts(zeta), s.ival)) == want, (prec, j, k)
+                assert excess_sign((cut_points(zeta), s.ival)) == want, (prec, j, k)
+    # n_max's S = 1/bound may carry more bits than zeta.  With S at twice
+    # zeta's precision, a decided sign must still be that of the exact
+    # endpoint differences, by the margin the cut points promise.
+    seen.clear()
+    for prec in (4, 8, 53):
+        for j in (1, 2, 3, 4):
+            zeta = IntervalReal.from_rational(1 + Fraction(j, 2 ** (prec - 1)), prec)
+            z_lo, z_hi = zeta.lo_fraction(), zeta.hi_fraction()
+            for k in range(-6, 7):
+                for i in (-2, -1, 0, 1, 2):
+                    target = z_lo - 1 + Fraction(k, 2 ** (prec + 1)) + Fraction(i, 4**prec)
+                    s = IntervalReal.from_rational(target, 2 * prec)
+                    got = excess_sign((cut_points(zeta), s.ival))
+                    if got < 0:
+                        assert z_hi - s.lo_fraction() - 1 <= -Fraction(1, 2**prec), (prec, j, k, i)
+                    elif got > 0:
+                        assert z_lo - s.hi_fraction() - 1 >= Fraction(2, 2**prec), (prec, j, k, i)
+                    seen[got] += 1
+    assert set(seen) == {-1, 0, 1}
 
 
 def test_family_n_bound_builds_sin_once_per_precision(monkeypatch):
