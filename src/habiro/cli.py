@@ -12,14 +12,16 @@ from pathlib import Path
 
 from habiro.asym import profile_for_family, ratio_diagnostics
 from habiro.exact import PRECISION_CAP, PrecisionCapError
-from habiro.families import FAMILIES, FamilySpec, cached_expansion, identity_for
+from habiro.families import FAMILIES, PARAMS, FamilySpec, cached_expansion, identity_for
 from habiro.qseries import TruncatedSeries, binomial_transform, transform_g, transform_h
 from habiro.signcheck import verify_positivity
 # perfbench/tracing.py wraps b_sequence here, so it stays bound though nothing
 # calls it: the theta route goes from C to xi in one xi_from_theta pass.
 from habiro.thetaside import b_sequence, c_sequence, xi_from_theta
 
-_PARAMS = FamilySpec._fields[1:]  # the parameter flags, one per FamilySpec field
+# The parameters a verify range may sweep, each row's first; the other flags
+# take one value and come after them.
+_SWEPT = tuple(dict.fromkeys(family.params[0] for family in FAMILIES.values() if family.params))
 
 # transform -> function that computes the row; asym's main terms take the same
 # names.  Each function reads the module global when called, so rebinding
@@ -91,11 +93,11 @@ def _build_parser() -> _Parser:
 
     def common(p, spans: bool = False):
         p.add_argument("--family", required=True, choices=FAMILIES)
-        names = _PARAMS
-        if spans:  # ell is never swept, and its flag comes last
-            names = [name for name in names if name != "ell"] + ["ell"]
+        names = PARAMS
+        if spans:
+            names = _SWEPT + tuple(name for name in PARAMS if name not in _SWEPT)
         for name in names:
-            ranged = spans and name != "ell"
+            ranged = spans and name in _SWEPT
             p.add_argument(f"--{name}", type=_span if ranged else int, default=None,
                            help="single value or inclusive lo:hi range" if ranged else None)
         p.add_argument("--format", choices=_WRITERS)
@@ -129,7 +131,7 @@ def _build_parser() -> _Parser:
 
 
 def _spec_from_args(args) -> FamilySpec:
-    params = {name: getattr(args, name) for name in _PARAMS if getattr(args, name) is not None}
+    params = {name: getattr(args, name) for name in PARAMS if getattr(args, name) is not None}
     return FamilySpec(args.family, **params)
 
 
@@ -225,7 +227,7 @@ def _verify_specs(args) -> tuple[str, bool, list[FamilySpec]]:
     """
     kind = args.family
     varied = next(iter(FAMILIES[kind].params), "")  # the parameter a range sweeps
-    given = {name: getattr(args, name) for name in _PARAMS if getattr(args, name) is not None}
+    given = {name: getattr(args, name) for name in PARAMS if getattr(args, name) is not None}
     span = given.pop(varied, None)
     if span is None:
         # fishburn; any other family lacks its varied parameter and is rejected
@@ -261,7 +263,7 @@ def cmd_verify(args) -> int:
             # one row per m, check counts across ell, mirroring the table layout
             by_m: dict[int, list[str]] = {}
             for spec, v in zip(specs, verdicts):
-                by_m.setdefault(spec.m, []).append(shown(v))
+                by_m.setdefault(spec.args[0], []).append(shown(v))
             lines = [f"m={m}: " + " ".join(counts) for m, counts in by_m.items()]
         else:
             lines = ["N: " + " ".join(shown(v) for v in verdicts)]
@@ -310,7 +312,7 @@ def cmd_asym(args) -> int:
 
 
 # Options whose value may start with '-': asym's sample list and verify's spans.
-_DASHED_VALUES = ("--samples", "--t", "--m", "--k")
+_DASHED_VALUES = ("--samples", *(f"--{name}" for name in _SWEPT))
 
 
 def _join_dashed_values(argv: list[str]) -> list[str]:

@@ -31,57 +31,43 @@ from habiro.thetaside import (
 mul_dense_int = mul_sparse_binomial_int = qbinomial = subst_one_minus_int = None
 
 
-class FamilySpec(NamedTuple("FamilySpec", [("kind", str), ("t", int | None), ("m", int | None),
-                                           ("ell", int | None), ("k", int | None)])):
+class FamilySpec(NamedTuple("FamilySpec", [("kind", str), ("args", tuple)])):
     """A family kind together with the integer parameters that pin one member.
 
-    The record compares and hashes as its five fields.  args, the parameter
-    values in the order of the family's row as its functions take them, sits
-    in the instance dict, and no attribute can be assigned.
+    FamilySpec(kind, **params) takes each parameter by name; a value of None
+    counts as not given.  args holds the values in the order of the family's
+    row, as its functions take them, and the record compares and hashes as
+    (kind, args).
     """
 
-    def __new__(cls, kind: str, t: int | None = None, m: int | None = None,
-                ell: int | None = None, k: int | None = None):
+    __slots__ = ()
+
+    def __new__(cls, kind: str, **given: int | None):
         family = FAMILIES.get(kind)
-        if family is None:
-            raise ValueError(f"unknown family kind: {kind!r}")
-        want = family.params
-        spec = tuple.__new__(cls, (kind, t, m, ell, k))
-        args = tuple([getattr(spec, name) for name in want])
-        given = spec[1:]
-        if None in args or len(args) + given.count(None) != len(given):
-            # a parameter is missing or foreign: name the first in field order
-            name = next(name for name, val in zip(cls._fields[1:], given)
-                        if (val is None) == (name in want))
-            verb = "needs" if name in want else "does not take"
-            raise ValueError(f"family {kind} {verb} parameter {name}")
+        want = family.params if family else ()
+        args = tuple(map(given.get, want))
+        if family is None or None in args or len(args) != len(given):
+            if unknown := [name for name in given if name not in PARAMS]:
+                raise TypeError(f"{cls.__name__}.__new__() got an unexpected keyword argument "
+                                f"{unknown[0]!r}")
+            if family is None:
+                raise ValueError(f"unknown family kind: {kind!r}")
+            # a parameter is missing or foreign: name the first in flag order
+            name = next((name for name in PARAMS
+                         if (given.get(name) is None) == (name in want)), None)
+            if name is not None:
+                verb = "needs" if name in want else "does not take"
+                raise ValueError(f"family {kind} {verb} parameter {name}")
         for name, val in zip(want, args):
             if name == "ell":
-                if not 0 <= val <= m - 1:
-                    raise ValueError(f"ell must lie in [0, {m - 1}]")
+                if not 0 <= val <= given["m"] - 1:
+                    raise ValueError(f"ell must lie in [0, {given['m'] - 1}]")
             elif val < 1:
                 raise ValueError(f"{name} must be at least 1")
-        spec.__dict__["args"] = args
-        return spec
+        return tuple.__new__(cls, (kind, args))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    @classmethod
-    def fishburn(cls) -> "FamilySpec":
-        return cls("fishburn")
-
-    @classmethod
-    def torus32t(cls, t: int) -> "FamilySpec":
-        return cls("torus32t", t=t)
-
-    @classmethod
-    def torus2(cls, m: int, ell: int) -> "FamilySpec":
-        return cls("torus2", m=m, ell=ell)
-
-    @classmethod
-    def habiro_g(cls, k: int) -> "FamilySpec":
-        return cls("habiro-g", k=k)
+    def __getnewargs_ex__(self):
+        return (self.kind,), self.params()
 
     def params(self) -> dict[str, int]:
         return dict(zip(FAMILIES[self.kind].params, self.args))
@@ -257,7 +243,7 @@ def expand_torus32t(t: int, N: int) -> TruncatedSeries:
                          f"4**(t-1)*(N+1)*((N+1)**2 + 200) <= {TORUS32T_BUDGET:.0e}; "
                          "the theta route (asym without -N) has no such limit")
     # The defining congruence keeps the exponents e with 3*e == 1 mod m.
-    m, hpp = 2 ** (t - 1), (2**t - 1) // 3
+    m, hpp = 1 << (t - 1), ((1 << t) - 1) // 3
     a = pow(3, -1, m)
     # Class 0 starts as (-1)**h'' q**(-h') = (-1)**h'' (1-u)**(-h'), h' = h'' - 1.
     sign = (-1) ** hpp
@@ -338,7 +324,7 @@ class Family(NamedTuple):
 
 
 def _torus32t_identity(t: int) -> StrangeIdentity:
-    return StrangeIdentity((2 ** (t + 1) - 3) ** 2, 3 * 2 ** (t + 2), 1, make_chi_t(t))
+    return StrangeIdentity(((1 << (t + 1)) - 3) ** 2, 3 << (t + 2), 1, make_chi_t(t))
 
 
 # The one place a family is added.  fishburn is torus32t at t = 1.
@@ -346,7 +332,7 @@ FAMILIES = {
     "fishburn": Family((), lambda: _torus32t_identity(1), expand_fishburn,
                        lambda: Fraction(1, 2)),
     "torus32t": Family(("t",), _torus32t_identity, expand_torus32t,
-                       lambda t: Fraction(1, 2**t)),
+                       lambda t: Fraction(1, 1 << t)),
     "torus2": Family(("m", "ell"),
                      lambda m, ell: StrangeIdentity((2 * m - 2 * ell - 1) ** 2, 8 * (2 * m + 1),
                                                     1, make_chi_m_ell(m, ell)),
@@ -354,6 +340,9 @@ FAMILIES = {
     "habiro-g": Family(("k",), lambda k: StrangeIdentity(k * k, 2 * k + 1, 0, make_chi_k(k)),
                        expand_habiro_g, lambda k: None),
 }
+
+# Every parameter name, in the order the rows first list them: (t, m, ell, k).
+PARAMS = tuple(dict.fromkeys(name for family in FAMILIES.values() for name in family.params))
 
 
 def expand_family(spec: FamilySpec, N: int) -> TruncatedSeries:

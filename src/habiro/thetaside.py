@@ -169,9 +169,9 @@ def make_chi_t(t: int) -> PeriodicFunction:
     """Even weight of period 3*2**(t+1) supported on four residues."""
     if t < 1:
         raise ValueError("t must be at least 1")
-    period = 3 * 2 ** (t + 1)
-    minus = (2 ** (t + 1) - 3, 2 ** (t + 2) + 3)
-    plus = (2 ** (t + 1) + 3, 2 ** (t + 2) - 3)
+    period = 3 << (t + 1)
+    minus = ((1 << (t + 1)) - 3, (1 << (t + 2)) + 3)
+    plus = ((1 << (t + 1)) + 3, (1 << (t + 2)) - 3)
     return _four_residues(period, minus, plus, 2)
 
 
@@ -416,7 +416,7 @@ def c_sequence(ident: StrangeIdentity, N: int) -> tuple[Fraction, ...]:
     if N < 0:
         raise ValueError("need a nonnegative count")
     period = ident.f.period
-    ss = [2 * n + ident.nu + 1 for n in range(N + 1)]
+    ss = list(range(ident.nu + 1, 2 * N + ident.nu + 2, 2))
     out = []
     cancel = period ** (ss[0] - 1)  # M**(s-1), divided out of the sum's den = L P_s M**s
     for n, (s, (num, den)) in enumerate(zip(ss, bernoulli_sum(ident.f, ss))):

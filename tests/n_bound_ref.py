@@ -29,10 +29,11 @@ def family_n_bound_ref(spec, precision: int = DEFAULT_PRECISION, cap: int = PREC
     if spec.kind == "habiro-g":
         return 1
     if spec.kind in ("fishburn", "torus32t"):
-        t = 1 if spec.kind == "fishburn" else spec.t
+        (t,) = spec.args or (1,)
         angle = Fraction(1, 2**t)
     else:
-        angle = Fraction(spec.ell + 1, 2 * spec.m + 1)
+        m, ell = spec.args
+        angle = Fraction(ell + 1, 2 * m + 1)
 
     def excess(n: int):
         def value(prec: int) -> IntervalReal:

@@ -87,9 +87,9 @@ def test_criterion_2_published_tables():
 
 def test_criterion_3_dual_routes():
     start = time.perf_counter()
-    specs = [FamilySpec.torus32t(t) for t in (1, 2, 3)]
-    specs += [FamilySpec.torus2(m, ell) for m in (1, 2, 3) for ell in range(m)]
-    specs += [FamilySpec.habiro_g(k) for k in (1, 2, 3)]
+    specs = [FamilySpec("torus32t", t=t) for t in (1, 2, 3)]
+    specs += [FamilySpec("torus2", m=m, ell=ell) for m in (1, 2, 3) for ell in range(m)]
+    specs += [FamilySpec("habiro-g", k=k) for k in (1, 2, 3)]
     for spec in specs:
         ident = identity_for(spec)
         theta = xi_from_theta(b_sequence(ident, c_sequence(ident, 20)), 20)
@@ -100,9 +100,9 @@ def test_criterion_3_dual_routes():
 
 def test_criterion_3_dual_routes_at_n60():
     start = time.perf_counter()
-    specs = [FamilySpec.torus2(m, ell) for m in (2, 3) for ell in range(m)]
-    specs += [FamilySpec.habiro_g(k) for k in (2, 3)]
-    specs += [FamilySpec.torus32t(t) for t in (2, 3, 4)]
+    specs = [FamilySpec("torus2", m=m, ell=ell) for m in (2, 3) for ell in range(m)]
+    specs += [FamilySpec("habiro-g", k=k) for k in (2, 3)]
+    specs += [FamilySpec("torus32t", t=t) for t in (2, 3, 4)]
     for spec in specs:
         ident = identity_for(spec)
         theta = xi_from_theta(b_sequence(ident, c_sequence(ident, 60)), 60)
@@ -114,8 +114,8 @@ def test_criterion_3_dual_routes_at_n60():
 @pytest.mark.slow
 def test_criterion_3_dual_routes_at_n200():
     start = time.perf_counter()
-    specs = [FamilySpec.fishburn(), FamilySpec.torus32t(3), FamilySpec.torus2(2, 1),
-             FamilySpec.habiro_g(2)]
+    specs = [FamilySpec("fishburn"), FamilySpec("torus32t", t=3), FamilySpec("torus2", m=2, ell=1),
+             FamilySpec("habiro-g", k=2)]
     for spec in specs:
         ident = identity_for(spec)
         theta = xi_from_theta(b_sequence(ident, c_sequence(ident, 200)), 200)
@@ -125,7 +125,7 @@ def test_criterion_3_dual_routes_at_n200():
 
 
 def test_criterion_4_bernoulli_spot_values():
-    ident = identity_for(FamilySpec.fishburn())
+    ident = identity_for(FamilySpec("fishburn"))
     c = c_sequence(ident, 2)
     assert c == (Fraction(1), Fraction(23), Fraction(1681))
     report(4, "fishburn C-sequence spot values 1, 23, 1681 exact")
@@ -135,14 +135,14 @@ def test_criterion_5_bound_tables_and_sweeps():
     start = time.perf_counter()
     t_lo, t_hi = TABLES["n_bound_torus32t"]["t_range"]
     for t, want in zip(range(t_lo, t_hi + 1), TABLES["n_bound_torus32t"]["values"]):
-        assert family_n_bound(FamilySpec.torus32t(t)) == want
+        assert family_n_bound(FamilySpec("torus32t", t=t)) == want
     for m in range(1, 6):
         row = TABLES["n_bound_torus2"][str(m)]
         for ell, want in enumerate(row):
-            assert family_n_bound(FamilySpec.torus2(m, ell)) == want
-    specs = [FamilySpec.torus32t(t) for t in range(1, 51)]
-    specs += [FamilySpec.torus2(m, ell) for m in range(1, 21) for ell in range(m)]
-    specs += [FamilySpec.habiro_g(k) for k in range(1, 51)]
+            assert family_n_bound(FamilySpec("torus2", m=m, ell=ell)) == want
+    specs = [FamilySpec("torus32t", t=t) for t in range(1, 51)]
+    specs += [FamilySpec("torus2", m=m, ell=ell) for m in range(1, 21) for ell in range(m)]
+    specs += [FamilySpec("habiro-g", k=k) for k in range(1, 51)]
     for spec in specs:
         assert verify_positivity(spec).verdict == "proved-positive"
         # the family's sharpened check count never exceeds the general bound
@@ -157,7 +157,7 @@ def test_criterion_5_bound_tables_and_sweeps():
 def test_criterion_6_nested_vs_theta_expansion():
     start = time.perf_counter()
     for k in (1, 2, 3):
-        ident = identity_for(FamilySpec.habiro_g(k))
+        ident = identity_for(FamilySpec("habiro-g", k=k))
         assert expand_habiro_g_qseries(k, 200) == theta_q_expansion(ident, 200)
     elapsed = time.perf_counter() - start
     report(6, f"nested q-expansion equals partial-theta expansion through q^200 in {elapsed:.2f}s")
@@ -195,7 +195,7 @@ def test_criterion_7_fourier_closed_forms():
 def test_criterion_8_asymptotic_convergence():
     start = time.perf_counter()
     fish = expand_fishburn(150)
-    profile = profile_for_family(FamilySpec.fishburn())
+    profile = profile_for_family(FamilySpec("fishburn"))
     plain = ratio_diagnostics(fish, profile, [64, 100, 128, 150])
     err = {r.n: abs(r.ratio.mid_float() - 1) for r in plain}
     assert err[150] < 0.03
@@ -203,7 +203,8 @@ def test_criterion_8_asymptotic_convergence():
     corrected = ratio_diagnostics(fish, profile, [100], correction=True)[0]
     gain = err[100] / abs(corrected.ratio.mid_float() - 1)
     assert gain >= 3.0
-    for spec in (FamilySpec.torus32t(2), FamilySpec.torus2(2, 1), FamilySpec.habiro_g(1)):
+    for spec in (FamilySpec("torus32t", t=2), FamilySpec("torus2", m=2, ell=1),
+                 FamilySpec("habiro-g", k=1)):
         ident = identity_for(spec)
         xi = xi_from_theta(b_sequence(ident, c_sequence(ident, 128)), 128)
         rows = ratio_diagnostics(xi, profile_for_family(spec), [64, 128])

@@ -1,8 +1,11 @@
 """Command-line behavior: outputs, formats, exit codes, cache wiring."""
 
+import argparse
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -21,6 +24,8 @@ from habiro.thetaside import StrangeIdentity
 from tests.test_thetaside import periodic
 
 pytestmark = pytest.mark.usefixtures("isolated_cache")
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -115,6 +120,26 @@ def test_verify_span_after_a_space_reads_as_after_an_equals_sign(capsys, argv, m
         assert code == 1 and out == "" and message in err
         results.append((code, err))
     assert results[0] == results[1]
+
+
+def test_parameter_flags_come_from_the_family_table():
+    # every subcommand takes the table's parameters; verify may sweep each
+    # row's first, and a '-'-led value joins exactly those flags and --samples
+    first = [family.params[0] for family in families.FAMILIES.values() if family.params]
+    other = {"help", "family", "format", "cache_dir", "precision_cap", "transform", "N",
+             "samples"}
+    subparsers = next(action for action in cli._build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    for command, parser in subparsers.choices.items():
+        names = [action.dest for action in parser._actions if action.dest not in other]
+        assert sorted(names) == sorted(families.PARAMS), command
+        if command == "verify":
+            ranged = [action.dest for action in parser._actions if action.type is cli._span]
+            assert ranged == first
+        else:
+            assert tuple(names) == families.PARAMS, command
+    assert families.PARAMS == ("t", "m", "ell", "k")
+    assert cli._DASHED_VALUES == ("--samples", *(f"--{name}" for name in first))
 
 
 # -- expand ------------------------------------------------------------------
@@ -223,6 +248,32 @@ def test_an_order_past_the_index_range_is_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == "habiro: error: cannot fit 'int' into an index-sized integer\n"
+
+
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--family", "torus32t", "--t", HUGE_N],
+    ["asym", "--family", "torus32t", "--t", HUGE_N, "--samples", "1"],
+    ["asym", "--family", "fishburn", "--samples", HUGE_N],
+])
+def test_a_huge_t_or_sample_index_is_one_error_line_at_once(argv):
+    # 2**t and the index list of C raise before they allocate anything; under
+    # a 1 GB address space a run that builds them instead runs out of memory
+    # only after many seconds.
+    pytest.importorskip("resource")
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "habiro.cli", *argv], capture_output=True,
+                          text=True, timeout=10, preexec_fn=_limit_address_space,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    elapsed = time.perf_counter() - start
+    assert (done.returncode, done.stdout) == (1, "")
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("habiro: error:")
+    assert elapsed < 5
 
 
 @pytest.mark.parametrize("command", ["expand", "crosscheck"])
@@ -583,8 +634,8 @@ def test_asym_plain_format(capsys):
     assert out.startswith("n=16 digits=15 log_ratio=")
 
 
-@pytest.mark.parametrize("spec", [FamilySpec.fishburn(), FamilySpec.torus32t(2),
-                                  FamilySpec.torus2(3, 1), FamilySpec.habiro_g(2)])
+@pytest.mark.parametrize("spec", [FamilySpec("fishburn"), FamilySpec("torus32t", t=2),
+                                  FamilySpec("torus2", m=3, ell=1), FamilySpec("habiro-g", k=2)])
 def test_both_routes_build_int_coefficients(spec):
     # nothing converts entries on the way to _decimal_digits, which takes ints
     for series in (expand_family(spec, 12), cli._theta_series(spec, 12)):

@@ -36,13 +36,13 @@ TABLES = json.loads(
 
 
 def test_spec_constructors_and_labels():
-    assert FamilySpec.fishburn().label() == "fishburn"
-    assert FamilySpec.torus32t(3).label() == "torus32t(t=3)"
-    assert FamilySpec.torus2(5, 2).label() == "torus2(m=5, ell=2)"
-    assert FamilySpec.habiro_g(4).label() == "habiro-g(k=4)"
-    assert FamilySpec.torus2(5, 2).cache_key() == "torus2-m5-ell2"
-    assert FamilySpec.fishburn().cache_key() == "fishburn"
-    assert FamilySpec.habiro_g(4).params() == {"k": 4}
+    assert FamilySpec("fishburn").label() == "fishburn"
+    assert FamilySpec("torus32t", t=3).label() == "torus32t(t=3)"
+    assert FamilySpec("torus2", m=5, ell=2).label() == "torus2(m=5, ell=2)"
+    assert FamilySpec("habiro-g", k=4).label() == "habiro-g(k=4)"
+    assert FamilySpec("torus2", m=5, ell=2).cache_key() == "torus2-m5-ell2"
+    assert FamilySpec("fishburn").cache_key() == "fishburn"
+    assert FamilySpec("habiro-g", k=4).params() == {"k": 4}
 
 
 def test_spec_rejects_bad_parameters():
@@ -53,13 +53,13 @@ def test_spec_rejects_bad_parameters():
     with pytest.raises(ValueError, match="does not take parameter k"):
         FamilySpec("fishburn", k=1)
     with pytest.raises(ValueError, match="t must be at least 1"):
-        FamilySpec.torus32t(0)
+        FamilySpec("torus32t", t=0)
     with pytest.raises(ValueError, match=r"ell must lie in \[0, 4\]"):
-        FamilySpec.torus2(5, 5)
+        FamilySpec("torus2", m=5, ell=5)
     with pytest.raises(ValueError, match=r"ell must lie in \[0, 0\]"):
-        FamilySpec.torus2(1, -1)
+        FamilySpec("torus2", m=1, ell=-1)
     with pytest.raises(ValueError, match="k must be at least 1"):
-        FamilySpec.habiro_g(0)
+        FamilySpec("habiro-g", k=0)
 
 
 @pytest.mark.parametrize("kind,params,message", [
@@ -129,24 +129,24 @@ def test_expand_rejects_bad_parameters():
 
 
 def test_identity_table():
-    fish = identity_for(FamilySpec.fishburn())
+    fish = identity_for(FamilySpec("fishburn"))
     assert (fish.a, fish.b, fish.nu) == (1, 24, 1)
     assert fish.f == make_chi_t(1)
-    assert identity_for(FamilySpec.torus32t(1)) == fish
-    assert identity_for(FamilySpec.torus2(1, 0)) == fish
-    t3 = identity_for(FamilySpec.torus32t(3))
+    assert identity_for(FamilySpec("torus32t", t=1)) == fish
+    assert identity_for(FamilySpec("torus2", m=1, ell=0)) == fish
+    t3 = identity_for(FamilySpec("torus32t", t=3))
     assert (t3.a, t3.b, t3.nu) == (169, 96, 1)
-    x52 = identity_for(FamilySpec.torus2(5, 2))
+    x52 = identity_for(FamilySpec("torus2", m=5, ell=2))
     assert (x52.a, x52.b, x52.nu) == (25, 88, 1)
-    g4 = identity_for(FamilySpec.habiro_g(4))
+    g4 = identity_for(FamilySpec("habiro-g", k=4))
     assert (g4.a, g4.b, g4.nu) == (16, 9, 0)
 
 
 @pytest.mark.parametrize(
     "spec",
-    [FamilySpec.torus32t(t) for t in range(1, 7)]
-    + [FamilySpec.torus2(m, ell) for m in range(1, 6) for ell in range(m)]
-    + [FamilySpec.habiro_g(k) for k in range(1, 7)],
+    [FamilySpec("torus32t", t=t) for t in range(1, 7)]
+    + [FamilySpec("torus2", m=m, ell=ell) for m in range(1, 6) for ell in range(m)]
+    + [FamilySpec("habiro-g", k=k) for k in range(1, 7)],
 )
 def test_identity_constructs_for_parameter_sweep(spec):
     # StrangeIdentity validates integrality and sign of every exponent.
@@ -339,15 +339,15 @@ def test_habiro_g_reference_rows(k):
 @pytest.mark.parametrize(
     "spec",
     [
-        FamilySpec.fishburn(),
-        FamilySpec.torus32t(2),
-        FamilySpec.torus32t(3),
-        FamilySpec.torus2(2, 0),
-        FamilySpec.torus2(2, 1),
-        FamilySpec.torus2(3, 2),
-        FamilySpec.habiro_g(1),
-        FamilySpec.habiro_g(2),
-        FamilySpec.habiro_g(3),
+        FamilySpec("fishburn"),
+        FamilySpec("torus32t", t=2),
+        FamilySpec("torus32t", t=3),
+        FamilySpec("torus2", m=2, ell=0),
+        FamilySpec("torus2", m=2, ell=1),
+        FamilySpec("torus2", m=3, ell=2),
+        FamilySpec("habiro-g", k=1),
+        FamilySpec("habiro-g", k=2),
+        FamilySpec("habiro-g", k=3),
     ],
     ids=lambda s: s.label(),
 )
@@ -360,26 +360,26 @@ def test_direct_route_matches_theta_route(spec):
 
 @pytest.mark.parametrize("k", range(1, 6))
 def test_habiro_g_q_expansion_matches_partial_theta(k):
-    ident = identity_for(FamilySpec.habiro_g(k))
+    ident = identity_for(FamilySpec("habiro-g", k=k))
     assert expand_habiro_g_qseries(k, 60) == theta_q_expansion(ident, 60)
 
 
 def test_theta_q_expansion_exponents_for_smallest_odd_weight():
     # Support residues 1, 2, 4, 5 mod 6 give exponents (n*n-1)/3 = 0, 1, 5, 8, 16, ...
-    th = theta_q_expansion(identity_for(FamilySpec.habiro_g(1)), 16)
+    th = theta_q_expansion(identity_for(FamilySpec("habiro-g", k=1)), 16)
     assert list(th) == [1, 1] + [0] * 3 + [-1, 0, 0, -1] + [0] * 7 + [1]
 
 
 # -- invariants --------------------------------------------------------------
 
 SWEEP = [
-    FamilySpec.fishburn(),
-    FamilySpec.torus32t(2),
-    FamilySpec.torus2(2, 1),
-    FamilySpec.torus2(3, 0),
-    FamilySpec.torus2(3, 1),
-    FamilySpec.habiro_g(2),
-    FamilySpec.habiro_g(3),
+    FamilySpec("fishburn"),
+    FamilySpec("torus32t", t=2),
+    FamilySpec("torus2", m=2, ell=1),
+    FamilySpec("torus2", m=3, ell=0),
+    FamilySpec("torus2", m=3, ell=1),
+    FamilySpec("habiro-g", k=2),
+    FamilySpec("habiro-g", k=3),
 ]
 
 
@@ -403,7 +403,7 @@ def test_expansion_and_transforms_stay_positive(spec):
 
 
 def test_cache_round_trip_and_format(tmp_path):
-    spec = FamilySpec.torus32t(2)
+    spec = FamilySpec("torus32t", t=2)
     got = cached_expansion(spec, 6, tmp_path)
     assert got == expand_torus32t(2, 6)
     data = json.loads((tmp_path / "torus32t-t2.json").read_text())
@@ -415,7 +415,7 @@ def test_cache_round_trip_and_format(tmp_path):
 
 
 def test_cache_hit_skips_recomputation(tmp_path, monkeypatch):
-    spec = FamilySpec.habiro_g(2)
+    spec = FamilySpec("habiro-g", k=2)
     full = cached_expansion(spec, 8, tmp_path)
 
     def boom(*args):
@@ -428,7 +428,7 @@ def test_cache_hit_skips_recomputation(tmp_path, monkeypatch):
 
 
 def test_cache_extends_and_rewrites(tmp_path):
-    spec = FamilySpec.fishburn()
+    spec = FamilySpec("fishburn")
     cached_expansion(spec, 4, tmp_path)
     got = cached_expansion(spec, 9, tmp_path)
     assert got == expand_fishburn(9)
@@ -436,7 +436,7 @@ def test_cache_extends_and_rewrites(tmp_path):
 
 
 def test_cache_detects_tampered_coefficients(tmp_path):
-    spec = FamilySpec.fishburn()
+    spec = FamilySpec("fishburn")
     cached_expansion(spec, 4, tmp_path)
     path = tmp_path / "fishburn.json"
     data = json.loads(path.read_text())
@@ -447,7 +447,7 @@ def test_cache_detects_tampered_coefficients(tmp_path):
 
 
 def test_cache_heals_unreadable_or_stale_files(tmp_path):
-    spec = FamilySpec.torus2(2, 0)
+    spec = FamilySpec("torus2", m=2, ell=0)
     path = tmp_path / "torus2-m2-ell0.json"
     path.write_text("not json")
     assert cached_expansion(spec, 5, tmp_path) == expand_torus2(2, 0, 5)
@@ -461,7 +461,7 @@ def test_cache_heals_unreadable_or_stale_files(tmp_path):
 
 
 def test_cache_rows_of_another_format_are_recomputed(tmp_path):
-    spec = FamilySpec.fishburn()
+    spec = FamilySpec("fishburn")
     path = tmp_path / "fishburn.json"
     for version in ({}, {"format": families.CACHE_FORMAT + 1}):
         # Disagreeing coefficients count as absent, not as a disagreement.

@@ -1,6 +1,8 @@
 """The package's result and parameter records: value semantics, immutability,
 and a start-up that does not load the dataclasses/inspect import chain."""
 
+import copy
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -21,10 +23,11 @@ CHI = make_chi_t(1)
 ONE, TWO = IntervalReal.from_int(1), IntervalReal.from_int(2)
 HALF = Fraction(1, 2)
 
-# record, arguments, arguments that differ in one place, public attributes
+# record, arguments, arguments that differ in one place, public attributes;
+# arguments in a dict are passed by keyword
 RECORDS = [
-    (FamilySpec, ("torus2", None, 3, 1), ("torus2", None, 3, 2),
-     ("kind", "t", "m", "ell", "k", "args")),
+    (FamilySpec, {"kind": "torus2", "m": 3, "ell": 1}, {"kind": "torus2", "m": 3, "ell": 2},
+     ("kind", "args")),
     (PeriodicFunction, (4, ENTRIES), (8, ENTRIES), ("period", "entries")),
     (StrangeIdentity, (1, 24, 1, CHI), (1, 24, 0, CHI), ("a", "b", "nu", "f")),
     (PositivityVerdict, ((1, 0),), ((1, -1),), ("signs", "cap_message", "verdict")),
@@ -36,12 +39,16 @@ RECORDS = [
 ]
 
 
+def _build(record, args):
+    return record(**args) if isinstance(args, dict) else record(*args)
+
+
 @pytest.mark.parametrize("record, args, other, attrs", RECORDS,
                          ids=[r[0].__name__ for r in RECORDS])
 def test_records_compare_by_value_and_refuse_assignment(record, args, other, attrs):
-    x, y = record(*args), record(*args)
+    x, y = _build(record, args), _build(record, args)
     assert x == y and hash(x) == hash(y)
-    assert x != record(*other)
+    assert x != _build(record, other)
     for name in attrs:
         value = getattr(x, name)
         with pytest.raises(AttributeError):
@@ -49,11 +56,39 @@ def test_records_compare_by_value_and_refuse_assignment(record, args, other, att
     assert x == y
 
 
+@pytest.mark.parametrize("record, args, other, attrs", RECORDS,
+                         ids=[r[0].__name__ for r in RECORDS])
+def test_records_survive_pickle_and_copy(record, args, other, attrs):
+    # IntervalReal compares by identity, so the unpickled record is compared by repr
+    x = _build(record, args)
+    y = copy.copy(x)
+    assert type(y) is record and y == x and hash(y) == hash(x)
+    z = pickle.loads(pickle.dumps(x))
+    assert type(z) is record and repr(z) == repr(x)
+
+
 def test_family_spec_by_keyword():
     params = {"m": 3, "ell": 1}
     spec = FamilySpec("torus2", **params)
-    assert spec == FamilySpec(kind="torus2", m=3, ell=1) == FamilySpec.torus2(3, 1)
+    assert spec == FamilySpec(kind="torus2", m=3, ell=1) == FamilySpec("torus2", m=3, ell=1)
     assert spec.args == (3, 1) and spec.params() == params
+    assert spec == FamilySpec("torus2", t=None, m=3, ell=1, k=None)  # None is not given
+    assert FamilySpec._fields == ("kind", "args")
+
+
+def test_family_spec_keeps_no_instance_dict():
+    assert not hasattr(FamilySpec("torus2", m=3, ell=1), "__dict__")
+    assert "__setattr__" not in FamilySpec.__dict__
+
+
+@pytest.mark.parametrize("kind, params", [("torus2", {"m": 3, "ell": 1, "n": 2}),
+                                          ("fishburn", {"tt": None}),
+                                          ("torus", {"x": 1})])
+def test_family_spec_refuses_an_unknown_keyword(kind, params):
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        FamilySpec(kind, **params)
+    with pytest.raises(TypeError):
+        FamilySpec(kind, 3, 1)  # parameters are taken by name only
 
 
 def test_cli_import_skips_the_dataclasses_chain():

@@ -145,9 +145,9 @@ def _n_max_outcome(fn, f, nu):
 
 def test_n_max_matches_the_interval_reference_on_the_gate_members():
     # criterion 5's members, whose identities the gate bounds with n_max
-    specs = [FamilySpec.torus32t(t) for t in range(1, 51)]
-    specs += [FamilySpec.torus2(m, ell) for m in range(1, 21) for ell in range(m)]
-    specs += [FamilySpec.habiro_g(k) for k in range(1, 51)]
+    specs = [FamilySpec("torus32t", t=t) for t in range(1, 51)]
+    specs += [FamilySpec("torus2", m=m, ell=ell) for m in range(1, 21) for ell in range(m)]
+    specs += [FamilySpec("habiro-g", k=k) for k in range(1, 51)]
     assert len(specs) == 310
     for spec in specs:
         ident = identity_for(spec)
@@ -183,17 +183,17 @@ def test_family_n_bound_matches_reference_tables():
     table = TABLES["n_bound_torus32t"]
     lo, hi = table["t_range"]
     for t, want in zip(range(lo, hi + 1), table["values"]):
-        assert family_n_bound(FamilySpec.torus32t(t)) == want
+        assert family_n_bound(FamilySpec("torus32t", t=t)) == want
     for m_key, row in TABLES["n_bound_torus2"].items():
         m = int(m_key)
         for ell, want in enumerate(row):
-            assert family_n_bound(FamilySpec.torus2(m, ell)) == want
+            assert family_n_bound(FamilySpec("torus2", m=m, ell=ell)) == want
 
 
 def test_family_n_bound_fixed_cases():
-    assert family_n_bound(FamilySpec.fishburn()) == 0
+    assert family_n_bound(FamilySpec("fishburn")) == 0
     for k in (1, 7, 50):
-        assert family_n_bound(FamilySpec.habiro_g(k)) == 1
+        assert family_n_bound(FamilySpec("habiro-g", k=k)) == 1
 
 
 # A few members of every FAMILIES row, as the row's parameter tuples.
@@ -255,13 +255,13 @@ def test_family_n_bound_matches_unshared_reference_at_every_cap():
     # The shared zeta and sin enclosures are the intervals the reference builds
     # afresh, and the cut points decide as its difference with 1 does, so every
     # check count and every cap failure is the same.
-    specs = [FamilySpec.fishburn(),
-             *(FamilySpec.torus32t(t) for t in range(1, 41)),
-             *(FamilySpec.torus2(m, ell) for m in range(1, 13) for ell in range(m))]
+    specs = [FamilySpec("fishburn"),
+             *(FamilySpec("torus32t", t=t) for t in range(1, 41)),
+             *(FamilySpec("torus2", m=m, ell=ell) for m in range(1, 13) for ell in range(m))]
     # the low caps do reach the PrecisionCapError path
     assert _capped_outcomes_in_both_orders(specs, (4, 8, 16, 32, 64, 128, 4096)) > 0
     # verify sweeps reach these members, whose ladders escalate past 64 bits
-    specs = [FamilySpec.torus32t(t) for t in (62, 64, 65, 100, 126, 127, 150)]
+    specs = [FamilySpec("torus32t", t=t) for t in (62, 64, 65, 100, 126, 127, 150)]
     assert _capped_outcomes_in_both_orders(specs, (64, 96, 128, 256, 4096)) == 2 * 14
 
 
@@ -332,18 +332,18 @@ def test_family_n_bound_builds_sin_once_per_precision(monkeypatch):
     monkeypatch.setattr(sc, "zeta_interval", noting_zeta)
     sc._check_count.cache_clear()
     sc._zeta_cuts.cache_clear()
-    assert family_n_bound(FamilySpec.torus32t(100)) == 49
+    assert family_n_bound(FamilySpec("torus32t", t=100)) == 49
     assert len(zeta_precs) > 1  # the loop escalates past the start precision
     assert sorted(sin_precs) == sorted(zeta_precs)
     # The count is memoized per (theta, cap), so a member bounded again, or
     # another member with the same reduced theta (3/9 = 1/3), builds no sin at all.
     sin_precs.clear()
-    assert family_n_bound(FamilySpec.torus32t(100)) == 49
+    assert family_n_bound(FamilySpec("torus32t", t=100)) == 49
     assert sin_precs == []
-    family_n_bound(FamilySpec.torus2(1, 0))
+    family_n_bound(FamilySpec("torus2", m=1, ell=0))
     assert sin_precs  # theta = 1/3 is new to the memo
     sin_precs.clear()
-    family_n_bound(FamilySpec.torus2(4, 2))
+    family_n_bound(FamilySpec("torus2", m=4, ell=2))
     assert sin_precs == []
 
 
@@ -366,7 +366,7 @@ def test_check_count_requests_every_zeta_enclosure(monkeypatch):
     for asked in (71, 0):
         sc._check_count.cache_clear()
         requests.clear()
-        assert family_n_bound(FamilySpec.torus32t(100)) == 49
+        assert family_n_bound(FamilySpec("torus32t", t=100)) == 49
         assert len(requests) == asked
 
 
@@ -376,10 +376,10 @@ def test_wide_sweep_members_find_every_enclosure_memoized():
     # it finds every cut pair built, or rebuilds them all.
     sc._check_count.cache_clear()
     sc._zeta_cuts.cache_clear()
-    assert family_n_bound(FamilySpec.torus32t(600)) == 299
+    assert family_n_bound(FamilySpec("torus32t", t=600)) == 299
     built = sc._zeta_cuts.cache_info().misses
     assert built > 1024
-    assert family_n_bound(FamilySpec.torus32t(601)) == 299
+    assert family_n_bound(FamilySpec("torus32t", t=601)) == 299
     assert sc._zeta_cuts.cache_info().misses == built
 
 
@@ -401,7 +401,7 @@ def test_zeta_body_runs_once_per_distinct_argument_pair(monkeypatch):
     real_cuts.cache_clear()
     sc._check_count.cache_clear()
     for t in (100, 101):  # two members of one verify window
-        family_n_bound(FamilySpec.torus32t(t))
+        family_n_bound(FamilySpec("torus32t", t=t))
     assert sum(requested.values()) > len(requested)  # the members share arguments
     assert body_args == Counter(s for s, _ in requested)
 
@@ -427,13 +427,13 @@ def test_members_sharing_theta_walk_once(monkeypatch):
     counts = []
     for m, ell in ((1, 0), (4, 2), (7, 4)):
         built.clear()
-        counts.append(family_n_bound(FamilySpec.torus2(m, ell)))
+        counts.append(family_n_bound(FamilySpec("torus2", m=m, ell=ell)))
         assert bool(built) == (m == 1), (m, ell)
     assert counts == [0, 0, 0]
 
 
 def test_cap_failure_walks_again_with_the_same_error():
-    spec, cap = FamilySpec.torus32t(2), 4
+    spec, cap = FamilySpec("torus32t", t=2), 4
     sc._check_count.cache_clear()
     errors = []
     for _ in range(2):  # the memo keeps no cap failure, so both calls walk
@@ -449,7 +449,7 @@ def test_cap_below_one_bit_raises_and_is_not_memoized():
     before = sc._check_count.cache_info().currsize
     for _ in range(2):
         with pytest.raises(ValueError, match="at least 1 bit"):
-            verify_positivity(FamilySpec.torus2(3, 1), cap=0)
+            verify_positivity(FamilySpec("torus2", m=3, ell=1), cap=0)
     assert sc._check_count.cache_info().currsize == before
 
 
@@ -478,7 +478,7 @@ def test_decide_sign_names_the_quantity_only_at_the_cap():
 
 def test_sign_test_doubled_torus_t3():
     # B_2(13/48) > B_2(19/48), so the n = 0 quantity is positive
-    ident = identity_for(FamilySpec.torus32t(3))
+    ident = identity_for(FamilySpec("torus32t", t=3))
     assert bernoulli_sign_test(ident, 0) == 1
     gap = bernoulli_at(2, Fraction(13, 48)) - bernoulli_at(2, Fraction(19, 48))
     assert gap > 0
@@ -486,7 +486,7 @@ def test_sign_test_doubled_torus_t3():
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_sign_test_odd_weight_first_moment(k):
-    ident = identity_for(FamilySpec.habiro_g(k))
+    ident = identity_for(FamilySpec("habiro-g", k=k))
     inner = sum(
         v * bernoulli_at(1, Fraction(m, ident.f.period)) for m, v in ident.f.entries
     )
@@ -496,17 +496,17 @@ def test_sign_test_odd_weight_first_moment(k):
 
 def test_sign_test_rejects_negative_index():
     with pytest.raises(ValueError, match="nonnegative"):
-        bernoulli_sign_test(identity_for(FamilySpec.fishburn()), -1)
+        bernoulli_sign_test(identity_for(FamilySpec("fishburn")), -1)
 
 
 @pytest.mark.parametrize(
     "spec",
     [
-        FamilySpec.fishburn(),
-        FamilySpec.torus32t(2),
-        FamilySpec.torus2(2, 1),
-        FamilySpec.habiro_g(2),
-        FamilySpec.torus32t(60),
+        FamilySpec("fishburn"),
+        FamilySpec("torus32t", t=2),
+        FamilySpec("torus2", m=2, ell=1),
+        FamilySpec("habiro-g", k=2),
+        FamilySpec("torus32t", t=60),
     ],
     ids=lambda s: s.label(),
 )
@@ -523,7 +523,7 @@ def test_sign_test_agrees_with_l_value_signs(spec):
 
 
 def test_verdict_shapes():
-    v = verify_positivity(FamilySpec.torus32t(3))
+    v = verify_positivity(FamilySpec("torus32t", t=3))
     assert isinstance(v, PositivityVerdict)
     assert v.n_used == 1
     assert v.signs == (1,)
@@ -531,7 +531,7 @@ def test_verdict_shapes():
 
 
 def test_verdict_with_no_checks_needed():
-    v = verify_positivity(FamilySpec.fishburn())
+    v = verify_positivity(FamilySpec("fishburn"))
     assert v.n_used == 0 and v.signs == () and v.verdict == "proved-positive"
 
 
@@ -543,40 +543,42 @@ def test_identity_is_built_only_when_a_sign_test_runs(monkeypatch):
         return identity_for(spec)
 
     monkeypatch.setattr(sc, "identity_for", noting_identity)
-    for spec in (FamilySpec.fishburn(), FamilySpec.torus2(1, 0), FamilySpec.torus32t(2)):
+    for spec in (FamilySpec("fishburn"), FamilySpec("torus2", m=1, ell=0),
+                 FamilySpec("torus32t", t=2)):
         v = verify_positivity(spec)
         assert v.n_used == 0 and v.verdict == "proved-positive"
     assert built == []
-    v = verify_positivity(FamilySpec.torus32t(3))
+    v = verify_positivity(FamilySpec("torus32t", t=3))
     assert v.n_used == 1 and v.signs == (1,)
-    assert built == [FamilySpec.torus32t(3)]
+    assert built == [FamilySpec("torus32t", t=3)]
 
 
 def test_members_share_their_check_records():
     # Members of a sweep pass the same leading tests alike.
-    a, b = (verify_positivity(FamilySpec.torus32t(t)) for t in (40, 42))
+    a, b = (verify_positivity(FamilySpec("torus32t", t=t)) for t in (40, 42))
     assert a.signs == (1,) * a.n_used
     assert b.signs[:a.n_used] == a.signs and b.n_used > a.n_used
 
 
 def test_verdict_sweeps():
     for t in range(1, 13):
-        assert verify_positivity(FamilySpec.torus32t(t)).verdict == "proved-positive"
+        assert verify_positivity(FamilySpec("torus32t", t=t)).verdict == "proved-positive"
     for m in range(1, 7):
         for ell in range(m):
-            assert verify_positivity(FamilySpec.torus2(m, ell)).verdict == "proved-positive"
+            assert verify_positivity(FamilySpec("torus2", m=m, ell=ell)).verdict == "proved-positive"
     for k in range(1, 7):
-        assert verify_positivity(FamilySpec.habiro_g(k)).verdict == "proved-positive"
+        assert verify_positivity(FamilySpec("habiro-g", k=k)).verdict == "proved-positive"
 
 
 def test_verdict_soundness_against_expansions():
-    for spec in (FamilySpec.torus32t(2), FamilySpec.torus2(2, 0), FamilySpec.habiro_g(2)):
+    for spec in (FamilySpec("torus32t", t=2), FamilySpec("torus2", m=2, ell=0),
+                 FamilySpec("habiro-g", k=2)):
         assert verify_positivity(spec).verdict == "proved-positive"
         assert all(c > 0 for c in expand_family(spec, 40).integer_coeffs())
 
 
 def test_condition_failed_for_flipped_weight():
-    base = identity_for(FamilySpec.habiro_g(1))
+    base = identity_for(FamilySpec("habiro-g", k=1))
     flipped = StrangeIdentity(
         base.a, base.b, base.nu,
         PeriodicFunction(base.f.period, tuple((r, -v) for r, v in base.f.entries)),
@@ -600,7 +602,7 @@ def test_precision_cap_becomes_undecided_verdict(monkeypatch):
         raise PrecisionCapError("sign of check-count bound undecided", cap)
 
     monkeypatch.setattr(sc, "family_n_bound", boom)
-    v = sc.verify_positivity(FamilySpec.torus32t(2))
+    v = sc.verify_positivity(FamilySpec("torus32t", t=2))
     assert v.verdict == "undecided-at-precision-cap"
     assert v.signs == () and v.n_used == 0
     assert v.note == "sign of check-count bound undecided"
@@ -645,5 +647,5 @@ def test_certificate_input_guards():
 
 def test_certified_members_are_valid_parameters():
     for m, ell in infinite_family_check(1, -1, 2).members(5):
-        spec = FamilySpec.torus2(m, ell)
+        spec = FamilySpec("torus2", m=m, ell=ell)
         assert verify_positivity(spec).verdict == "proved-positive"

@@ -5,7 +5,9 @@ A definition counts as reached when its name appears as a Name or an
 Attribute somewhere in src/habiro or in the acceptance gate
 (tests/test_acceptance.py), or is imported there by a module that reads it.
 Names inside strings do not count.  Library surface that only the other tests
-reach must either become a claim the acceptance gate checks or go.
+reach must either become a claim the acceptance gate checks or go, and a
+definition that only the gate reaches must be listed in PAPER_CLAIMS with the
+criterion that checks it.
 
 An imported name counts as used when its module reads it as a Name or lists
 it in __all__.  The only names a module may import without reading are those
@@ -24,6 +26,25 @@ TRACING = ROOT / "perfbench" / "tracing.py"
 # argparse calls ArgumentParser.error itself on a usage failure; the override
 # only changes the exit code, so nothing in the package names it.
 EXEMPT = {("habiro/cli.py", "_Parser.error")}
+
+# Definitions that only the acceptance gate reaches, each a claim of the paper,
+# with the gate criterion that checks it.
+PAPER_CLAIMS = {
+    "habiro/exact/intervals.py::IntervalReal.width_fraction":
+        "criterion 7: the Fourier closed forms lie in tight enclosures",
+    "habiro/families.py::expand_habiro_g_qseries":
+        "criterion 6: the nested sum equals the partial theta series in q",
+    "habiro/families.py::theta_q_expansion":
+        "criterion 6: the nested sum equals the partial theta series in q",
+    "habiro/signcheck.py::FamilyCertificate.members":
+        "criterion 9: the certified members of an infinite family",
+    "habiro/signcheck.py::infinite_family_check":
+        "criterion 9: the certified members of an infinite family",
+    "habiro/signcheck.py::n_max":
+        "criterion 5: every check count stays below the general tail bound",
+    "habiro/thetaside.py::b_sequence":
+        "criteria 3 and 8: the theta route through the B values",
+}
 
 
 def _definitions(tree: ast.AST, prefix: str = ""):
@@ -46,25 +67,42 @@ def _references(tree: ast.Module) -> set[str]:
     return names
 
 
+def _package_trees() -> dict[str, ast.Module]:
+    return {path.relative_to(PACKAGE.parent).as_posix(): ast.parse(path.read_text())
+            for path in sorted(PACKAGE.rglob("*.py"))}
+
+
+def _unexempt_definitions(trees: dict[str, ast.Module]):
+    """(name, 'module::qualname') of every definition that must be reached."""
+    for module, tree in trees.items():
+        for name, qualname in _definitions(tree):
+            dunder = name.startswith("__") and name.endswith("__")
+            if not dunder and (module, qualname) not in EXEMPT:
+                yield name, f"{module}::{qualname}"
+
+
+def _reached_from_package(trees: dict[str, ast.Module]) -> set[str]:
+    return set().union(*map(_references, trees.values()))
+
+
 def test_no_definition_is_reached_only_from_the_tests():
-    trees = {
-        path.relative_to(PACKAGE.parent).as_posix(): ast.parse(path.read_text())
-        for path in sorted(PACKAGE.rglob("*.py"))
-    }
+    trees = _package_trees()
     defined = {(module, q) for module, tree in trees.items() for _, q in _definitions(tree)}
     assert EXEMPT <= defined
-    reached = _references(ast.parse(GATE.read_text()))
-    for tree in trees.values():
-        reached |= _references(tree)
-    unreached = sorted(
-        f"{module}::{qualname}"
-        for module, tree in trees.items()
-        for name, qualname in _definitions(tree)
-        if not (name.startswith("__") and name.endswith("__"))
-        and name not in reached
-        and (module, qualname) not in EXEMPT
-    )
+    reached = _reached_from_package(trees) | _references(ast.parse(GATE.read_text()))
+    unreached = sorted(where for name, where in _unexempt_definitions(trees)
+                       if name not in reached)
     assert unreached == []
+
+
+def test_what_only_the_gate_reaches_is_a_listed_paper_claim():
+    trees = _package_trees()
+    by_gate = _references(ast.parse(GATE.read_text()))
+    assert {where.split("::")[1].split(".")[-1] for where in PAPER_CLAIMS} <= by_gate
+    in_package = _reached_from_package(trees)
+    gate_only = sorted(where for name, where in _unexempt_definitions(trees)
+                       if name not in in_package and name in by_gate)
+    assert gate_only == sorted(PAPER_CLAIMS)
 
 
 def _module_name(path: Path) -> str:

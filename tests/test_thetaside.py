@@ -648,17 +648,17 @@ def test_xi_integrality_guard():
 
 @pytest.mark.parametrize("N", [-1, -5])
 def test_xi_from_theta_refuses_a_negative_count(N):
-    c = c_sequence(identity_for(FamilySpec.fishburn()), 4)
+    c = c_sequence(identity_for(FamilySpec("fishburn")), 4)
     with pytest.raises(ValueError, match="need a nonnegative count"):
         xi_from_theta(c, N)
 
 
 MEMBERS = st.one_of(
-    st.just(FamilySpec.fishburn()),
-    st.builds(FamilySpec.torus32t, st.integers(1, ANCHOR_E0 + 8)),
+    st.just(FamilySpec("fishburn")),
+    st.integers(1, ANCHOR_E0 + 8).map(lambda t: FamilySpec("torus32t", t=t)),
     st.integers(1, 40).flatmap(
-        lambda m: st.builds(FamilySpec.torus2, st.just(m), st.integers(0, m - 1))),
-    st.builds(FamilySpec.habiro_g, st.integers(1, 40)),
+        lambda m: st.integers(0, m - 1).map(lambda ell: FamilySpec("torus2", m=m, ell=ell))),
+    st.integers(1, 40).map(lambda k: FamilySpec("habiro-g", k=k)),
 )
 
 
