@@ -14,11 +14,29 @@ import threading
 from fractions import Fraction
 from typing import Callable, TypeVar
 
-from mpmath.libmp import (
-    fnan, fninf, finf, from_int, from_man_exp, fzero, mpf_ge, mpf_gt, mpf_le, mpf_lt, mpf_pi,
-    mpf_sub, mpi_abs, mpi_add, mpi_cos, mpi_div, mpi_exp, mpi_log, mpi_mul, mpi_neg, mpi_pow,
-    mpi_sin, mpi_sqrt, mpi_sub, mpi_to_str, repr_dps, round_ceiling, round_floor,
-)
+
+class _Libmp:
+    """Stand-in for mpmath.libmp until the first interval operation.
+
+    Importing mpmath.libmp runs all of mpmath's package set-up, which the
+    exact-only commands never need.  The first attribute read imports it and
+    rebinds this module's libmp to the real module, so later reads are plain
+    module-attribute lookups; the import lock makes simultaneous first reads
+    safe.
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        global libmp
+        import mpmath.libmp as module
+        libmp = module
+        return getattr(module, name)
+
+
+# Every caller, zeta.py included, reads libmpi names through this module's
+# global, never through a copy of it.
+libmp = _Libmp()
 
 DEFAULT_PRECISION = 64
 PRECISION_CAP = 4096
@@ -33,7 +51,7 @@ T = TypeVar("T")
 
 def int_endpoints(n: int, prec: int):
     """The integer n as a raw endpoint pair, rounded outward to prec bits."""
-    return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
+    return libmp.from_int(n, prec, libmp.round_floor), libmp.from_int(n, prec, libmp.round_ceiling)
 
 
 class PrecisionCapError(ArithmeticError):
@@ -46,7 +64,7 @@ class PrecisionCapError(ArithmeticError):
 
 def _raw_to_fraction(t) -> Fraction:
     """Exact rational value of a finite raw mpf tuple (sign, man, exp, bc)."""
-    if t in (finf, fninf, fnan):
+    if t in (libmp.finf, libmp.fninf, libmp.fnan):
         raise OverflowError("endpoint is not finite")
     sign, man, exp, _ = t
     v = Fraction(int(man))
@@ -63,7 +81,7 @@ def _check_precision(prec: int) -> None:
 def _quotient(q: Fraction, prec: int):
     """Enclosure of q as the quotient of its two integer enclosures."""
     with _lock:
-        return mpi_div(int_endpoints(q.numerator, prec), int_endpoints(q.denominator, prec), prec)
+        return libmp.mpi_div(int_endpoints(q.numerator, prec), int_endpoints(q.denominator, prec), prec)
 
 
 class IntervalReal:
@@ -94,7 +112,8 @@ class IntervalReal:
     def pi(cls, prec: int = DEFAULT_PRECISION) -> "IntervalReal":
         _check_precision(prec)
         with _lock:
-            return cls((mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling)), prec)
+            return cls((libmp.mpf_pi(prec, libmp.round_floor), libmp.mpf_pi(prec, libmp.round_ceiling)),
+                       prec)
 
     @classmethod
     def from_endpoints(cls, lo: Fraction | int, hi: Fraction | int, prec: int = DEFAULT_PRECISION) -> "IntervalReal":
@@ -127,57 +146,57 @@ class IntervalReal:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        return self._binop(other, mpi_add)
+        return self._binop(other, libmp.mpi_add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binop(other, mpi_sub)
+        return self._binop(other, libmp.mpi_sub)
 
     def __rsub__(self, other):
-        return self._binop(other, mpi_sub, reflected=True)
+        return self._binop(other, libmp.mpi_sub, reflected=True)
 
     def __mul__(self, other):
-        return self._binop(other, mpi_mul)
+        return self._binop(other, libmp.mpi_mul)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self._binop(other, mpi_div)
+        return self._binop(other, libmp.mpi_div)
 
     def __rtruediv__(self, other):
-        return self._binop(other, mpi_div, reflected=True)
+        return self._binop(other, libmp.mpi_div, reflected=True)
 
     def __neg__(self):
-        return self._fn(mpi_neg)
+        return self._fn(libmp.mpi_neg)
 
     def __abs__(self):
-        return self._fn(mpi_abs)
+        return self._fn(libmp.mpi_abs)
 
     def pow_int(self, k: int) -> "IntervalReal":
         # Like iv's **, the exponent is an interval at the working precision;
         # mpi_pow takes mpi_pow_int exactly when that interval is the integer k.
         with _lock:
-            return IntervalReal(mpi_pow(self.ival, int_endpoints(k, self.prec), self.prec), self.prec)
+            return IntervalReal(libmp.mpi_pow(self.ival, int_endpoints(k, self.prec), self.prec), self.prec)
 
     def _fn(self, f) -> "IntervalReal":
         with _lock:
             return IntervalReal(f(self.ival, self.prec), self.prec)
 
     def sqrt(self) -> "IntervalReal":
-        return self._fn(mpi_sqrt)
+        return self._fn(libmp.mpi_sqrt)
 
     def log(self) -> "IntervalReal":
-        return self._fn(mpi_log)
+        return self._fn(libmp.mpi_log)
 
     def exp(self) -> "IntervalReal":
-        return self._fn(mpi_exp)
+        return self._fn(libmp.mpi_exp)
 
     def sin(self) -> "IntervalReal":
-        return self._fn(mpi_sin)
+        return self._fn(libmp.mpi_sin)
 
     def cos(self) -> "IntervalReal":
-        return self._fn(mpi_cos)
+        return self._fn(libmp.mpi_cos)
 
     # -- inspection --------------------------------------------------------
 
@@ -191,26 +210,26 @@ class IntervalReal:
         return self.hi_fraction() - self.lo_fraction()
 
     def contains_zero(self) -> bool:
-        return mpf_le(self.ival[0], fzero) and mpf_ge(self.ival[1], fzero)
+        return libmp.mpf_le(self.ival[0], libmp.fzero) and libmp.mpf_ge(self.ival[1], libmp.fzero)
 
     def is_positive(self) -> bool:
-        return mpf_gt(self.ival[0], fzero)
+        return libmp.mpf_gt(self.ival[0], libmp.fzero)
 
     def is_negative(self) -> bool:
-        return mpf_lt(self.ival[1], fzero)
+        return libmp.mpf_lt(self.ival[1], libmp.fzero)
 
     def mid_float(self) -> float:
         return float((self.lo_fraction() + self.hi_fraction()) / 2)
 
     def __repr__(self) -> str:
-        return f"IntervalReal({mpi_to_str(self.ival, repr_dps(self.prec))}, prec={self.prec})"
+        return f"IntervalReal({libmp.mpi_to_str(self.ival, libmp.repr_dps(self.prec))}, prec={self.prec})"
 
 
 def cut_points(z: IntervalReal) -> tuple:
     """z.hi - (1 - 2**-p) and z.lo - (1 + 2**(1-p)), p the enclosure's own precision, both exact."""
     (z_lo, z_hi), prec = z.ival, z.prec
-    return (mpf_sub(z_hi, from_man_exp((1 << prec) - 1, -prec)),
-            mpf_sub(z_lo, from_man_exp((1 << (prec - 1)) + 1, 1 - prec)))
+    return (libmp.mpf_sub(z_hi, libmp.from_man_exp((1 << prec) - 1, -prec)),
+            libmp.mpf_sub(z_lo, libmp.from_man_exp((1 << (prec - 1)) + 1, 1 - prec)))
 
 
 def excess_sign(cuts_and_s: tuple) -> int:
@@ -223,9 +242,9 @@ def excess_sign(cuts_and_s: tuple) -> int:
     so a decided sign keeps z - S - 1 at least 2**-p from 0 at any S precision.
     """
     (below, above), (s_lo, s_hi) = cuts_and_s
-    if mpf_ge(s_lo, below):
+    if libmp.mpf_ge(s_lo, below):
         return -1
-    return int(mpf_le(s_hi, above))
+    return int(libmp.mpf_le(s_hi, above))
 
 
 def _enclosure_sign(x: IntervalReal) -> int:

@@ -5,8 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from mpmath.libmp import fone, fzero, mpi_add, mpi_div, mpi_mul, mpi_pow
-
+from habiro.exact import intervals
 from habiro.exact.bernoulli import bernoulli_number
 from habiro.exact.intervals import (
     DEFAULT_PRECISION, IntervalReal, _check_precision, _lock, int_endpoints,
@@ -66,28 +65,32 @@ def _em_attempt(s: int, cutoff: int, prec: int):
     correction terms is bounded by the first omitted term and shares its sign;
     hulling that term with 0 (multiplication by [0, 1]) closes the enclosure.
     """
-    def power(n: int, k: int):
-        return mpi_pow(int_endpoints(n, prec), int_endpoints(k, prec), prec)
+    # Read at each call, never copied at import: before the first interval
+    # operation intervals.libmp is the stand-in, which answers too, only slower.
+    lib = intervals.libmp
 
-    partial = (fzero, fzero)
+    def power(n: int, k: int):
+        return lib.mpi_pow(int_endpoints(n, prec), int_endpoints(k, prec), prec)
+
+    partial = (lib.fzero, lib.fzero)
     for n in range(1, cutoff):
-        partial = mpi_add(partial, power(n, -s), prec)
-    acc = mpi_add(partial, mpi_div(power(cutoff, 1 - s), int_endpoints(s - 1, prec), prec), prec)
-    acc = mpi_add(acc, mpi_div(power(cutoff, -s), int_endpoints(2, prec), prec), prec)
+        partial = lib.mpi_add(partial, power(n, -s), prec)
+    acc = lib.mpi_add(partial, lib.mpi_div(power(cutoff, 1 - s), int_endpoints(s - 1, prec), prec), prec)
+    acc = lib.mpi_add(acc, lib.mpi_div(power(cutoff, -s), int_endpoints(2, prec), prec), prec)
     prev_mag = None
     j = 1
     rising = s  # s * (s+1) * ... * (s + 2j - 2), updated incrementally
     while True:
         b = bernoulli_number(2 * j)
         coeff = Fraction(b * rising, factorial(2 * j))
-        term = mpi_div(int_endpoints(coeff.numerator, prec), int_endpoints(coeff.denominator, prec), prec)
-        term = mpi_mul(term, power(cutoff, -s - 2 * j + 1), prec)
+        term = lib.mpi_div(int_endpoints(coeff.numerator, prec), int_endpoints(coeff.denominator, prec), prec)
+        term = lib.mpi_mul(term, power(cutoff, -s - 2 * j + 1), prec)
         mag = _mag_exp(term)
         if mag < -prec:
-            return mpi_add(acc, mpi_mul(term, (fzero, fone), prec), prec)
+            return lib.mpi_add(acc, lib.mpi_mul(term, (lib.fzero, lib.fone), prec), prec)
         if prev_mag is not None and mag > prev_mag:
             return None
-        acc = mpi_add(acc, term, prec)
+        acc = lib.mpi_add(acc, term, prec)
         prev_mag = mag
         rising *= (s + 2 * j - 1) * (s + 2 * j)
         j += 1

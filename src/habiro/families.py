@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from fractions import Fraction
 from itertools import takewhile
@@ -370,19 +371,24 @@ def theta_q_expansion(ident: StrangeIdentity, order: int) -> TruncatedSeries:
 # written by other code and is treated as absent.
 CACHE_FORMAT = 1
 
+# The coefficient strings _write_cache writes, str(int): int() also takes
+# padding, underscores, a plus sign, leading zeros and non-ASCII digits.  A
+# value that is not a string raises TypeError.
+_CANONICAL_INT = re.compile(r"0|-?[1-9][0-9]*").fullmatch
+
 
 def _read_cache(path: Path) -> dict | None:
+    """The stored row, or None unless the file holds exactly what _write_cache writes."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        coeffs = [int(s) for s in data["coefficients"]]
+        stored, N = data["coefficients"], data["N"]
+        if (data.get("format") != CACHE_FORMAT or type(N) is not int or type(stored) is not list
+                or len(stored) != N + 1 or not all(map(_CANONICAL_INT, stored))):
+            return None
+        data["coefficients"] = [int(s) for s in stored]
     except (OSError, ValueError, KeyError, TypeError):
         return None
-    if data.get("format") != CACHE_FORMAT:
-        return None
-    if not isinstance(data.get("N"), int) or len(coeffs) != data["N"] + 1:
-        return None
-    data["coefficients"] = coeffs
     return data
 
 

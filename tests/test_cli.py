@@ -366,6 +366,35 @@ def test_crosscheck_overwrites_a_row_of_another_format(capsys, tmp_path):
         assert data["N"] == 8 and data["coefficients"][:6] == ["1", "1", "2", "5", "15", "53"]
 
 
+
+# Fishburn's row to N = 4 is 1, 1, 2, 5, 15.  int() reads each of these into
+# a wrong row, but _write_cache writes none of them.
+@pytest.mark.parametrize("N, coefficients", [
+    (4, "12345"),
+    (4, [1.9, 1.9, 1.9, 5.5, 15.5]),
+    (4, [True, True, True, True, True]),
+    (4, ["1", "1", " 3 ", "5", "15"]),
+    (4, ["1", "1", "2", "5", "1_6"]),
+    (4, ["1", "1", "+3", "5", "15"]),
+    (4, ["1", "1", "02", "5", "16"]),
+    (4, ["1", "-0", "2", "5", "15"]),
+    (4, ["1", "1", "2", "5", "\u0661\u0666"]),
+    (True, ["1", "7"]),
+], ids=["digit-string", "floats", "booleans", "padded", "underscore", "plus-sign",
+        "leading-zero", "minus-zero", "non-ascii-digits", "boolean-N"])
+def test_cache_rows_not_written_by_the_cache_count_as_absent(capsys, tmp_path, N, coefficients):
+    cache = ["--cache-dir", str(tmp_path)]
+    path = tmp_path / "fishburn.json"
+    bad = json.dumps({"format": families.CACHE_FORMAT, "family": "fishburn", "params": {},
+                      "N": N, "coefficients": coefficients})
+    for argv, expected in ((["expand", "--family", "fishburn", "-N", "4"], "1, 1, 2, 5, 15\n"),
+                           (["crosscheck", "--family", "fishburn", "-N", "4"],
+                            "pass: 5 coefficients agree\n")):
+        path.write_text(bad)
+        assert run(capsys, *argv, *cache) == (0, expected, "")
+        data = json.loads(path.read_text())
+        assert (data["N"], data["coefficients"]) == (4, ["1", "1", "2", "5", "15"])
+
 # -- verify ------------------------------------------------------------------
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import mpmath.libmp
 from mpmath.libmp import from_int, mpf_pi, mpi_div
 
 from habiro.exact import intervals as intervals_module
@@ -146,8 +147,11 @@ def test_constructors_refuse_a_precision_below_one_bit(monkeypatch, build, prec)
             return fn(*args)
         return call
 
+    # The code reads them through intervals.libmp, which is (or, before the
+    # first interval operation, resolves every name in) mpmath.libmp.
     for name, fn, at in (("from_int", from_int, 1), ("mpi_div", mpi_div, 2), ("mpf_pi", mpf_pi, 0)):
-        monkeypatch.setattr(intervals_module, name, refusing(fn, at))
+        monkeypatch.setattr(mpmath.libmp, name, refusing(fn, at))
+        assert getattr(intervals_module.libmp, name) is getattr(mpmath.libmp, name)
     with pytest.raises(ValueError, match=f"precision {prec} must be at least 1 bit"):
         build(prec)
 

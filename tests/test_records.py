@@ -1,7 +1,9 @@
 """The package's result and parameter records: value semantics, immutability,
-and a start-up that does not load the dataclasses/inspect import chain."""
+and a start-up that loads neither the dataclasses/inspect import chain nor
+mpmath, which the first interval operation imports."""
 
 import copy
+import json
 import pickle
 import subprocess
 import sys
@@ -91,18 +93,99 @@ def test_family_spec_refuses_an_unknown_keyword(kind, params):
         FamilySpec(kind, 3, 1)  # parameters are taken by name only
 
 
+def _fresh(code: str, *args: str) -> str:
+    """stdout of code run in a fresh isolated interpreter that imports habiro from src."""
+    prelude = f"import sys\nsys.path.insert(0, {str(SRC)!r})\n"
+    out = subprocess.run([sys.executable, "-I", "-c", prelude + code, *args],
+                         capture_output=True, text=True, check=True, timeout=120)
+    return out.stdout
+
+
 def test_cli_import_skips_the_dataclasses_chain():
     # The modules are compared inside a fresh isolated interpreter, so an
     # environment that preloads one of them (a .pth file, say) cannot fail it.
-    code = (
-        "import sys\n"
-        f"sys.path.insert(0, {str(SRC)!r})\n"
-        "before = set(sys.modules)\n"
-        "import habiro.cli\n"
-        "print(' '.join(sorted(set(sys.modules) - before)))\n"
-    )
-    out = subprocess.run([sys.executable, "-I", "-c", code],
-                         capture_output=True, text=True, check=True, timeout=60)
-    loaded = set(out.stdout.split())
+    loaded = set(_fresh("before = set(sys.modules)\n"
+                        "import habiro.cli\n"
+                        "print(' '.join(sorted(set(sys.modules) - before)))\n").split())
     assert "habiro.cli" in loaded
     assert loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"} == set()
+
+
+# Runs each argv through habiro.cli.main and prints, per command, its exit
+# code and whether mpmath has been imported by then.
+_MAIN_LOADS_MPMATH = """
+import contextlib, io, json
+import habiro.cli
+seen = [("import", None, "mpmath" in sys.modules)]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = habiro.cli.main(argv)
+        except SystemExit as stop:
+            code = stop.code
+    seen.append((argv[0], code, "mpmath" in sys.modules))
+print(json.dumps(seen))
+"""
+
+
+def test_exact_only_commands_never_load_mpmath(tmp_path):
+    cache = ["--cache-dir", str(tmp_path)]
+    members = (["fishburn"], ["torus32t", "--t", "2"], ["torus2", "--m", "2", "--ell", "1"],
+               ["habiro-g", "--k", "2"])
+    argvs = [[command, "--family", *member, "-N", "8", *cache]
+             for member in members for command in ("crosscheck", "expand")]
+    argvs += [["expand", "--family", "fishburn", "-N", "8", "--transform", name, *cache]
+              for name in ("inv-one-plus-q", "ratio")]
+    argvs += [["--help"], ["expand", "--help"], ["expand", "--family", "fishburn"]]
+    seen = json.loads(_fresh(_MAIN_LOADS_MPMATH, json.dumps(argvs)))
+    codes = [0] * (len(argvs) - 1) + [1]  # the last is a usage error
+    assert seen == [["import", None, False]] + [[argv[0], code, False]
+                                                for argv, code in zip(argvs, codes)]
+
+
+@pytest.mark.parametrize("argv", [["verify", "--family", "torus2", "--m", "1:3"],
+                                  ["asym", "--family", "fishburn", "--samples", "10,20"]],
+                         ids=["verify", "asym"])
+def test_interval_commands_load_mpmath_on_first_use(argv):
+    seen = json.loads(_fresh(_MAIN_LOADS_MPMATH, json.dumps([argv])))
+    assert seen == [["import", None, False], [argv[0], 0, True]]
+
+
+# Each job makes its process's first interval operation; with "threads" the
+# four start together behind a barrier.
+_FIRST_INTERVAL_CALLS = """
+import json, threading
+from habiro.exact import IntervalReal, zeta_interval
+from habiro.families import FamilySpec
+from habiro.signcheck import verify_positivity
+jobs = [lambda: IntervalReal.pi(64), lambda: zeta_interval(3, 64),
+        lambda: verify_positivity(FamilySpec("torus2", m=5, ell=1)),
+        lambda: verify_positivity(FamilySpec("torus2", m=7, ell=3))]
+assert "mpmath" not in sys.modules
+if sys.argv[1] == "serial":
+    results = [repr(job()) for job in jobs]
+else:
+    sys.setswitchinterval(1e-5)
+    barrier = threading.Barrier(len(jobs))
+    results = [None] * len(jobs)
+    def work(i):
+        barrier.wait()
+        try:
+            results[i] = repr(jobs[i]())
+        except Exception as err:
+            results[i] = "raised " + repr(err)
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+print(json.dumps(results))
+"""
+
+
+def test_simultaneous_first_interval_calls_match_serial():
+    serial = json.loads(_fresh(_FIRST_INTERVAL_CALLS, "serial"))
+    assert serial[0].startswith("IntervalReal([3.14159")
+    for _ in range(3):
+        assert json.loads(_fresh(_FIRST_INTERVAL_CALLS, "threads")) == serial
