@@ -1,8 +1,9 @@
 """Positivity certification: tail-bound constants, check counts, and sign tests.
 
 A coefficient sequence is proved all-positive by bounding how many leading
-terms control the sign (an interval computation) and then testing those terms
-exactly through Bernoulli polynomial values.
+terms control the sign (exact bounds, with interval arithmetic for close
+calls) and then testing those terms exactly through Bernoulli polynomial
+values.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from habiro.exact import (
     bernoulli_poly,
     decide_sign,
     signed_enclosure,
+    zeta_even,
     zeta_interval,
 )
 from habiro.exact.intervals import cut_points, excess_sign
@@ -59,27 +61,175 @@ def n_max(f: PeriodicFunction, nu: int) -> int:
     return _walk(0 if nu == 1 else 1, nu + 1, inverse, PRECISION_CAP, "tail bound")
 
 
-# Each member of a verify sweep walks the same (s, prec) keys from n = 0, so the
-# bound must hold the widest member's walk, or every key is evicted before the
-# next member reads it.  torus32t(t) walks 1,535 keys at t = 800 and 5,028 at
-# t = 2000.
-@lru_cache(maxsize=8192)
-def _zeta_cuts(s: int, prec: int) -> tuple:
-    """The cut points of zeta(s)'s enclosure at prec bits, built once per (s, prec)."""
-    return cut_points(zeta_interval(s, prec))
+# Two consecutive convergents of pi's continued fraction, so pi lies strictly
+# between them, 1/(340262731 * 811528438) < 4e-18 apart.
+_PI_BELOW = (1068966896, 340262731)
+_PI_ABOVE = (2549491779, 811528438)
+# fractional bits of the fixed-point Taylor terms of sin(x)/x
+_SINE_BITS = 64
+# Below this s the bracket r_s pi**s of zeta(s) - 1 is the tighter one, to a
+# relative 2e-7 at worst; from it on 2**-s + 3**-s + 3**(1-s)/(s-1) is.
+_PI_POWER_BELOW = 34
 
 
-def _walk(n: int, shift: int, target: Callable[[int], tuple], cap: int, what: str) -> int:
+def _sine_bracket(a: int, b: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(num, den) pairs lo <= sin(pi*a/b) <= hi, for 0 < a/b <= 1/2.
+
+    For every x > 0 a partial sum of sin(x)/x = sum_j (-1)**j x**(2j)/(2j+1)!
+    that ends on a positive term lies above it and one that ends on a
+    negative term below.  The terms are fixed point at _SINE_BITS bits,
+    rounded up from x = pi_above*a/b where they are added and down from
+    x = pi_below*a/b where they are taken away, and the sums stop a term
+    after the terms fall to one unit.
+    """
+    one = 1 << _SINE_BITS
+    (pl, ql), (ph, qh) = _PI_BELOW, _PI_ABOVE
+    y_lo = ((pl * a) ** 2 << _SINE_BITS) // (ql * b) ** 2
+    y_hi = -(-((ph * a) ** 2 << _SINE_BITS) // (qh * b) ** 2)
+    t_lo = t_hi = up = down = upper = one
+    j, done = 0, False
+    while True:
+        j += 1
+        d = 2 * j * (2 * j + 1) << _SINE_BITS
+        t_lo, t_hi = t_lo * y_lo // d, -(-t_hi * y_hi // d)
+        if j % 2:
+            up, down = up - t_lo, down - t_hi
+            lower = down
+        else:
+            up, down = up + t_hi, down + t_lo
+            upper = up
+        if done:
+            return (a * pl * max(lower, 0), b * ql * one), (a * ph * upper, b * qh * one)
+        done = t_hi <= 1
+
+
+@cache
+def _pi_power_bracket(s: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(num, den) pairs lo < zeta(s) - 1 < hi from zeta(s) = r_s pi**s, s even."""
+    r = zeta_even(s)
+    (pl, ql), (ph, qh) = _PI_BELOW, _PI_ABOVE
+    lo_den, hi_den = r.denominator * ql**s, r.denominator * qh**s
+    return (r.numerator * pl**s - lo_den, lo_den), (r.numerator * ph**s - hi_den, hi_den)
+
+
+def _zeta_excess_bracket(s: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(num, den) pairs lo < zeta(s) - 1 < hi for even s >= 2.
+
+    From s = _PI_POWER_BELOW on: 2**-s + 3**-s < zeta(s) - 1, and the terms
+    from k = 4 on sum to less than the integral of x**-s over [3, oo), which
+    is 3**(1-s)/(s-1).
+    """
+    if s < _PI_POWER_BELOW:
+        return _pi_power_bracket(s)
+    two, three = 1 << s, 3**s
+    den = two * three
+    return (two + three, den), ((s - 1) * (two + three) + 3 * two, (s - 1) * den)
+
+
+def _exact_steps(num: int, den: int, cap: int) -> tuple[int, Callable[[int], int]] | None:
+    """The exact pre-decision of _walk for zeta(2n + 2) - sin(pi*num/den): (k, sign).
+
+    Every step n < k is positive, and sign(n) is the step's sign or 0 when
+    the bounds leave it open.  None when the rule never applies: under a cap
+    below 32 bits or an angle outside (0, 1/2].
+    """
+    if cap < 32 or not 0 < 2 * num <= den:
+        return None
+    (sl_num, sl_den), (sh_num, sh_den) = _sine_bracket(num, den)
+    # s_sine: the largest s with S_hi <= (31/32) 2**-s
+    x, y = 31 * sh_den, 32 * sh_num
+    s_sine = max(x.bit_length() - y.bit_length(), 0)
+    if y << s_sine > x:
+        s_sine -= 1
+    # s_cap: the largest s with s + bitlen(s) + 9 <= cap
+    c = cap - 9
+    s_cap = c - c.bit_length()
+    while s_cap + 1 + (s_cap + 1).bit_length() <= c:
+        s_cap += 1
+    top = min(s_sine, s_cap)
+
+    def sign(n: int) -> int:
+        s = 2 * n + 2
+        if cap < s.bit_length() + 8:
+            return 0
+        (zl_num, zl_den), (zh_num, zh_den) = _zeta_excess_bracket(s)
+        # zeta(s) - 1 - S >= zl - S_hi, and S - (zeta(s) - 1) >= S_lo - zh
+        if (zl_num * sh_den - sh_num * zl_den) << (cap - 1) >= (s + 24) * zl_den * sh_den:
+            return 1
+        if (sl_num * zh_den - zh_num * sl_den) << (cap - 1) >= (s + 24) * zh_den * sl_den:
+            return -1
+        return 0
+
+    return max(0, top // 2), sign
+
+
+def _walk(n: int, shift: int, target: Callable[[int], tuple], cap: int, what: str,
+          angle: tuple[int, int] | None = None) -> int:
     """First n from the given one with zeta(2n + shift) - S < 1, S's endpoints target(prec).
 
-    Raises PrecisionCapError naming what and n when the cap leaves a sign undecided."""
+    Raises PrecisionCapError naming what and n when the cap leaves a sign
+    undecided.  Each step's sign comes from decide_sign's ladder of
+    enclosures at p = min(64, cap), doubling, up to the cap.  Every
+    enclosure holds the true value, so a sign the ladder decides is the
+    sign of zeta(s) - 1 - S, s = 2n + shift.
+
+    With an angle (num, den), S is sin(pi theta), theta = num/den in
+    (0, 1/2], shift is 2, and a step is first tried by exact bounds.  If
+    g = zeta(s) - 1 - S satisfies |g| >= (s + 24) 2**(1-p) at
+    p = cap >= max(32, bitlen(s) + 8), the ladder decides the step at p (the
+    cap is its last rung) or at an earlier rung, so its sign is that of g,
+    and the step builds no enclosure.  Any step the bounds leave open runs
+    the ladder, so counts, cap messages and precisions stay those of the
+    ladder alone.  The proof, with u = 2**(1-p) and
+    p >= max(32, bitlen(s) + 8):
+
+    - A directed rounding to p bits moves a positive x by less than u x, by
+      a factor in [1/f, f], f = 1/(1-u).  k roundings give [f**-k, f**k],
+      and |f**(+-k) - 1| <= ku/(1-ku).
+    - zeta_interval(s, p) is r_s times pi**s.  r_s = zeta_even(s) is rounded
+      three times (_quotient rounds numerator and denominator outward and
+      divides).  pi at p bits is within one unit in the last place of pi,
+      2**(2-p) or 0.64u relative, so pi**s gets f**(0.64 s).  mpi_pow_int
+      sees the exponent s exactly because p >= bitlen(s).  It rounds once,
+      after exact powering or after binary powering at
+      w = p + 4 bitlen(s) + 4 bits, whose at most 2 bitlen(s) truncations
+      move the power by less than 2s 2**(1-w) <= u/64.  The product rounds
+      once.  So an endpoint is zeta(s) times f**(+-k), k <= 0.64 s + 5.02.
+      As ku <= (s + 6) u <= 2**(bitlen(s)+2-p) <= 1/64, it lies within
+      (0.66 s + 5.2) u zeta(s) of zeta(s), and, as zeta(s) <= 1 + 3 2**-s,
+      within (s + 13) u.
+    - The sine's argument is pi at p bits (f**0.64) times theta rounded as
+      r_s is (f**3), rounded once: each endpoint x lies within
+      4.72 u pi theta of pi theta, and |sin x - S| <= |x - pi theta|.
+      mpi_sin evaluates at wp = p + 20 to within 2**(10-wp) relative,
+      mpmath's own premise, moves outward by a factor 1 +- 2**(10-wp) and
+      rounds to p bits: within 1.02 u |sin x| <= 1.02 u x of sin x.  An
+      upper endpoint becomes 1 where the argument crosses pi/2 or where it
+      rounds up to 1, and 1 - S is then below either bound.  So each
+      endpoint is within 5.8 u pi theta <= 10 u of S, as theta <= 1/2.
+    - excess_sign decides +1 when z_lo - S_hi >= 1 + u and -1 when
+      z_hi - S_lo <= 1 - u/2, so a step with |g| >= (s + 13) u + 10 u + u
+      is decided at p.
+    - The exact bounds: pi between the two convergents _PI_BELOW and
+      _PI_ABOVE; zeta(s) - 1 from _zeta_excess_bracket; S from
+      _sine_bracket.  A positive step at s needs only 2**-s < zeta(s) - 1:
+      at any p >= s + bitlen(s) + 9 the error (s + 24) u is at most
+      2**-s 2**-8 (s + 24)/2**bitlen(s) < 2**(-s-5), so every s up to the
+      last with S_hi <= (31/32) 2**-s and s + bitlen(s) + 9 <= cap is
+      positive.  Both conditions hold on a prefix of the steps, whose end
+      comes from bit lengths, not by stepping.
+    """
     def excess(prec: int) -> tuple:  # at the loop's current n
-        return _zeta_cuts(2 * n + shift, prec), target(prec)
+        return cut_points(zeta_interval(2 * n + shift, prec)), target(prec)
 
     def message() -> str:  # formatted only at the cap
         return f"{what} at n={n}"
 
-    while decide_sign(excess, DEFAULT_PRECISION, cap, message, excess_sign) > 0:
+    exact = None if angle is None else _exact_steps(*angle, cap)
+    if exact:
+        n = max(n, exact[0])
+    while (exact and exact[1](n)
+           or decide_sign(excess, DEFAULT_PRECISION, cap, message, excess_sign)) > 0:
         n += 1
     return n
 
@@ -107,10 +257,9 @@ def _check_count(num: int, den: int, cap: int) -> int:
     The angle is keyed by its reduced numerator and denominator: a Fraction
     key would be rehashed on every lookup.
     """
-    angle = Fraction(num, den)
     # one per precision the walk visits, not per n, and dropped with the walk
-    sin_pi = cache(lambda prec: (IntervalReal.pi(prec) * angle).sin().ival)
-    return _walk(0, 2, sin_pi, cap, "check-count bound")
+    sin_pi = cache(lambda prec: (IntervalReal.pi(prec) * Fraction(num, den)).sin().ival)
+    return _walk(0, 2, sin_pi, cap, "check-count bound", (num, den))
 
 
 def bernoulli_sign_test(ident: StrangeIdentity, n: int) -> int:

@@ -143,7 +143,20 @@ def test_exact_only_commands_never_load_mpmath(tmp_path):
                                                 for argv, code in zip(argvs, codes)]
 
 
-@pytest.mark.parametrize("argv", [["verify", "--family", "torus2", "--m", "1:3"],
+def test_verify_sweeps_decided_by_exact_bounds_never_load_mpmath():
+    # Every check-count step of these sweeps is decided by exact bounds, and
+    # their sign tests are exact.
+    argvs = [["verify", "--family", "torus2", "--m", "1:3"],
+             ["verify", "--family", "torus2", "--m", "1:40"],
+             ["verify", "--family", "torus32t", "--t", "60:152"],
+             ["verify", "--family", "fishburn"]]
+    seen = json.loads(_fresh(_MAIN_LOADS_MPMATH, json.dumps(argvs)))
+    assert seen == [["import", None, False]] + [["verify", 0, False]] * len(argvs)
+
+
+# A cap below the exact bounds' 32-bit floor leaves every check-count step to
+# the interval ladder.
+@pytest.mark.parametrize("argv", [["verify", "--family", "torus2", "--m", "1:6", "--precision-cap", "16"],
                                   ["asym", "--family", "fishburn", "--samples", "10,20"]],
                          ids=["verify", "asym"])
 def test_interval_commands_load_mpmath_on_first_use(argv):
@@ -152,15 +165,16 @@ def test_interval_commands_load_mpmath_on_first_use(argv):
 
 
 # Each job makes its process's first interval operation; with "threads" the
-# four start together behind a barrier.
+# four start together behind a barrier.  The check counts run under a cap
+# below the exact bounds' 32-bit floor, so they walk the interval ladder.
 _FIRST_INTERVAL_CALLS = """
 import json, threading
 from habiro.exact import IntervalReal, zeta_interval
 from habiro.families import FamilySpec
-from habiro.signcheck import verify_positivity
+from habiro.signcheck import family_n_bound
 jobs = [lambda: IntervalReal.pi(64), lambda: zeta_interval(3, 64),
-        lambda: verify_positivity(FamilySpec("torus2", m=5, ell=1)),
-        lambda: verify_positivity(FamilySpec("torus2", m=7, ell=3))]
+        lambda: family_n_bound(FamilySpec("torus2", m=5, ell=1), cap=16),
+        lambda: family_n_bound(FamilySpec("torus2", m=7, ell=3), cap=16)]
 assert "mpmath" not in sys.modules
 if sys.argv[1] == "serial":
     results = [repr(job()) for job in jobs]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import habiro.exact.zeta as zeta_module
 import habiro.signcheck as sc
-from habiro.exact import IntervalReal, PrecisionCapError, zeta_interval
+from habiro.exact import IntervalReal, PrecisionCapError, decide_sign, zeta_even, zeta_interval
 from habiro.exact.intervals import cut_points, excess_sign
 from habiro.families import FAMILIES, FamilySpec, expand_family, identity_for
 from habiro.signcheck import (
@@ -236,9 +236,8 @@ def _capped_outcomes_in_both_orders(specs, caps):
     """Compare every outcome with the reference; return how many end at the cap.
 
     The caps run upward and then downward, each from an empty check-count
-    memo, so a low cap also runs with higher-precision zeta enclosures
-    already memoized, and members that share theta read the memo's count or
-    walk again to the same cap failure.
+    memo, so members that share theta read the memo's count or walk again to
+    the same cap failure, whichever cap ran before.
     """
     capped = 0
     for ordered in (caps, caps[::-1]):
@@ -252,7 +251,8 @@ def _capped_outcomes_in_both_orders(specs, caps):
 
 
 def test_family_n_bound_matches_unshared_reference_at_every_cap():
-    # The shared zeta and sin enclosures are the intervals the reference builds
+    # A step the exact bounds decide has the sign the reference's ladder
+    # reaches, the walk's sin enclosures are the intervals the reference builds
     # afresh, and the cut points decide as its difference with 1 does, so every
     # check count and every cap failure is the same.
     specs = [FamilySpec("fishburn"),
@@ -276,7 +276,6 @@ def test_cut_points_classify_as_the_interval_difference():
             sin = (IntervalReal.pi(prec) * angle).sin()
             for n in range(31):
                 zeta = zeta_interval(2 * n + 2, prec)
-                assert sc._zeta_cuts(2 * n + 2, prec) == cut_points(zeta)
                 diff = zeta - sin - IntervalReal.from_int(1, prec)
                 want = -1 if diff.is_negative() else int(diff.is_positive())
                 assert excess_sign((cut_points(zeta), sin.ival)) == want, (prec, angle, n)
@@ -315,121 +314,262 @@ def test_cut_points_classify_as_the_interval_difference():
     assert set(seen) == {-1, 0, 1}
 
 
-def test_family_n_bound_builds_sin_once_per_precision(monkeypatch):
-    real_sin = IntervalReal.sin
-    real_zeta = sc.zeta_interval
-    sin_precs, zeta_precs = [], set()
-
-    def counting_sin(self):
-        sin_precs.append(self.prec)
-        return real_sin(self)
-
-    def noting_zeta(s, prec):
-        zeta_precs.add(prec)
-        return real_zeta(s, prec)
-
-    monkeypatch.setattr(IntervalReal, "sin", counting_sin)
-    monkeypatch.setattr(sc, "zeta_interval", noting_zeta)
-    sc._check_count.cache_clear()
-    sc._zeta_cuts.cache_clear()
-    assert family_n_bound(FamilySpec("torus32t", t=100)) == 49
-    assert len(zeta_precs) > 1  # the loop escalates past the start precision
-    assert sorted(sin_precs) == sorted(zeta_precs)
-    # The count is memoized per (theta, cap), so a member bounded again, or
-    # another member with the same reduced theta (3/9 = 1/3), builds no sin at all.
-    sin_precs.clear()
-    assert family_n_bound(FamilySpec("torus32t", t=100)) == 49
-    assert sin_precs == []
-    family_n_bound(FamilySpec("torus2", m=1, ell=0))
-    assert sin_precs  # theta = 1/3 is new to the memo
-    sin_precs.clear()
-    family_n_bound(FamilySpec("torus2", m=4, ell=2))
-    assert sin_precs == []
+# theta = 9149130877/41006313065 puts sin(pi*theta) within 2**-70 of
+# zeta(2) - 1, far closer than the exact bounds resolve, so the check count's
+# first step runs the ladder, which escalates from 64 to 128 bits.
+# NEAR_TIE_TWIN has the same reduced angle.
+NEAR_TIE = FamilySpec("torus2", m=20503156532, ell=9149130876)
+NEAR_TIE_TWIN = FamilySpec("torus2", m=61509469597, ell=27447392630)
 
 
-def test_cut_point_memo_is_bounded():
-    assert sc._zeta_cuts.cache_info().maxsize is not None
-
-
-def test_check_count_requests_every_zeta_enclosure(monkeypatch):
-    # The cut points are memoized per (s, prec), so a cold walk asks
-    # zeta_interval once per step and precision, 71 times, and a warm one never.
-    real_zeta = sc.zeta_interval
-    requests = []
-
-    def noting_zeta(s, prec):
-        requests.append((s, prec))
-        return real_zeta(s, prec)
-
-    monkeypatch.setattr(sc, "zeta_interval", noting_zeta)
-    sc._zeta_cuts.cache_clear()
-    for asked in (71, 0):
-        sc._check_count.cache_clear()
-        requests.clear()
-        assert family_n_bound(FamilySpec("torus32t", t=100)) == 49
-        assert len(requests) == asked
-
-
-def test_wide_sweep_members_find_every_enclosure_memoized():
-    # torus32t(600) walks 1,035 (n, prec) keys, more than a 1,024-entry memo
-    # holds.  The next member of its sweep walks the same keys from n = 0, so
-    # it finds every cut pair built, or rebuilds them all.
-    sc._check_count.cache_clear()
-    sc._zeta_cuts.cache_clear()
-    assert family_n_bound(FamilySpec("torus32t", t=600)) == 299
-    built = sc._zeta_cuts.cache_info().misses
-    assert built > 1024
-    assert family_n_bound(FamilySpec("torus32t", t=601)) == 299
-    assert sc._zeta_cuts.cache_info().misses == built
-
-
-def test_zeta_body_runs_once_per_distinct_argument_pair(monkeypatch):
-    real_even = zeta_module.zeta_even
-    real_cuts = sc._zeta_cuts
-    body_args, requested = Counter(), Counter()
-
-    def counting_even(k):
-        body_args[k] += 1
-        return real_even(k)
-
-    def noting_cuts(s, prec):
-        requested[s, prec] += 1
-        return real_cuts(s, prec)
-
-    monkeypatch.setattr(zeta_module, "zeta_even", counting_even)
-    monkeypatch.setattr(sc, "_zeta_cuts", noting_cuts)
-    real_cuts.cache_clear()
-    sc._check_count.cache_clear()
-    for t in (100, 101):  # two members of one verify window
-        family_n_bound(FamilySpec("torus32t", t=t))
-    assert sum(requested.values()) > len(requested)  # the members share arguments
-    assert body_args == Counter(s for s, _ in requested)
-
-
-def test_members_sharing_theta_walk_once(monkeypatch):
-    # torus2(1, 0), (4, 2) and (7, 4) all have theta = 1/3, so only the first
-    # walks: the others build neither a sin nor a zeta enclosure.
+def _interval_traffic(monkeypatch) -> tuple[list, list]:
+    """The precisions of the sines and the (s, prec) of the zeta enclosures the walks build."""
     real_sin, real_zeta = IntervalReal.sin, sc.zeta_interval
-    built = []
+    sines, zetas = [], []
 
     def counting_sin(self):
-        built.append("sin")
+        sines.append(self.prec)
         return real_sin(self)
 
     def counting_zeta(s, prec):
-        built.append("zeta")
+        zetas.append((s, prec))
         return real_zeta(s, prec)
 
     monkeypatch.setattr(IntervalReal, "sin", counting_sin)
     monkeypatch.setattr(sc, "zeta_interval", counting_zeta)
     sc._check_count.cache_clear()
-    sc._zeta_cuts.cache_clear()
+    return sines, zetas
+
+
+def test_family_n_bound_builds_sin_once_per_precision(monkeypatch):
+    want = family_n_bound_ref(NEAR_TIE)
+    sines, zetas = _interval_traffic(monkeypatch)
+    assert family_n_bound(NEAR_TIE) == want
+    assert sorted(sines) == sorted(p for _, p in zetas) == [64, 128]
+    assert {s for s, _ in zetas} == {2}  # only the tied step runs the ladder
+    # The count is memoized per (theta, cap), so a member bounded again, or
+    # another member with the same reduced theta, builds no sin at all.
+    sines.clear()
+    assert family_n_bound(NEAR_TIE) == family_n_bound(NEAR_TIE_TWIN) == want
+    assert sines == []
+
+
+def test_check_count_requests_every_zeta_enclosure(monkeypatch):
+    # A cold walk asks zeta_interval once per rung of each step the exact
+    # bounds leave open, and a warm one never.  Under a cap below the
+    # bounds' 32-bit floor every step is open: torus2(1, 0) has theta = 1/3
+    # and count 0, decided at the cap's one rung.
+    _, zetas = _interval_traffic(monkeypatch)
+    for asked in ([(2, 64), (2, 128)], []):
+        zetas.clear()
+        family_n_bound(NEAR_TIE)
+        assert zetas == asked
+    for asked in ([(2, 16)], []):
+        zetas.clear()
+        assert family_n_bound(FamilySpec("torus2", m=1, ell=0), cap=16) == 0
+        assert zetas == asked
+
+
+def test_members_decided_by_the_exact_bounds_build_no_enclosure(monkeypatch):
+    # The verify sweeps' members, the deep ones included, and a cap at the
+    # bounds' 32-bit floor.
+    sines, zetas = _interval_traffic(monkeypatch)
+    counts = [family_n_bound(FamilySpec("torus32t", t=t)) for t in (2, 100, 1000, 3000)]
+    assert counts == [0, 49, 499, 1499]
+    for m in range(1, 41):
+        for ell in range(m):
+            family_n_bound(FamilySpec("torus2", m=m, ell=ell))
+    assert family_n_bound(FamilySpec("torus32t", t=10), cap=32) == 4
+    assert sines == zetas == []
+
+
+def test_zeta_body_runs_once_per_distinct_argument_pair(monkeypatch):
+    # The exact bounds bracket zeta(s) - 1 through r_s pi**s below s = 20 and
+    # keep each bracket, so a sweep builds r_s once per s there; the ladder
+    # builds one enclosure, and so one r_s, per (s, prec) it asks.
+    exact_args, interval_args = Counter(), Counter()
+    real_even = zeta_module.zeta_even
+
+    def exact_even(k):
+        exact_args[k] += 1
+        return real_even(k)
+
+    def interval_even(k):
+        interval_args[k] += 1
+        return real_even(k)
+
+    monkeypatch.setattr(sc, "zeta_even", exact_even)
+    monkeypatch.setattr(zeta_module, "zeta_even", interval_even)
+    _, zetas = _interval_traffic(monkeypatch)
+    sc._pi_power_bracket.cache_clear()
+    for m in range(1, 13):
+        for ell in range(m):
+            family_n_bound(FamilySpec("torus2", m=m, ell=ell))
+    family_n_bound(NEAR_TIE)
+    assert exact_args and set(exact_args.values()) == {1}
+    assert interval_args == Counter(s for s, _ in zetas) == Counter({2: 2})
+
+
+def test_members_sharing_theta_walk_once(monkeypatch):
+    # torus2(1, 0), (4, 2) and (7, 4) all have theta = 1/3, so only the first
+    # walks, and the exact bounds decide its walk without an enclosure.
+    real_walk = sc._walk
+    walks = []
+
+    def counting_walk(*args):
+        walks.append(args[-1])
+        return real_walk(*args)
+
+    monkeypatch.setattr(sc, "_walk", counting_walk)
+    sines, zetas = _interval_traffic(monkeypatch)
     counts = []
     for m, ell in ((1, 0), (4, 2), (7, 4)):
-        built.clear()
+        walks.clear()
         counts.append(family_n_bound(FamilySpec("torus2", m=m, ell=ell)))
-        assert bool(built) == (m == 1), (m, ell)
+        assert walks == ([(1, 3)] if m == 1 else []), (m, ell)
     assert counts == [0, 0, 0]
+    assert sines == zetas == []
+
+
+def _cold_walk(angle: Fraction, cap: int) -> tuple[list[int], tuple | None]:
+    """The cold ladder's signs of the steps n = 0, 1, ... up to the first negative one.
+
+    Each step builds its enclosures afresh, as family_n_bound_ref does; a
+    cap failure ends the list early and comes back as (message, precision).
+    """
+    signs = []
+    while True:
+        n = len(signs)
+
+        def value(prec: int) -> IntervalReal:
+            return zeta_interval(2 * n + 2, prec) - (IntervalReal.pi(prec) * angle).sin() - 1
+
+        try:
+            signs.append(decide_sign(value, min(64, cap), cap, f"check-count bound at n={n}"))
+        except PrecisionCapError as err:
+            return signs, (str(err), err.precision)
+        if signs[-1] < 0:
+            return signs, None
+
+
+TORUS2_MEMBERS = st.integers(1, 300).flatmap(
+    lambda m: st.integers(0, m - 1).map(lambda ell: FamilySpec("torus2", m=m, ell=ell)))
+TORUS32T_MEMBERS = st.integers(1, 100).map(lambda t: FamilySpec("torus32t", t=t))
+FRACTIONS = st.integers(2, 2**64).flatmap(
+    lambda b: st.integers(1, b // 2).map(lambda a: Fraction(a, b)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(TORUS2_MEMBERS, TORUS32T_MEMBERS, FRACTIONS), st.integers(1, 4096))
+def test_exact_steps_take_the_cold_ladders_signs(member, cap):
+    if isinstance(member, FamilySpec):
+        angle = FAMILIES[member.kind].angle(*member.args)
+        sc._check_count.cache_clear()
+        want = _n_bound_outcome(family_n_bound_ref, member, cap)
+        assert _n_bound_outcome(family_n_bound, member, cap) == want
+    else:
+        angle = member
+    signs, failure = _cold_walk(angle, cap)
+    sc._check_count.cache_clear()
+    try:
+        got = sc._check_count(angle.numerator, angle.denominator, cap)
+    except PrecisionCapError as err:
+        got = str(err), err.precision
+    assert got == (failure or len(signs) - 1)
+    exact = sc._exact_steps(angle.numerator, angle.denominator, cap)
+    if exact is None:
+        assert cap < 32
+        return
+    prefix, sign = exact
+    # the step a cap failure stops at must be one the bounds leave open
+    for n in range(len(signs) + bool(failure)):
+        decided = 1 if n < prefix else sign(n)
+        assert decided in (0, signs[n] if n < len(signs) else 0), (n, decided)
+
+
+# The ladder's rungs from 64 bits up, and caps the bounds may decide at.
+RUNGS = (32, 33, 47, 64, 100, 128, 256, 512, 1000, 1024, 2048, 3001, 4096)
+
+
+def _mpf(ctx, q: Fraction):
+    return ctx.mpf(q.numerator) / q.denominator
+
+
+@pytest.mark.parametrize("s_range", [
+    pytest.param((2, 400), id="s=2..400"),
+    pytest.param((402, 3100), id="s=402..3100", marks=pytest.mark.slow),
+])
+def test_zeta_enclosures_stay_within_the_proved_error(s_range):
+    # _walk's docstring: at p >= max(32, bitlen(s) + 8) each endpoint of
+    # zeta_interval(s, p) lies within (0.66 s + 5.2) 2**(1-p) zeta(s) of
+    # zeta(s), and within (s + 13) 2**(1-p).  zeta(s) is r_s pi**s with pi
+    # 80 bits beyond the widest rung.
+    import mpmath
+
+    lo, hi = s_range
+    ctx = mpmath.mp.clone()
+    ctx.prec = RUNGS[-1] + 80
+    pi = ctx.pi
+    worst = 0.0
+    for s in range(lo, hi + 1, 2):
+        r = zeta_even(s)
+        zeta = ctx.mpf(r.numerator) / r.denominator * pi**s
+        for p in RUNGS:
+            if p < s.bit_length() + 8:
+                continue
+            z = zeta_interval(s, p)
+            u = ctx.ldexp(1, 1 - p)
+            dev = max(abs(_mpf(ctx, z.lo_fraction()) - zeta), abs(_mpf(ctx, z.hi_fraction()) - zeta))
+            assert dev <= (ctx.mpf(66) / 100 * s + ctx.mpf(52) / 10) * u * zeta, (s, p)
+            assert dev <= (s + 13) * u, (s, p)
+            worst = max(worst, float(dev / (s * u * zeta)))
+    assert worst > 0.1  # the check reads real deviations, not exact endpoints
+
+
+def test_sine_enclosures_stay_within_the_proved_error():
+    # _walk's docstring: at p >= 32 each endpoint of the walk's sin(pi*theta)
+    # enclosure lies within 5.8 2**(1-p) pi theta of it, so within 10 2**(1-p)
+    # for theta <= 1/2.
+    import mpmath
+
+    ctx = mpmath.mp.clone()
+    ctx.prec = RUNGS[-1] + 80
+    angles = {Fraction(ell + 1, 2 * m + 1) for m in (*range(1, 13), 40, 67, 1000) for ell in range(m)
+              if m < 13 or ell % 7 == 0}
+    angles |= {Fraction(1, 2**t) for t in (1, 2, 3, 5, 8, 13, 64, 100, 1000, 3100)}
+    angles |= {Fraction(15, 67), Fraction(1, 2), Fraction(12345678901, 2**36), Fraction(3, 2**70 + 1)}
+    worst = 0.0
+    for angle in sorted(angles):
+        x = ctx.pi * angle.numerator / angle.denominator
+        sine = ctx.sin(x)
+        for p in RUNGS:
+            enc = (IntervalReal.pi(p) * angle).sin()
+            u = ctx.ldexp(1, 1 - p)
+            dev = max(abs(_mpf(ctx, enc.lo_fraction()) - sine), abs(_mpf(ctx, enc.hi_fraction()) - sine))
+            assert dev <= ctx.mpf(58) / 10 * u * x, (angle, p)
+            assert dev <= 10 * u, (angle, p)
+            worst = max(worst, float(dev / (u * x)))
+    assert worst > 0.1
+
+
+def test_sine_and_zeta_brackets_hold_the_true_values():
+    import mpmath
+
+    ctx = mpmath.mp.clone()
+    ctx.prec = 400
+    pl, ql = sc._PI_BELOW
+    ph, qh = sc._PI_ABOVE
+    assert ctx.mpf(pl) / ql < ctx.pi < ctx.mpf(ph) / qh
+    for angle in (Fraction(1, 2), Fraction(1, 3), Fraction(15, 67), Fraction(2, 11), Fraction(1, 2**40)):
+        (lo_n, lo_d), (hi_n, hi_d) = sc._sine_bracket(angle.numerator, angle.denominator)
+        sine = ctx.sin(ctx.pi * angle.numerator / angle.denominator)
+        assert ctx.mpf(lo_n) / lo_d <= sine <= ctx.mpf(hi_n) / hi_d
+        assert (ctx.mpf(hi_n) / hi_d - ctx.mpf(lo_n) / lo_d) / sine < 2**-55
+    for s in range(2, 202, 2):
+        (lo_n, lo_d), (hi_n, hi_d) = sc._zeta_excess_bracket(s)
+        excess = ctx.zeta(s) - 1
+        assert ctx.mpf(lo_n) / lo_d < excess < ctx.mpf(hi_n) / hi_d
+        assert (ctx.mpf(hi_n) / hi_d - ctx.mpf(lo_n) / lo_d) / excess < 2**-22
 
 
 def test_cap_failure_walks_again_with_the_same_error():
