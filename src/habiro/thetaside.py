@@ -25,11 +25,13 @@ from habiro.qseries import TruncatedSeries, _pascal_heads
 # CPU time on a 2-core x86-64 VM with CPython 3.11: the 1,501 sign tests of
 # t = 63..100, which read a few leading terms memoized in _top_terms and
 # shared by every member of a sweep, take 0.01-0.02 s on the anchors and
-# 0.11 s on the kernel.  Full values, which c_sequence needs, are built cold
-# per index: at t = 63 (e = 64) the kernel is faster at N = 50-150 and 300
-# (0.47 against 0.68 s at N = 300) and the anchors near N = 200, at most 1.6x
-# apart; at t = 100 the anchors are faster from N = 100 (0.72 against 0.90 s
-# at N = 300), and at t = 200 from N = 50 (0.89 against 2.7 s at N = 300).
+# 0.11 s on the kernel, in one-index calls.  Full values, which c_sequence
+# needs, come from runs of indices, which the kernel walks down; timed cold,
+# one fresh process each, after that walk went in: at t = 63 (e = 64) the
+# kernel is faster at N = 50-150 and 300 (0.41 against 0.60 s at N = 300)
+# and the anchors near N = 200 (0.12 against 0.18 s); at t = 100 the anchors
+# are faster or level from N = 100 (0.73 against 0.77 s at N = 300), and at
+# t = 200 from N = 50 (0.74 against 2.3 s at N = 300).
 ANCHOR_E0 = 64
 
 
@@ -278,9 +280,14 @@ def find_k_nu(f: PeriodicFunction, nu: int) -> int:
 
 @lru_cache(maxsize=64)
 def _anchor_nums(q1: int, a: int, size: int) -> tuple[int, ...]:
-    """N_0(a)..N_size(a) with N_i = P_i q1**i B_i(a/q1), P_i as in bernoulli_table."""
-    nums = [0] * (size + 1)
-    for first in (0, 1):  # one kernel call per parity
+    """N_0(a)..N_size(a) with N_i = P_i q1**i B_i(a/q1), P_i as in bernoulli_table.
+
+    Above size 2 the indices <= size // 2 come from the table of that size,
+    so a table doubled from a cached half runs the kernel over the new half only.
+    """
+    lower = _anchor_nums(q1, a, size // 2) if size > 2 else ()
+    nums = list(lower) + [0] * (size + 1 - len(lower))
+    for first in (len(lower), len(lower) + 1):  # one kernel call per parity
         ks = list(range(first, size + 1, 2))
         for k, ([n], _) in zip(ks, bernoulli_poly(ks, [a], q1)):
             nums[k] = n

@@ -133,8 +133,8 @@ def test_kernel_matches_reference_unreduced(k, points):
 
 @st.composite
 def index_lists(draw):
-    # mostly steps of 2, which rescale the terms of the index before, and
-    # some wider steps, which build them afresh
+    # mostly steps of 2, whose terms the walk down takes from the index
+    # above, and some wider steps, which build them afresh
     ks = [draw(st.integers(min_value=0, max_value=300))]
     for step in draw(st.lists(st.sampled_from((2, 2, 2, 4, 38)), max_size=8)):
         if ks[-1] + step > 300:
@@ -155,6 +155,58 @@ def test_kernel_indices_match_one_index_calls(ks, points):
         for p, n in zip(ps, nums):
             assert type(n) is int
             assert Fraction(n, den) == bernoulli_at(k, Fraction(p, q)), (k, p, q)
+
+
+# Long runs walked down from their top index: the common scale F of the
+# terms passes bernoulli._SCALE_BITS several times on the way, and a gap
+# restarts the walk from the binomial row.
+LONG_RUNS = [  # (first index, indices before the gap, gap, indices after it, q, points)
+    (0, 200, 0, 0, 3 * 2**41, [5]),
+    (1, 100, 6, 150, 3 * 2**41, [1, 3 * 2**40 - 1]),
+    (2, 150, 0, 0, 4 * (2 * 500 + 1), [1, 7, 2000, 4004]),
+    (3, 90, 10, 100, 4 * (2 * 37 + 1), [0, 149, 300]),
+    (2, 100, 4, 130, 3 * 2**18, [1, 2**18 + 5]),
+    (1, 230, 0, 0, 3 * 2**2, [1, 5, 7, 11]),
+]
+
+
+def _scale_resets(ks: list[int]) -> int:
+    """How often F passes _SCALE_BITS on the walk down ks, a run of indices 2 apart."""
+    scale, resets = 1, 0
+    for k in reversed(ks[:-1]):
+        scale *= (k + 2) * (k + 1)
+        if scale.bit_length() > bernoulli_module._SCALE_BITS:
+            scale, resets = 1, resets + 1
+    return resets
+
+
+@pytest.mark.parametrize("first, before, gap, after, q, ps", LONG_RUNS,
+                         ids=[str(i) for i in range(len(LONG_RUNS))])
+def test_long_runs_match_one_index_calls(first, before, gap, after, q, ps):
+    low = list(range(first, first + 2 * before, 2))
+    high = [low[-1] + gap + 2 * i for i in range(1, after + 1)] if gap else []
+    ks = low + high
+    assert max(_scale_resets(low), _scale_resets(high)) >= 3
+    got = bernoulli_poly(ks, ps, q)
+    assert len(got) == len(ks)
+    ends = {0, 1, len(low) - 2, len(low) - 1, len(low), len(low) + 1, len(ks) - 2, len(ks) - 1}
+    for i, (k, (nums, den)) in enumerate(zip(ks, got)):
+        if i % 7 == 0 or i in ends:
+            assert bernoulli_poly([k], ps, q) == [(nums, den)], k
+        if i in ends:
+            assert den == _prefix_denominator(k) * q**k
+            for p, n in zip(ps, nums):
+                assert Fraction(n, den) == bernoulli_poly_ref(k, Fraction(p, q)), (k, p, q)
+
+
+def test_table_grown_in_steps_equals_one_build():
+    grown = bernoulli_module._SEED
+    for top in (3, 10, 11, 64, 65, 300, 1000):
+        grown = bernoulli_module._build_table(top, grown)
+        assert len(grown.numerators) == top + 1
+    assert grown == bernoulli_module._build_table(1000)
+    assert grown.numerators[:301] == tuple(  # P_j B_j against the reference
+        bernoulli_number_ref(j) * d for j, d in enumerate(grown.denominators[:301]))
 
 
 def test_kernel_rejects_bad_arguments():

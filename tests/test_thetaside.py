@@ -367,43 +367,64 @@ def test_anchored_sum_leaves_the_sign_memo_alone():
     assert _top_terms.cache_info() == before
 
 
-def build_anchor_tables() -> list:
-    """The anchor tables of q1 = 139 at a = 1..70, built in that order."""
-    return [_anchor_table(139, a, 5) for a in range(1, 71)]
+def build_anchor_tables(top: int) -> list:
+    """The anchor tables of q1 = 139 at a = 1..70 through index top, built in that order."""
+    return [_anchor_table(139, a, top) for a in range(1, 71)]
 
 
-def check_anchor_tables_after_70_builds(first: list) -> None:
+def check_anchor_tables_after_70_builds(first: list, top: int) -> None:
     info = _anchor_nums.cache_info()
     assert info.maxsize == info.currsize == 64
     # kept or evicted, every table reads as it was first built
-    assert build_anchor_tables() == first
+    assert build_anchor_tables(top) == first
 
 
 def test_anchor_tables_evict_the_least_recently_used():
+    # A table of size 2 is built by the kernel alone, one cache entry each.
     _anchor_nums.cache_clear()
-    first = build_anchor_tables()
+    first = build_anchor_tables(2)
     assert _anchor_nums.cache_info()[:2] == (0, 70)  # (hits, misses): a = 1..6 are gone
-    assert _anchor_table(139, 7, 5) == first[6]  # a hit, so a = 8 is now the least recently used
-    assert len(_anchor_table(139, 71, 5)) == 9  # through N_8, and a = 8 is evicted
+    assert _anchor_table(139, 7, 2) == first[6]  # a hit, so a = 8 is now the least recently used
+    assert len(_anchor_table(139, 71, 2)) == 3  # through N_2, and a = 8 is evicted
     assert _anchor_nums.cache_info()[:2] == (1, 71)
     kept = [7, *range(9, 71)]
-    assert [_anchor_table(139, a, 5) for a in kept] == [first[a - 1] for a in kept]
+    assert [_anchor_table(139, a, 2) for a in kept] == [first[a - 1] for a in kept]
     assert _anchor_nums.cache_info()[:2] == (64, 71)  # kept beside a = 71
-    assert _anchor_table(139, 8, 5) == first[7]  # rebuilt as it was first built
+    assert _anchor_table(139, 8, 2) == first[7]  # rebuilt as it was first built
     assert _anchor_nums.cache_info()[:2] == (64, 72)
-    check_anchor_tables_after_70_builds(first)
+    check_anchor_tables_after_70_builds(first, 2)
+
+
+def test_anchor_tables_double_from_their_cached_half(monkeypatch):
+    calls, real = [], thetaside.bernoulli_poly
+
+    def recorded(ks, ps, q):
+        calls.append(ks)
+        return real(ks, ps, q)
+
+    _anchor_nums.cache_clear()
+    monkeypatch.setattr(thetaside, "bernoulli_poly", recorded)
+    assert _anchor_table(5, 2, 5) == tuple(  # size 8, from the halves 4 and 2
+        bernoulli_poly([k], [2], 5)[0][0][0] for k in range(9))
+    assert calls == [[0, 2], [1], [3], [4], [5, 7], [6, 8]]
+    assert _anchor_nums.cache_info()[:2] == (0, 3)
+    calls.clear()
+    assert len(_anchor_table(5, 2, 9)) == 17
+    assert calls == [list(range(9, 17, 2)), list(range(10, 17, 2))]  # the new half only
+    assert _anchor_nums.cache_info()[:2] == (1, 4)
 
 
 def test_anchor_tables_evict_safely_from_threads():
+    # Tables of size 8 read their halves from the cache the threads evict from.
     _anchor_nums.cache_clear()
-    want = build_anchor_tables()
+    want = build_anchor_tables(5)
     _anchor_nums.cache_clear()
     results, errors = [None] * 4, []
 
     def worker(i):  # forty rounds each, so that the threads' evictions overlap
         try:
             for _ in range(40):
-                results[i] = build_anchor_tables()
+                results[i] = build_anchor_tables(5)
         except Exception as err:  # reported by the main thread
             errors.append(err)
 
@@ -420,7 +441,7 @@ def test_anchor_tables_evict_safely_from_threads():
     assert not any(t.is_alive() for t in threads)
     assert errors == [] and results == [want] * 4
     # which of the tables survive depends on how the threads interleave
-    check_anchor_tables_after_70_builds(want)
+    check_anchor_tables_after_70_builds(want, 5)
 
 
 def test_bernoulli_sign_rejects_a_negative_index():
