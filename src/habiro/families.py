@@ -210,9 +210,10 @@ def _times_q_power_classes(w: list[int], e: int, width: int) -> list[int]:
 # Largest cost expand_torus32t accepts, the refusal threshold of its direct
 # expansion.  The formula counts the old cost, m*m*(N+1) dense window products,
 # m = 2**(t-1), of about (N+1)**2 + 200 steps each.  Difference passes over all
-# m classes at once cost less (t=12, N=0 went from 10.5 to 0.6 s and t=3, N=100
-# takes 0.3 s, CPU time on a 2-core x86-64 VM), so the formula now over-counts;
-# it stays as the limit, so the same sizes are refused.
+# m classes at once, m - 1 steps a round, cost less (CPU time on a 2-core x86-64
+# VM: t=12, N=0 0.6 s; t=8, N=36 9 s; t=3, N=100 0.18 s and N=395 11-18 s),
+# so the formula now over-counts; it stays as the limit, so the same sizes are
+# refused.
 TORUS32T_BUDGET = 10**9
 
 
@@ -221,15 +222,23 @@ def expand_torus32t(t: int, N: int) -> TruncatedSeries:
 
     With m = 2**(t-1) and x = q**(1/m) the element is (-1)**h'' q**(-h')
     sum_k [x**a] (x;x)_k, where [x**a] keeps the exponents a mod m and divides
-    by x**a; (x;x)_k has u-valuation at least k // m, so k < m(N+1) suffices.
-    The product is held as m residue-class series: sum_{r<m} x**r P_r(q), each
-    P_r a window in u, exact since Z[x] = sum_r x**r Z[q] and truncation in u is
-    a ring map.  Multiplying by 1 - x**c, c = c1*m + c0, subtracts
-    q**(c1 + [r + c0 >= m]) P_r from class (r + c0) mod m; [x**a] is class a.
-    The classes sit in one list, class r in window r, so q**c1 times all of
-    them is c1 difference passes over it and the move to r + c0 a rotation.
-    (x;x)_k is (q;q)_(k // m) times a polynomial in x, so in round c1 every
-    class has valuation at least c1 - 1, and its window starts there.
+    by x**a.  The factors 1 - x**i with m | i are 1 - q**(i/m), so (x;x)_k =
+    (q;q)_K R_k(x), K = k // m, where R_k = prod_{i <= k, m !| i} (1 - x**i)
+    is the product of the other factors, an integer polynomial: nothing is
+    divided.  The element is the prefactor times sum_K (q;q)_K S_K, S_K =
+    sum_{c0 < m} [x**a] R_(Km+c0), and (q;q)_K has u-valuation K, so K <= N
+    suffices and round K needs R and S_K only through u**(N-K).
+    R is held as m residue-class series: sum_{r<m} x**r P_r(q), each P_r a
+    window in u, exact since Z[x] = sum_r x**r Z[q] and truncation in u is a
+    ring map; class 0 starts as the prefactor.  R_Km is R_(Km-1), so round K
+    steps only at c0 = 1..m-1: multiplying by 1 - x**(Km+c0) subtracts
+    q**(K + [r + c0 >= m]) P_r from class (r + c0) mod m.  [x**a] is class a,
+    added into S_K before the first step and after each.  The classes sit in
+    one list, class r in window r, so q**K times all of them is K difference
+    passes over it and the move to r + c0 a rotation; each round drops the
+    top coefficient of every window.  The sum over K is Horner's from the
+    top: H_N = S_N, H_K = S_K + (1 - q**(K+1)) H_(K+1) through u**(N-K), and
+    the answer is H_0.
     Sizes over TORUS32T_BUDGET raise ValueError before any work is done.
     """
     _check_order(N)
@@ -248,23 +257,27 @@ def expand_torus32t(t: int, N: int) -> TruncatedSeries:
     a = pow(3, -1, m)
     # Class 0 starts as (-1)**h'' q**(-h') = (-1)**h'' (1-u)**(-h'), h' = h'' - 1.
     sign = (-1) ** hpp
-    width = N + 2  # a guard, then the coefficients of u**v..u**N, v = max(c1 - 1, 0)
+    width = N + 2  # a guard, then the coefficients of u**0..u**(N-K) in round K
     classes = [0, sign] + [sign * comb(hpp + j - 2, j) for j in range(1, N + 1)]
     classes += [0] * (width * (m - 1))
-    acc = [0] * (N + 1)
-    for c1 in range(N + 1):
-        v = max(c1 - 1, 0)
-        if v:
-            del classes[1::width]  # every coefficient of u**(v-1) is zero
+    sums = []
+    for K in range(N + 1):
+        if K:
+            del classes[width - 1::width]  # u**(N-K+1) is past round K's cut
             width -= 1
-        for c0 in range(m):
-            if c1 or c0:
-                moved = _times_q_power_classes(classes[:], c1, width) if c1 else classes
-                cut = (m - c0) * width
-                wrapped = _times_q_power_classes(moved[cut:], 1, width)
-                classes = list(map(sub, classes, wrapped + moved[:cut]))
-            acc[v:] = map(add, acc[v:], classes[a * width + 1:(a + 1) * width])
-    return TruncatedSeries(acc)
+        read = slice(a * width + 1, (a + 1) * width)  # class a's coefficients
+        s = classes[read]
+        for c0 in range(1, m):
+            moved = _times_q_power_classes(classes[:], K, width) if K else classes
+            cut = (m - c0) * width
+            wrapped = _times_q_power_classes(moved[cut:], 1, width)
+            classes = list(map(sub, classes, wrapped + moved[:cut]))
+            s = list(map(add, s, classes[read]))
+        sums.append(s)
+    h = sums.pop()
+    for K in range(N - 1, -1, -1):  # H_K = S_K + (1 - q**(K+1)) H_(K+1)
+        h = list(map(sub, map(add, sums.pop(), h + [0]), _times_q_power(K + 1, h, N - K)))
+    return TruncatedSeries(h)
 
 
 def expand_torus2(m: int, ell: int, N: int) -> TruncatedSeries:

@@ -114,8 +114,8 @@ def test_criterion_3_dual_routes_at_n60():
 @pytest.mark.slow
 def test_criterion_3_dual_routes_at_n200():
     start = time.perf_counter()
-    specs = [FamilySpec("fishburn"), FamilySpec("torus32t", t=3), FamilySpec("torus2", m=2, ell=1),
-             FamilySpec("habiro-g", k=2)]
+    specs = [FamilySpec("fishburn"), FamilySpec("torus32t", t=2), FamilySpec("torus32t", t=3),
+             FamilySpec("torus2", m=2, ell=1), FamilySpec("habiro-g", k=2)]
     for spec in specs:
         ident = identity_for(spec)
         theta = xi_from_theta(b_sequence(ident, c_sequence(ident, 200)), 200)

@@ -198,7 +198,9 @@ def _torus32t_literal(t, N):
     return [-c for c in out] if hpp % 2 else out
 
 
-@pytest.mark.parametrize("t,N", [(2, 6), (3, 4)])
+# N = 0 is the Horner sum's base alone and N = 1 its first step and the first
+# trims of the class windows; the literal reference takes 1 s at (4, 2).
+@pytest.mark.parametrize("t,N", [(2, 0), (2, 1), (2, 6), (3, 0), (3, 1), (3, 4), (4, 0), (4, 1)])
 def test_torus32t_fast_path_matches_literal_enumeration(t, N):
     assert expand_torus32t(t, N).integer_coeffs() == _torus32t_literal(t, N)
 
@@ -375,6 +377,7 @@ def test_theta_q_expansion_exponents_for_smallest_odd_weight():
 SWEEP = [
     FamilySpec("fishburn"),
     FamilySpec("torus32t", t=2),
+    FamilySpec("torus32t", t=3),
     FamilySpec("torus2", m=2, ell=1),
     FamilySpec("torus2", m=3, ell=0),
     FamilySpec("torus2", m=3, ell=1),
