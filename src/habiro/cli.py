@@ -253,7 +253,7 @@ def _verdict_json(spec: FamilySpec, v) -> dict:
 
 def cmd_verify(args) -> int:
     varied, every_ell, specs = _verify_specs(args)
-    verdicts = [verify_positivity(spec, cap=args.precision_cap) for spec in specs]
+    verdicts = verify_positivity(specs, cap=args.precision_cap)
 
     def shown(v) -> str:
         return "-" if v.verdict == "undecided-at-precision-cap" else str(v.n_used)

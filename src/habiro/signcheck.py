@@ -11,9 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import gcd
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
-# perfbench/tracing.py wraps bernoulli_poly here, so it stays bound though unused.
 from habiro.exact import (
     DEFAULT_PRECISION,
     PRECISION_CAP,
@@ -262,14 +261,21 @@ def _check_count(num: int, den: int, cap: int) -> int:
     return _walk(0, 2, sin_pi, cap, "check-count bound", (num, den))
 
 
-def bernoulli_sign_test(ident: StrangeIdentity, n: int) -> int:
+def bernoulli_sign_test(ident: StrangeIdentity, n: int, values: dict[int, int] | None) -> int:
     """Exact sign of C_n, read from the sign of the Bernoulli sum of the weight.
 
     C_n is (-1)**(n+1) times a positive scale times that sum at s = 2n + nu + 1.
+    values maps each point of the weight's fold to D B_s(p/M), D > 0 shared
+    by the points, from its group's kernel call, and the sum is the fold's
+    weights dotted with them.  An anchored fold passes None and takes
+    bernoulli_sign's route from the leading terms.
     """
-    if n < 0:
-        raise ValueError("sample index must be nonnegative")
-    sign = bernoulli_sign(ident.f, 2 * n + ident.nu + 1)
+    if values is None:
+        sign = bernoulli_sign(ident.f, 2 * n + ident.nu + 1)
+    else:
+        fold = ident.f._fold(1 if ident.nu else -1)
+        total = sum(w * values[p] for p, w in zip(fold.points, fold.weights))
+        sign = (total > 0) - (total < 0)
     return sign if n % 2 else -sign
 
 
@@ -314,22 +320,81 @@ class PositivityVerdict(NamedTuple("PositivityVerdict",
             for n, s in enumerate(self.signs) if s == 0)
 
 
-def verdict_for_identity(ident: StrangeIdentity | None, n_used: int) -> PositivityVerdict:
-    """Run the leading n_used sign tests; ident may be None when n_used is 0."""
-    return PositivityVerdict(tuple(bernoulli_sign_test(ident, n) for n in range(n_used)))
+# The verdict of every member that the tail bound alone proves; a verdict is
+# immutable, so they share one.
+_TAIL_BOUND_ONLY = PositivityVerdict()
 
 
-def verify_positivity(spec: FamilySpec, cap: int = PRECISION_CAP) -> PositivityVerdict:
-    """Certify that every coefficient of a built-in family is positive.
+def verdicts_for_identities(pairs: list[tuple[StrangeIdentity, int]]) -> list[PositivityVerdict]:
+    """Run the leading n_used sign tests of each (identity, n_used) pair.
 
-    The member's identity is built only when a sign test runs: with a check
-    count of 0 the tail bound alone proves positivity.
+    The pairs whose folded weight has no anchor are grouped by (period, nu),
+    and each group's tests read one bernoulli_poly call over the union of
+    its fold points at s = nu + 1, nu + 3, ..., up to its largest n_used.
+    The values are exact, so each pair's sum is the one bernoulli_sum gives
+    its weight alone.  An anchored pair's tests each take bernoulli_sign's
+    leading terms.
     """
-    try:
-        n_used = family_n_bound(spec, cap)
-    except PrecisionCapError as err:
-        return PositivityVerdict(cap_message=str(err))
-    return verdict_for_identity(identity_for(spec) if n_used else None, n_used)
+    signs: list[tuple[int, ...]] = [()] * len(pairs)
+    groups: dict[tuple[int, int], list[tuple[int, tuple[int, ...]]]] = {}  # -> (i, fold points)
+    for i, (ident, n_used) in enumerate(pairs):
+        if n_used < 0:
+            raise ValueError("check count must be nonnegative")
+        if not n_used:
+            continue
+        fold = ident.f._fold(1 if ident.nu else -1)
+        if fold.anchor is None:
+            groups.setdefault((ident.f.period, ident.nu), []).append((i, fold.points))
+        else:
+            signs[i] = tuple(bernoulli_sign_test(ident, n, None) for n in range(n_used))
+    for (period, nu), group in groups.items():
+        points = list({p for _, ps in group for p in ps})
+        top = max(pairs[i][1] for i, _ in group)
+        values = [dict(zip(points, row)) for row, _ in
+                  bernoulli_poly(list(range(nu + 1, 2 * top + nu, 2)), points, period)]
+        for i, _ in group:
+            ident, n_used = pairs[i]
+            signs[i] = tuple(bernoulli_sign_test(ident, n, values[n]) for n in range(n_used))
+    return [PositivityVerdict(s) if s else _TAIL_BOUND_ONLY for s in signs]
+
+
+def verify_positivity(specs: Iterable[FamilySpec],
+                      cap: int = PRECISION_CAP) -> list[PositivityVerdict]:
+    """Certify that every coefficient of each built-in family member is positive.
+
+    A member's identity is built only when a sign test runs: with a check
+    count of 0 the tail bound alone proves positivity.  The sign tests run
+    in verdicts_for_identities, once per run of consecutive tested members
+    that share a period and nu, as a sweep lists the ell of one m.  So only
+    one run's identities and kernel values are held at a time.
+    """
+    verdicts: list[PositivityVerdict | None] = []
+    slots: list[int] = []  # where the verdicts of the run go
+    run: list[tuple[StrangeIdentity, int]] = []
+
+    def flush() -> None:
+        for slot, v in zip(slots, verdicts_for_identities(run)):
+            verdicts[slot] = v
+        slots.clear()
+        run.clear()
+
+    for spec in specs:
+        try:
+            n_used = family_n_bound(spec, cap)
+        except PrecisionCapError as err:
+            verdicts.append(PositivityVerdict(cap_message=str(err)))
+            continue
+        if not n_used:
+            verdicts.append(_TAIL_BOUND_ONLY)
+            continue
+        ident = identity_for(spec)
+        if run and (ident.f.period, ident.nu) != (run[0][0].f.period, run[0][0].nu):
+            flush()
+        slots.append(len(verdicts))
+        run.append((ident, n_used))
+        verdicts.append(None)
+    flush()
+    return verdicts
 
 
 class FamilyCertificate(NamedTuple):

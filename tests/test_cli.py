@@ -19,7 +19,7 @@ import habiro.thetaside as thetaside
 from habiro.cli import main
 from habiro.families import FamilySpec, expand_family
 from habiro.qseries import TruncatedSeries
-from habiro.signcheck import PositivityVerdict, verdict_for_identity
+from habiro.signcheck import PositivityVerdict, verdicts_for_identities
 from habiro.thetaside import StrangeIdentity
 from tests.test_thetaside import periodic
 
@@ -453,7 +453,8 @@ def test_verdict_json_records_each_sign_test():
     assert cli._verdict_json(custom, v)["checks"] == [[0, 1, True], [1, 0, True], [2, -1, False]]
     # A zero sign test passes, and its note closes the row.
     zero_ident = StrangeIdentity(0, 1, 0, periodic((0, 1, -2, 1)))
-    row = cli._verdict_json(custom, verdict_for_identity(zero_ident, 1))
+    [zero] = verdicts_for_identities([(zero_ident, 1)])
+    row = cli._verdict_json(custom, zero)
     assert list(row.items()) == [
         ("family", "custom"), ("params", {}), ("N_used", 1), ("checks", [[0, 0, True]]),
         ("verdict", "proved-positive"),

@@ -4,10 +4,12 @@ perfbench/tracing.py replaces functions by name on the modules that bind
 them.  A renamed function makes install() fail, and a reference captured
 before install() lets calls bypass the wrapper, blanking that layer's time in
 a traced benchmark run.  This runs one small task of each command kind under
-the tracer and requires time in each layer the benchmark reports.
+the tracer and requires time in each layer the benchmark reports, and a
+torus2 sweep whose traced sign tests must match the checks it prints.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 from habiro.cli import main
@@ -32,15 +34,25 @@ def test_traced_layers_all_record_time(tmp_path, capsys):
         ["asym", "--family", "fishburn", "--samples", "10", *cache],
         ["verify", "--family", "torus32t", "--t", "1:3"],
     ]
+    sweep = ["verify", "--family", "torus2", "--m", "1:12", "--format", "json"]
     tracer = tracing.Tracer()
     tracer.install()
     try:
         codes = [main(argv) for argv in tasks]
+        capsys.readouterr()
+        before = tracing.layer_metrics(tracer.summary())
+        codes.append(main(sweep))
     finally:
         tracer.uninstall()
-    capsys.readouterr()
-    assert codes == [0] * len(tasks)
+    rows = json.loads(capsys.readouterr().out)
+    assert codes == [0] * (len(tasks) + 1)
     metrics = tracing.layer_metrics(tracer.summary())
+    # one bernoulli_sign_test call per sign test printed, and one per zero sign
+    tests = sum(r["N_used"] for r in rows)
+    zeros = sum(sign == 0 for r in rows for _, sign, _ in r["checks"])
+    assert tests > 0
+    assert metrics["signcheck.sign_tests"] - before["signcheck.sign_tests"] == tests
+    assert metrics["signcheck.zero_sign_tests"] - before["signcheck.zero_sign_tests"] == zeros
     for name in ("families.expand_s", "qseries.kernel_s", "qseries.transform_s",
                  "thetaside.c_s", "exact.bernoulli_s", "asym.profile_s",
                  "signcheck.sign_test_s"):
