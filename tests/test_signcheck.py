@@ -742,7 +742,6 @@ def test_members_keep_their_order_across_groups():
     assert len(set(shuffled)) == len(specs)
     alone = [verify_positivity([spec])[0] for spec in shuffled]
     assert verify_positivity(shuffled) == alone
-    assert verify_positivity(iter(shuffled)) == alone
 
 
 # -- verdicts ----------------------------------------------------------------
