@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, lru_cache
+from itertools import groupby
 from math import gcd
 from typing import Callable, Iterable, NamedTuple
 
@@ -266,7 +267,7 @@ def bernoulli_sign_test(ident: StrangeIdentity, n: int, values: dict[int, int] |
 
     C_n is (-1)**(n+1) times a positive scale times that sum at s = 2n + nu + 1.
     values maps each point of the weight's fold to D B_s(p/M), D > 0 shared
-    by the points, from its group's kernel call, and the sum is the fold's
+    by the points, from its run's kernel call, and the sum is the fold's
     weights dotted with them.  An anchored fold passes None and takes
     bernoulli_sign's route from the leading terms.
     """
@@ -325,37 +326,34 @@ class PositivityVerdict(NamedTuple("PositivityVerdict",
 _TAIL_BOUND_ONLY = PositivityVerdict()
 
 
-def verdicts_for_identities(pairs: list[tuple[StrangeIdentity, int]]) -> list[PositivityVerdict]:
+def verdicts_for_identities(
+        pairs: Iterable[tuple[StrangeIdentity, int]]) -> list[PositivityVerdict]:
     """Run the leading n_used sign tests of each (identity, n_used) pair.
 
-    The pairs whose folded weight has no anchor are grouped by (period, nu),
-    and each group's tests read one bernoulli_poly call over the union of
-    its fold points at s = nu + 1, nu + 3, ..., up to its largest n_used.
-    The values are exact, so each pair's sum is the one bernoulli_sum gives
-    its weight alone.  An anchored pair's tests each take bernoulli_sign's
-    leading terms.
+    The pairs are taken in runs of consecutive members with one period and
+    nu.  A run with a tested unanchored fold makes one bernoulli_poly call
+    over the union of those folds' points at s = nu + 1, nu + 3, ..., up to
+    their largest n_used.  The values are exact, so each pair's sum is the
+    one bernoulli_sum gives its weight alone.  An anchored pair's tests each
+    take bernoulli_sign's leading terms.  Only one run is held at a time.
     """
-    signs: list[tuple[int, ...]] = [()] * len(pairs)
-    groups: dict[tuple[int, int], list[tuple[int, tuple[int, ...]]]] = {}  # -> (i, fold points)
-    for i, (ident, n_used) in enumerate(pairs):
-        if n_used < 0:
+    verdicts = []
+    for (period, nu), group in groupby(pairs, lambda pair: (pair[0].f.period, pair[0].nu)):
+        run = [(ident, n_used, ident.f._fold(1 if nu else -1)) for ident, n_used in group]
+        if any(n_used < 0 for _, n_used, _ in run):
             raise ValueError("check count must be nonnegative")
-        if not n_used:
-            continue
-        fold = ident.f._fold(1 if ident.nu else -1)
-        if fold.anchor is None:
-            groups.setdefault((ident.f.period, ident.nu), []).append((i, fold.points))
-        else:
-            signs[i] = tuple(bernoulli_sign_test(ident, n, None) for n in range(n_used))
-    for (period, nu), group in groups.items():
-        points = list({p for _, ps in group for p in ps})
-        top = max(pairs[i][1] for i, _ in group)
-        values = [dict(zip(points, row)) for row, _ in
-                  bernoulli_poly(list(range(nu + 1, 2 * top + nu, 2)), points, period)]
-        for i, _ in group:
-            ident, n_used = pairs[i]
-            signs[i] = tuple(bernoulli_sign_test(ident, n, values[n]) for n in range(n_used))
-    return [PositivityVerdict(s) if s else _TAIL_BOUND_ONLY for s in signs]
+        kernel = [(fold.points, n_used) for _, n_used, fold in run
+                  if n_used and fold.anchor is None]
+        if kernel:  # a fold that cancels has no points, but its tests still read values
+            points = list({p for ps, _ in kernel for p in ps})
+            top = max(n_used for _, n_used in kernel)
+            values = [dict(zip(points, row)) for row, _ in
+                      bernoulli_poly(list(range(nu + 1, 2 * top + nu, 2)), points, period)]
+        for ident, n_used, fold in run:
+            signs = tuple(bernoulli_sign_test(ident, n, values[n] if fold.anchor is None else None)
+                          for n in range(n_used))
+            verdicts.append(PositivityVerdict(signs) if signs else _TAIL_BOUND_ONLY)
+    return verdicts
 
 
 def verify_positivity(specs: Iterable[FamilySpec],
@@ -363,38 +361,23 @@ def verify_positivity(specs: Iterable[FamilySpec],
     """Certify that every coefficient of each built-in family member is positive.
 
     A member's identity is built only when a sign test runs: with a check
-    count of 0 the tail bound alone proves positivity.  The sign tests run
-    in verdicts_for_identities, once per run of consecutive tested members
-    that share a period and nu, as a sweep lists the ell of one m.  So only
-    one run's identities and kernel values are held at a time.
+    count of 0 the tail bound alone proves positivity.  Every member's check
+    count is taken first; the tested members then go to
+    verdicts_for_identities, whose runs of consecutive members that share a
+    period and nu are as a sweep lists the ell of one m.  So only one run's
+    identities and kernel values are held at a time.
     """
-    verdicts: list[PositivityVerdict | None] = []
-    slots: list[int] = []  # where the verdicts of the run go
-    run: list[tuple[StrangeIdentity, int]] = []
-
-    def flush() -> None:
-        for slot, v in zip(slots, verdicts_for_identities(run)):
-            verdicts[slot] = v
-        slots.clear()
-        run.clear()
-
+    specs = list(specs)  # read twice: for the counts, then for the tested members
+    counts: list[int | PrecisionCapError] = []
     for spec in specs:
         try:
-            n_used = family_n_bound(spec, cap)
+            counts.append(family_n_bound(spec, cap))
         except PrecisionCapError as err:
-            verdicts.append(PositivityVerdict(cap_message=str(err)))
-            continue
-        if not n_used:
-            verdicts.append(_TAIL_BOUND_ONLY)
-            continue
-        ident = identity_for(spec)
-        if run and (ident.f.period, ident.nu) != (run[0][0].f.period, run[0][0].nu):
-            flush()
-        slots.append(len(verdicts))
-        run.append((ident, n_used))
-        verdicts.append(None)
-    flush()
-    return verdicts
+            counts.append(err)
+    tested = iter(verdicts_for_identities(
+        (identity_for(spec), n) for spec, n in zip(specs, counts) if isinstance(n, int) and n))
+    return [PositivityVerdict(cap_message=str(n)) if isinstance(n, PrecisionCapError)
+            else next(tested) if n else _TAIL_BOUND_ONLY for n in counts]
 
 
 class FamilyCertificate(NamedTuple):

@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import habiro.exact.zeta as zeta_module
@@ -619,7 +619,7 @@ def test_decide_sign_names_the_quantity_only_at_the_cap():
 
 
 def signs_of(ident: StrangeIdentity, n_used: int) -> tuple[int, ...]:
-    """The signs of one member's leading n_used sign tests, run as a group of one."""
+    """The signs of one member's leading n_used sign tests, run alone."""
     [v] = verdicts_for_identities([(ident, n_used)])
     return v.signs
 
@@ -709,16 +709,32 @@ def shared_period_members(draw):
     return members
 
 
+_ANCHORED_PERIOD = 3 << ANCHOR_E0
+
+
+def _nu_one_member(period: int, entries: dict[int, int], n_used: int) -> tuple[StrangeIdentity, int]:
+    """A nu = 1 member, whose sign tests read the fold f(r) + f(M - r)."""
+    return StrangeIdentity(0, 1, 1, PeriodicFunction(period, tuple(entries.items()))), n_used
+
+
+# An odd weight cancels in its fold, so it has no points and no anchor even at
+# an anchored period; it still reads the run's kernel values, which the
+# anchored member beside it does not.
+_CANCELLED = _nu_one_member(_ANCHORED_PERIOD, {1: 1, _ANCHORED_PERIOD - 1: -1}, 3)
+_ANCHORED = _nu_one_member(_ANCHORED_PERIOD, {1: 1, _ANCHORED_PERIOD - 1: 1, 5: -2}, 2)
+_ANCHORED_TOO = _nu_one_member(_ANCHORED_PERIOD, {3: 1, _ANCHORED_PERIOD - 7: -1}, 4)
+
+
 @settings(max_examples=150, deadline=None)
 @given(members=shared_period_members())
+@example(members=[_CANCELLED, _ANCHORED])
 def test_grouped_signs_equal_each_weight_alone(members):
     verdicts = verdicts_for_identities(members)
     assert [v.signs for v in verdicts] == [_signs_alone(i, n) for i, n in members]
 
 
-def test_a_sweep_makes_one_kernel_call_per_period(monkeypatch):
-    # torus2 m = 1..12 has one period 8m + 4 per m; members of an m with
-    # tests share one call, and no test goes through bernoulli_sum.
+def _recorded_kernel_periods(monkeypatch) -> list[int]:
+    """The period of each bernoulli_poly call that signcheck makes from here on."""
     calls, real = [], sc.bernoulli_poly
 
     def recorded(ks, ps, q):
@@ -726,6 +742,39 @@ def test_a_sweep_makes_one_kernel_call_per_period(monkeypatch):
         return real(ks, ps, q)
 
     monkeypatch.setattr(sc, "bernoulli_poly", recorded)
+    return calls
+
+
+def test_an_anchored_run_makes_no_kernel_call(monkeypatch):
+    calls = _recorded_kernel_periods(monkeypatch)
+    members = [_ANCHORED, _ANCHORED_TOO, (_ANCHORED[0], 0)]
+    assert all(i.f._fold(1).anchor is not None for i, _ in members)
+    verdicts = verdicts_for_identities(members)
+    assert [v.signs for v in verdicts] == [_signs_alone(i, n) for i, n in members]
+    assert calls == []
+
+
+def test_runs_are_cut_where_the_period_changes(monkeypatch):
+    # P, Q, P is three runs, one kernel call each, and the verdicts keep the order.
+    calls = _recorded_kernel_periods(monkeypatch)
+    members = [(identity_for(FamilySpec("torus2", m=m, ell=ell)), n)
+               for m, ell, n in [(2, 0, 2), (2, 1, 1), (3, 1, 3), (2, 1, 2)]]
+    verdicts = verdicts_for_identities(members)
+    assert calls == [20, 28, 20]
+    assert [v.signs for v in verdicts] == [_signs_alone(i, n) for i, n in members]
+
+
+def test_verify_positivity_takes_a_one_shot_generator():
+    specs = [FamilySpec("torus2", m=m, ell=ell) for m in range(1, 9) for ell in range(m)]
+    specs += [FamilySpec("torus32t", t=t) for t in range(60, 65)]
+    assert verify_positivity(spec for spec in specs) == verify_positivity(specs)
+    assert verify_positivity([]) == []
+
+
+def test_a_sweep_makes_one_kernel_call_per_period(monkeypatch):
+    # torus2 m = 1..12 has one period 8m + 4 per m; members of an m with
+    # tests share one call, and no test goes through bernoulli_sum.
+    calls = _recorded_kernel_periods(monkeypatch)
     monkeypatch.setattr(thetaside, "bernoulli_sum", None)
     specs = [FamilySpec("torus2", m=m, ell=ell) for m in range(1, 13) for ell in range(m)]
     verdicts = verify_positivity(specs)
