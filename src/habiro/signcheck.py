@@ -9,8 +9,7 @@ values.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, lru_cache
-from itertools import groupby
+from functools import cache, lru_cache, partial
 from math import gcd
 from typing import Callable, Iterable, NamedTuple
 
@@ -19,7 +18,7 @@ from habiro.exact import (
     PRECISION_CAP,
     IntervalReal,
     PrecisionCapError,
-    bernoulli_poly,
+    bernoulli_poly,  # bound only for perfbench/tracing.py, which wraps it here
     decide_sign,
     signed_enclosure,
     zeta_even,
@@ -257,26 +256,24 @@ def _check_count(num: int, den: int, cap: int) -> int:
     The angle is keyed by its reduced numerator and denominator: a Fraction
     key would be rehashed on every lookup.
     """
-    # one per precision the walk visits, not per n, and dropped with the walk
-    sin_pi = cache(lambda prec: (IntervalReal.pi(prec) * Fraction(num, den)).sin().ival)
-    return _walk(0, 2, sin_pi, cap, "check-count bound", (num, den))
+    return _walk(0, 2, partial(_sin_pi, num, den), cap, "check-count bound", (num, den))
 
 
-def bernoulli_sign_test(ident: StrangeIdentity, n: int, values: dict[int, int] | None) -> int:
+# A walk's interval ladder asks for the sine at each precision it visits, once
+# per step it leaves to the ladder; most walks ask for none.
+@lru_cache(maxsize=256)
+def _sin_pi(num: int, den: int, prec: int) -> tuple:
+    """The endpoints of sin(pi*num/den) enclosed at prec bits."""
+    return (IntervalReal.pi(prec) * Fraction(num, den)).sin().ival
+
+
+def bernoulli_sign_test(ident: StrangeIdentity, n: int) -> int:
     """Exact sign of C_n, read from the sign of the Bernoulli sum of the weight.
 
-    C_n is (-1)**(n+1) times a positive scale times that sum at s = 2n + nu + 1.
-    values maps each point of the weight's fold to D B_s(p/M), D > 0 shared
-    by the points, from its run's kernel call, and the sum is the fold's
-    weights dotted with them.  An anchored fold passes None and takes
-    bernoulli_sign's route from the leading terms.
+    C_n is (-1)**(n+1) times a positive scale times that sum at
+    s = 2n + nu + 1, whose sign bernoulli_sign gives.
     """
-    if values is None:
-        sign = bernoulli_sign(ident.f, 2 * n + ident.nu + 1)
-    else:
-        fold = ident.f._fold(1 if ident.nu else -1)
-        total = sum(w * values[p] for p, w in zip(fold.points, fold.weights))
-        sign = (total > 0) - (total < 0)
+    sign = bernoulli_sign(ident.f, 2 * n + ident.nu + 1)
     return sign if n % 2 else -sign
 
 
@@ -326,58 +323,32 @@ class PositivityVerdict(NamedTuple("PositivityVerdict",
 _TAIL_BOUND_ONLY = PositivityVerdict()
 
 
-def verdicts_for_identities(
-        pairs: Iterable[tuple[StrangeIdentity, int]]) -> list[PositivityVerdict]:
-    """Run the leading n_used sign tests of each (identity, n_used) pair.
-
-    The pairs are taken in runs of consecutive members with one period and
-    nu.  A run with a tested unanchored fold makes one bernoulli_poly call
-    over the union of those folds' points at s = nu + 1, nu + 3, ..., up to
-    their largest n_used.  The values are exact, so each pair's sum is the
-    one bernoulli_sum gives its weight alone.  An anchored pair's tests each
-    take bernoulli_sign's leading terms.  Only one run is held at a time.
-    """
-    verdicts = []
-    for (period, nu), group in groupby(pairs, lambda pair: (pair[0].f.period, pair[0].nu)):
-        run = [(ident, n_used, ident.f._fold(1 if nu else -1)) for ident, n_used in group]
-        if any(n_used < 0 for _, n_used, _ in run):
-            raise ValueError("check count must be nonnegative")
-        kernel = [(fold.points, n_used) for _, n_used, fold in run
-                  if n_used and fold.anchor is None]
-        if kernel:  # a fold that cancels has no points, but its tests still read values
-            points = list({p for ps, _ in kernel for p in ps})
-            top = max(n_used for _, n_used in kernel)
-            values = [dict(zip(points, row)) for row, _ in
-                      bernoulli_poly(list(range(nu + 1, 2 * top + nu, 2)), points, period)]
-        for ident, n_used, fold in run:
-            signs = tuple(bernoulli_sign_test(ident, n, values[n] if fold.anchor is None else None)
-                          for n in range(n_used))
-            verdicts.append(PositivityVerdict(signs) if signs else _TAIL_BOUND_ONLY)
-    return verdicts
+def verdict_for_identity(ident: StrangeIdentity, n_used: int) -> PositivityVerdict:
+    """The verdict of the leading n_used sign tests of one identity."""
+    if n_used < 0:
+        raise ValueError("check count must be nonnegative")
+    signs = tuple(bernoulli_sign_test(ident, n) for n in range(n_used))
+    return PositivityVerdict(signs) if signs else _TAIL_BOUND_ONLY
 
 
 def verify_positivity(specs: Iterable[FamilySpec],
                       cap: int = PRECISION_CAP) -> list[PositivityVerdict]:
     """Certify that every coefficient of each built-in family member is positive.
 
-    A member's identity is built only when a sign test runs: with a check
-    count of 0 the tail bound alone proves positivity.  Every member's check
-    count is taken first; the tested members then go to
-    verdicts_for_identities, whose runs of consecutive members that share a
-    period and nu are as a sweep lists the ell of one m.  So only one run's
-    identities and kernel values are held at a time.
+    One pass over the specs: each member's check count, then its sign
+    tests.  A member's identity is built only when a sign test runs: with a
+    check count of 0 the tail bound alone proves positivity.
     """
-    specs = list(specs)  # read twice: for the counts, then for the tested members
-    counts: list[int | PrecisionCapError] = []
+    verdicts = []
     for spec in specs:
         try:
-            counts.append(family_n_bound(spec, cap))
+            n_used = family_n_bound(spec, cap)
         except PrecisionCapError as err:
-            counts.append(err)
-    tested = iter(verdicts_for_identities(
-        (identity_for(spec), n) for spec, n in zip(specs, counts) if isinstance(n, int) and n))
-    return [PositivityVerdict(cap_message=str(n)) if isinstance(n, PrecisionCapError)
-            else next(tested) if n else _TAIL_BOUND_ONLY for n in counts]
+            verdicts.append(PositivityVerdict(cap_message=str(err)))
+        else:
+            verdicts.append(verdict_for_identity(identity_for(spec), n_used) if n_used
+                            else _TAIL_BOUND_ONLY)
+    return verdicts
 
 
 class FamilyCertificate(NamedTuple):

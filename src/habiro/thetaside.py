@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import accumulate, islice, repeat, zip_longest
-from math import factorial, gcd, isqrt, lcm
+from itertools import accumulate, repeat, zip_longest
+from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterator, NamedTuple
 
@@ -19,29 +19,27 @@ from habiro.exact import DEFAULT_PRECISION, IntervalReal, bernoulli_poly, root_s
 from habiro.exact.bernoulli import bernoulli_table, check_indices
 from habiro.qseries import TruncatedSeries, _pascal_heads
 
-# bernoulli_sign and bernoulli_sum expand at a/q1 when 2**ANCHOR_E0 divides
-# the period q = q1 2**e.  The expansion's terms do not depend on e, while the
-# Horner kernel's cost grows with it.  Measured on torus32t weights (q1 = 3),
-# CPU time on a 2-core x86-64 VM with CPython 3.11: the 1,501 sign tests of
-# t = 63..100, which read a few leading terms memoized in _top_terms and
-# shared by every member of a sweep, take 0.01-0.02 s on the anchors and
-# 0.11 s on the kernel, in one-index calls.  Full values, which c_sequence
-# needs, come from runs of indices, which the kernel walks down; timed cold,
-# one fresh process each, after that walk went in: at t = 63 (e = 64) the
-# kernel is faster at N = 50-150 and 300 (0.41 against 0.60 s at N = 300)
-# and the anchors near N = 200 (0.12 against 0.18 s); at t = 100 the anchors
-# are faster or level from N = 100 (0.73 against 0.77 s at N = 300), and at
-# t = 200 from N = 50 (0.74 against 2.3 s at N = 300).
+# bernoulli_sum expands at a/q1 when 2**ANCHOR_E0 divides the period
+# q = q1 2**e.  The expansion's terms do not depend on e, while the Horner
+# kernel's cost grows with it.  Measured on torus32t weights (q1 = 3), CPU
+# time on a 2-core x86-64 VM with CPython 3.11, the full values c_sequence
+# needs come from runs of indices, which the kernel walks down.  Timed cold,
+# one fresh process each: at t = 63 (e = 64) the kernel is faster at
+# N = 50-150 and 300 (0.41 against 0.60 s at N = 300) and the anchors near
+# N = 200 (0.12 against 0.18 s); at t = 100 the anchors are faster or level
+# from N = 100 (0.73 against 0.77 s at N = 300), and at t = 200 from N = 50
+# (0.74 against 2.3 s at N = 300).
 ANCHOR_E0 = 64
 
 
 class _Fold(NamedTuple):
-    """A weight folded for one parity of s, as bernoulli_sum reads it."""
+    """A weight folded for one parity of s, as bernoulli_sum and bernoulli_sign read it."""
 
     points: tuple[int, ...]  # the residues, M standing for residue 0
     weights: tuple[int, ...]  # the folded values times scale
     scale: int  # the lcm of the folded values' denominators
     anchor: tuple | None  # (e, q1, ((a, d, w), ...)) with p = a 2**e + d, if e >= ANCHOR_E0
+    epsilon: int  # +-1 where _lemma_sign's conditions hold, else 0
 
 
 class PeriodicFunction(NamedTuple("PeriodicFunction",
@@ -123,8 +121,54 @@ class PeriodicFunction(NamedTuple("PeriodicFunction",
             points = tuple(r or period for r, _ in kept)
             weights = tuple(w // common for _, w in kept)
             fold = self._folds[sign] = _Fold(
-                points, weights, self._scale // common, _anchor_pattern(period, points, weights))
+                points, weights, self._scale // common, _anchor_pattern(period, points, weights),
+                _lemma_sign(period, points, weights, sign < 0))
         return fold
+
+
+def _lemma_sign(period: int, points: tuple[int, ...], weights: tuple[int, ...], odd: bool) -> int:
+    """epsilon = +-1 when the fold's points and weights fix the sign of every Bernoulli sum, else 0.
+
+    The lemma: let a fold for the parity of s have points x_p = p/M, every
+    0 < 2p < M, and weights w_p, and let epsilon = +-1 satisfy
+    - for odd s: every w_p has the sign epsilon;
+    - for even s: sum_p w_p = 0, and every tail T(y) = sum_(x_p > y) w_p
+      between two consecutive points has the sign epsilon.
+    Then for every s >= 1 of that parity, sum_p w_p B_s(x_p) has the sign
+    epsilon (-1)**(k+1), k = (s - 1) // 2.
+
+    Proof.  B_(2k+1) has no zero in (0, 1/2): B_1(x) = x - 1/2, and for
+    k >= 1 the only zeros of B_(2k+1) in [0, 1] are 0, 1/2 and 1
+    (DLMF 24.12(i)).  So B_(2k+1) has one sign on (0, 1/2): that of B_1,
+    -1, at k = 0, and for k >= 1 that of B_(2k+1)'(0) = (2k+1) B_(2k),
+    which is (-1)**(k+1).  At odd s = 2k + 1 every term w_p B_s(x_p)
+    therefore has the sign epsilon (-1)**(k+1), and there is at least one.
+    At even s = 2k + 2, B_s' = s B_(s-1) and sum_p w_p = 0 give
+      sum_p w_p B_s(x_p) = sum_p w_p (B_s(0) + s int_0^(x_p) B_(s-1))
+                         = s int_0^(1/2) B_(s-1)(y) T(y) dy.
+    T vanishes below the first point, where it is the whole sum, and above
+    the last; between consecutive points it is a tail with the sign
+    epsilon, and there is such a stretch since a single nonzero weight
+    cannot sum to 0.  B_(s-1) = B_(2k+1) has the sign (-1)**(k+1) on
+    (0, 1/2), so the integral has the sign epsilon (-1)**(k+1).
+
+    Residue 0 stands for the point M, which fails the window as a point at
+    M/2 does; the other points ascend, as the tails need.  s = 0 is left
+    out: B_0 = 1, so its sum is sum_p w_p.
+    """
+    if not points or any(2 * p >= period for p in points):
+        return 0
+    if odd:
+        tails = weights
+    elif sum(weights):
+        return 0
+    else:
+        tails = tuple(accumulate(weights[:0:-1]))  # T between consecutive points, from the top
+    if all(t > 0 for t in tails):
+        return 1
+    if all(t < 0 for t in tails):
+        return -1
+    return 0
 
 
 def _anchor_pattern(period: int, points: tuple[int, ...], weights: tuple[int, ...]):
@@ -295,7 +339,7 @@ def _anchor_nums(q1: int, a: int, size: int) -> tuple[int, ...]:
 
 
 def _anchor_table(q1: int, a: int, top: int) -> tuple[int, ...]:
-    """N_0(a)..N_size(a), size the least power of two >= max(top, 2), so a sweep builds few sizes."""
+    """N_0(a)..N_size(a), size the least power of two >= max(top, 2), so a run shares few sizes."""
     return _anchor_nums(q1, a, 1 << max(top - 1, 1).bit_length())
 
 
@@ -306,8 +350,7 @@ def _terms_from_top(s: int, q1: int, pattern: tuple) -> Iterator[int]:
     P_s q**s sum_p w_p B_s(p/q) = sum_i U_i 2**(e i) with
     U_i = C(s,i) (P_s/P_i) sum_p w_p N_i(a_p) d_p**(s-i).  Nothing here
     depends on e, so every period q1 2**e with the same pattern shares the
-    terms.  Each term takes the next power of every d_p, so a caller that
-    stops after a few terms never forms a high one.
+    terms.  Each term takes the next power of every d_p.
     """
     groups: dict[int, list[Iterator[int]]] = {}  # a -> w_p d_p**m for m = 0, 1, ..., per point
     for a, d, w in pattern:
@@ -327,53 +370,16 @@ def _terms_from_top(s: int, q1: int, pattern: tuple) -> Iterator[int]:
             c = c * i // (s - i + 1) * steps[i]
 
 
-# The leading terms a sign test may read.  Every torus32t sign test of verify
-# measured from t = 63, over t = 63..800, 1000, 1400 and 2000, is decided
-# within 4 terms (of the 38,701 at t = 63..400, 38% read 2, 38% read 3 and
-# 24% read 4), so those tests never take bernoulli_sign's exact exit.
-_TOP_TERMS = 4
-
-
-@lru_cache(maxsize=1024)
-def _top_terms(s: int, q1: int, pattern: tuple) -> tuple[tuple[int, ...], int]:
-    """bernoulli_sign's memo: U_s, U_(s-1), ... up to _TOP_TERMS of them, and b.
-
-    Every |U_i| is below 2**b, b the bit length of
-    K = 2**s P_s q1**s 4 max(1, s!/6**s) sum_p |w_p| max(1, |d_p|)**s:
-    C(s,i) <= 2**s, (P_s/P_i) N_i(a) = P_s q1**i B_i(a/q1) with 0 <= a/q1 <= 1,
-    and on [0, 1] |B_0| = 1, |B_1| <= 1/2 and, from the Fourier series of B_i
-    (DLMF 24.8), |B_i| <= 2 zeta(i) i!/(2 pi)**i < 4 i!/6**i for i >= 2,
-    where i!/6**i falls up to i = 5 and then rises.  A sweep needs one entry
-    per index and parity.
-    """
-    terms = tuple(islice(_terms_from_top(s, q1, pattern), _TOP_TERMS))
-    k = (bernoulli_table(s).denominators[s] * q1**s * (factorial(s) // 6**s + 1)
-         * sum(abs(w) * max(1, abs(d)) ** s for _, d, w in pattern)) << (s + 2)
-    return terms, k.bit_length()
-
-
 def bernoulli_sign(f: PeriodicFunction, s: int) -> int:
     """Sign of sum_(m=1..M) f(m) B_s(m/M), that of bernoulli_sum(f, [s])'s numerator.
 
-    Above 2**ANCHOR_E0 in M, the leading terms of the expansion
-    sum_i U_i 2**(e i) of _terms_from_top are summed from the top by
-    Horner's rule, T = U_s, then T 2**e + U_(s-1), and so on.  It stops as
-    soon as T != 0 and |T| 2**e >= 2**(b+1), b from _top_terms: the terms
-    not yet added are then worth less than sum_(m>=1) 2**(b - e m)
-    < 2**(b+1-e) <= |T| at T's scale, so the whole sum has T's sign.  A sum
-    the leading terms leave undecided, such as an exact zero, and every sum
-    below 2**ANCHOR_E0 take the sign of bernoulli_sum's exact value.
+    Read from _lemma_sign's epsilon for the fold of s's parity when it is
+    nonzero and s >= 1, and otherwise from bernoulli_sum's exact value.
     """
     check_indices([s])
-    anchor = f._fold(-1 if s % 2 else 1).anchor
-    if anchor is not None:
-        e, q1, pattern = anchor
-        terms, bits = _top_terms(s, q1, pattern)
-        total = 0
-        for term in terms:
-            total = (total << e) + term
-            if total and total.bit_length() + e > bits + 1:
-                return (total > 0) - (total < 0)
+    epsilon = f._fold(-1 if s % 2 else 1).epsilon
+    if epsilon and s:
+        return epsilon if (s - 1) // 2 % 2 else -epsilon
     [(num, _)] = bernoulli_sum(f, [s])
     return (num > 0) - (num < 0)
 
@@ -392,8 +398,7 @@ def bernoulli_sum(f: PeriodicFunction, ss: list[int]) -> list[tuple[int, int]]:
     every s.  Above it, each sum is the polynomial in 2**e of all s + 1
     terms of its expansion at the anchors a/q1 (see _terms_from_top),
     summed by shifts and adds in pairs.  The terms are not memoized: a run
-    asks each index once.  A sign test needs no full value: bernoulli_sign
-    reads it from the leading terms.
+    asks each index once.
     """
     check_indices(ss)
     period = f.period

@@ -15,11 +15,12 @@ import pytest
 
 import habiro.cli as cli
 import habiro.families as families
+import habiro.signcheck as signcheck
 import habiro.thetaside as thetaside
 from habiro.cli import main
 from habiro.families import FamilySpec, expand_family
 from habiro.qseries import TruncatedSeries
-from habiro.signcheck import PositivityVerdict, verdicts_for_identities
+from habiro.signcheck import PositivityVerdict, verdict_for_identity
 from habiro.thetaside import StrangeIdentity
 from tests.test_thetaside import periodic
 
@@ -453,7 +454,7 @@ def test_verdict_json_records_each_sign_test():
     assert cli._verdict_json(custom, v)["checks"] == [[0, 1, True], [1, 0, True], [2, -1, False]]
     # A zero sign test passes, and its note closes the row.
     zero_ident = StrangeIdentity(0, 1, 0, periodic((0, 1, -2, 1)))
-    [zero] = verdicts_for_identities([(zero_ident, 1)])
+    zero = verdict_for_identity(zero_ident, 1)
     row = cli._verdict_json(custom, zero)
     assert list(row.items()) == [
         ("family", "custom"), ("params", {}), ("N_used", 1), ("checks", [[0, 0, True]]),
@@ -465,10 +466,7 @@ VERIFY_DIGESTS = json.loads(
     (Path(__file__).parent / "data" / "verify_digests.json").read_text())["runs"]
 
 
-@pytest.mark.parametrize("entry", [
-    pytest.param(e, marks=[pytest.mark.slow] if e.get("slow") else [], id=" ".join(e["args"]))
-    for e in VERIFY_DIGESTS
-])
+@pytest.mark.parametrize("entry", [pytest.param(e, id=" ".join(e["args"])) for e in VERIFY_DIGESTS])
 def test_verify_json_matches_frozen_digest(capsys, entry):
     code, out, err = run(capsys, "verify", *entry["args"], "--format", "json")
     assert code == entry.get("exit", 0) and err == ""
@@ -477,7 +475,7 @@ def test_verify_json_matches_frozen_digest(capsys, entry):
 
 @pytest.mark.parametrize("entry", [
     pytest.param(e, id=" ".join(e["args"]))
-    for e in VERIFY_DIGESTS if "--precision-cap" in e["args"] and not e.get("slow")
+    for e in VERIFY_DIGESTS if "--precision-cap" in e["args"]
 ])
 def test_capped_verify_replays_its_bytes(capsys, entry):
     # An uncapped run of the same members memoizes their counts first; the
@@ -493,18 +491,12 @@ def test_capped_verify_replays_its_bytes(capsys, entry):
 
 
 def test_verify_sign_tests_build_no_full_anchor_sums(capsys, monkeypatch, exact_exits):
-    # From t = 63 the period is divisible by 2**64 and the sign tests take the
-    # anchor route; they must read only the leading terms, never every term.
-    entries = []
-    real = thetaside._top_terms
-
-    def recorded(s, q1, pattern):
-        entry = real(s, q1, pattern)
-        entries.append((s, entry[0]))
-        return entry
-
-    real.cache_clear()
-    monkeypatch.setattr(thetaside, "_top_terms", recorded)
+    # From t = 63 the period is divisible by 2**64, but every member's fold
+    # meets the sign lemma: no test takes the exact sum, builds an anchor
+    # table or calls the kernel.
+    kernel = []
+    monkeypatch.setattr(signcheck, "bernoulli_poly", lambda *args: kernel.append(args))
+    monkeypatch.setattr(thetaside, "_anchor_nums", None)
     code, out, err = run(capsys, "verify", "--family", "torus32t", "--t", "63:70",
                          "--format", "json")
     assert code == 0 and err == ""
@@ -512,15 +504,12 @@ def test_verify_sign_tests_build_no_full_anchor_sums(capsys, monkeypatch, exact_
     assert [r["N_used"] for r in rows] == [30, 31, 31, 32, 32, 33, 33, 34]
     assert all(r["verdict"] == "proved-positive" and "note" not in r for r in rows)
     assert all(sign == 1 for r in rows for _, sign, _ in r["checks"])
-    assert len(entries) == sum(r["N_used"] for r in rows)
-    assert all(len(terms) == min(4, s + 1) for s, terms in entries)
-    assert exact_exits == []
+    assert exact_exits == [] and kernel == []
 
 
-def test_verify_sign_tests_decide_from_the_leading_terms(capsys, exact_exits):
-    # Every sign test of this window is decided within thetaside._TOP_TERMS
-    # terms; a change to the terms kept or to the bound that left them
-    # undecided would turn each test into a full exact sum.
+def test_verify_sign_tests_decide_from_the_sign_lemma(capsys, exact_exits):
+    # Every sign test of this window is decided by the sign lemma; a fold that
+    # stopped meeting it would turn each test into a full exact sum.
     code, _, err = run(capsys, "verify", "--family", "torus32t", "--t", "63:120")
     assert code == 0 and err == ""
     assert exact_exits == []

@@ -20,7 +20,7 @@ from habiro.signcheck import (
     infinite_family_check,
     m_bound,
     n_max,
-    verdicts_for_identities,
+    verdict_for_identity,
     verify_positivity,
 )
 from habiro.thetaside import (
@@ -340,6 +340,7 @@ def _interval_traffic(monkeypatch) -> tuple[list, list]:
     monkeypatch.setattr(IntervalReal, "sin", counting_sin)
     monkeypatch.setattr(sc, "zeta_interval", counting_zeta)
     sc._check_count.cache_clear()
+    sc._sin_pi.cache_clear()
     return sines, zetas
 
 
@@ -597,6 +598,7 @@ def test_cap_below_one_bit_raises_and_is_not_memoized():
 
 def test_check_count_memo_is_bounded():
     assert sc._check_count.cache_info().maxsize is not None
+    assert sc._sin_pi.cache_info().maxsize is not None
 
 
 def test_decide_sign_names_the_quantity_only_at_the_cap():
@@ -619,9 +621,8 @@ def test_decide_sign_names_the_quantity_only_at_the_cap():
 
 
 def signs_of(ident: StrangeIdentity, n_used: int) -> tuple[int, ...]:
-    """The signs of one member's leading n_used sign tests, run alone."""
-    [v] = verdicts_for_identities([(ident, n_used)])
-    return v.signs
+    """The signs of one member's leading n_used sign tests."""
+    return verdict_for_identity(ident, n_used).signs
 
 
 def test_sign_test_doubled_torus_t3():
@@ -644,7 +645,7 @@ def test_sign_test_odd_weight_first_moment(k):
 
 def test_sign_test_rejects_negative_index():
     with pytest.raises(ValueError, match="nonnegative"):
-        verdicts_for_identities([(identity_for(FamilySpec("fishburn")), -1)])
+        verdict_for_identity(identity_for(FamilySpec("fishburn")), -1)
 
 
 @pytest.mark.parametrize(
@@ -661,7 +662,7 @@ def test_sign_test_rejects_negative_index():
 )
 def test_sign_test_agrees_with_l_value_signs(spec):
     # same quantity up to the positive factor M**(2n+nu) / (2n+nu+1); t = 63
-    # has an anchored fold, so its tests read the leading terms
+    # has an anchored fold, so c_sequence takes the anchor route
     ident = identity_for(spec)
     c = c_sequence(ident, 20)
     want = tuple(1 if c[n] > 0 else -1 if c[n] < 0 else 0 for n in range(21))
@@ -685,7 +686,8 @@ def shared_period_members(draw):
 
     Each draws its own nu and count.  Some weights cancel in the fold their nu
     reads (odd for nu = 1, even for nu = 0), so every test they run is zero;
-    the anchored period 3 2**ANCHOR_E0 sends its members to the leading-term route.
+    the anchored period 3 2**ANCHOR_E0 sends the members the sign lemma
+    leaves open to bernoulli_sum's anchor route.
     """
     period = draw(st.one_of(st.integers(2, 40), st.just(3 << ANCHOR_E0)))
     value = st.fractions(min_value=-9, max_value=9, max_denominator=6)
@@ -718,8 +720,9 @@ def _nu_one_member(period: int, entries: dict[int, int], n_used: int) -> tuple[S
 
 
 # An odd weight cancels in its fold, so it has no points and no anchor even at
-# an anchored period; it still reads the run's kernel values, which the
-# anchored member beside it does not.
+# an anchored period, and its tests take the exact sum; the anchored members
+# beside it meet the sign lemma: their folds are 2 at 1 and -2 at 5, and 1 at
+# 3 and -1 at 7.
 _CANCELLED = _nu_one_member(_ANCHORED_PERIOD, {1: 1, _ANCHORED_PERIOD - 1: -1}, 3)
 _ANCHORED = _nu_one_member(_ANCHORED_PERIOD, {1: 1, _ANCHORED_PERIOD - 1: 1, 5: -2}, 2)
 _ANCHORED_TOO = _nu_one_member(_ANCHORED_PERIOD, {3: 1, _ANCHORED_PERIOD - 7: -1}, 4)
@@ -728,8 +731,10 @@ _ANCHORED_TOO = _nu_one_member(_ANCHORED_PERIOD, {3: 1, _ANCHORED_PERIOD - 7: -1
 @settings(max_examples=150, deadline=None)
 @given(members=shared_period_members())
 @example(members=[_CANCELLED, _ANCHORED])
+@example(members=[(identity_for(FamilySpec("torus2", m=m, ell=ell)), n)
+                  for m, ell, n in [(2, 0, 2), (2, 1, 1), (3, 1, 3), (2, 1, 2)]])
 def test_grouped_signs_equal_each_weight_alone(members):
-    verdicts = verdicts_for_identities(members)
+    verdicts = [verdict_for_identity(i, n) for i, n in members]
     assert [v.signs for v in verdicts] == [_signs_alone(i, n) for i, n in members]
 
 
@@ -745,23 +750,14 @@ def _recorded_kernel_periods(monkeypatch) -> list[int]:
     return calls
 
 
-def test_an_anchored_run_makes_no_kernel_call(monkeypatch):
+def test_anchored_members_take_the_sign_lemma(monkeypatch, exact_exits):
     calls = _recorded_kernel_periods(monkeypatch)
     members = [_ANCHORED, _ANCHORED_TOO, (_ANCHORED[0], 0)]
     assert all(i.f._fold(1).anchor is not None for i, _ in members)
-    verdicts = verdicts_for_identities(members)
+    verdicts = [verdict_for_identity(i, n) for i, n in members]
     assert [v.signs for v in verdicts] == [_signs_alone(i, n) for i, n in members]
-    assert calls == []
-
-
-def test_runs_are_cut_where_the_period_changes(monkeypatch):
-    # P, Q, P is three runs, one kernel call each, and the verdicts keep the order.
-    calls = _recorded_kernel_periods(monkeypatch)
-    members = [(identity_for(FamilySpec("torus2", m=m, ell=ell)), n)
-               for m, ell, n in [(2, 0, 2), (2, 1, 1), (3, 1, 3), (2, 1, 2)]]
-    verdicts = verdicts_for_identities(members)
-    assert calls == [20, 28, 20]
-    assert [v.signs for v in verdicts] == [_signs_alone(i, n) for i, n in members]
+    assert [v.signs for v in verdicts] == [(-1,) * 2, (-1,) * 4, ()]
+    assert calls == [] and exact_exits == []
 
 
 def test_verify_positivity_takes_a_one_shot_generator():
@@ -771,19 +767,21 @@ def test_verify_positivity_takes_a_one_shot_generator():
     assert verify_positivity([]) == []
 
 
-def test_a_sweep_makes_one_kernel_call_per_period(monkeypatch):
-    # torus2 m = 1..12 has one period 8m + 4 per m; members of an m with
-    # tests share one call, and no test goes through bernoulli_sum.
+def test_a_sweep_makes_no_kernel_call(monkeypatch):
+    # torus2 m = 1..12: every member's fold meets the sign lemma, so no test
+    # calls the kernel, takes bernoulli_sum or builds an anchor table.
     calls = _recorded_kernel_periods(monkeypatch)
     monkeypatch.setattr(thetaside, "bernoulli_sum", None)
+    monkeypatch.setattr(thetaside, "_anchor_nums", None)
     specs = [FamilySpec("torus2", m=m, ell=ell) for m in range(1, 13) for ell in range(m)]
     verdicts = verify_positivity(specs)
-    tested = sorted({8 * s.args[0] + 4 for s, v in zip(specs, verdicts) if v.n_used})
-    assert calls == tested and len(tested) == 11
+    assert len({s.args[0] for s, v in zip(specs, verdicts) if v.n_used}) == 11
+    assert all(v.signs == (1,) * v.n_used for v in verdicts)
+    assert calls == []
 
 
 def test_members_keep_their_order_across_groups():
-    # Runs of one period are grouped; the verdicts still follow the specs.
+    # Members of several periods and families, interleaved: the verdicts follow the specs.
     specs = [FamilySpec("torus2", m=m, ell=ell) for m in range(2, 9) for ell in range(m)]
     specs += [FamilySpec("torus32t", t=t) for t in (3, 40, 63, 64)]
     specs += [FamilySpec("habiro-g", k=k) for k in (1, 2)]
@@ -855,7 +853,7 @@ def test_condition_failed_for_flipped_weight():
         base.a, base.b, base.nu,
         PeriodicFunction(base.f.period, tuple((r, -v) for r, v in base.f.entries)),
     )
-    [v] = verdicts_for_identities([(flipped, 1)])
+    v = verdict_for_identity(flipped, 1)
     assert v.verdict == "condition-failed"
     assert v.signs == (-1,)
 
@@ -871,7 +869,7 @@ def test_zero_sign_test_counts_as_nonnegative(monkeypatch):
 
     monkeypatch.setattr(sc, "bernoulli_sign_test", recorded)
     zero_ident = StrangeIdentity(0, 1, 0, periodic((0, 1, -2, 1)))
-    [lax] = verdicts_for_identities([(zero_ident, 1)])
+    lax = verdict_for_identity(zero_ident, 1)
     assert returned == [0]
     assert lax.signs == (0,) and lax.verdict == "proved-positive"
     assert "zero" in lax.note

@@ -12,7 +12,7 @@ import pytest
 import sympy
 from bernoulli_ref import bernoulli_at
 from fold_ref import fold_ref, folded
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from sympy.functions.combinatorial.numbers import stirling
 
@@ -27,7 +27,6 @@ from habiro.thetaside import (
     _anchor_pattern,
     _anchor_table,
     _g_terms,
-    _top_terms,
     b_sequence,
     bernoulli_sign,
     bernoulli_sum,
@@ -240,12 +239,6 @@ def sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
-def top_terms(f: PeriodicFunction, s: int) -> tuple[int, ...]:
-    """The leading anchor terms the sign tests of index s read, from their memo."""
-    _, q1, pattern = f._fold(-1 if s % 2 else 1).anchor
-    return _top_terms(s, q1, pattern)[0]
-
-
 @settings(max_examples=60, deadline=None)
 @given(case=anchored_sums())
 def test_sign_route_gives_the_sign_of_the_full_sum(case):
@@ -254,6 +247,81 @@ def test_sign_route_gives_the_sign_of_the_full_sum(case):
         [(num, _)] = bernoulli_sum(f, [s])
         [(ref, _)] = horner_bernoulli_sum(f, [s])
         assert bernoulli_sign(f, s) == sign(num) == sign(ref)
+
+
+# exact_exits is cleared by each example that reads it
+FIXTURE_PER_TEST = HealthCheck.function_scoped_fixture
+
+# How a drawn fold misses the sign lemma, by parity: none, a point at M/2, a
+# point at M, weights or tails of both signs, a nonzero sum, or no points.
+_MISSES = {True: ["none", "half", "end", "mixed", "cancel"],
+           False: ["none", "half", "end", "mixed", "sum", "cancel"]}
+
+
+@st.composite
+def lemma_folds(draw):
+    """(weight, odd, epsilon, miss): a weight built from a fold for one parity of s.
+
+    The fold's points lie in (0, M/2) and its weights meet the sign lemma's
+    conditions with epsilon, unless miss names how they fail them.  Each
+    fold weight is split between its point r and the mirror M - r, which the
+    fold merges back.  Periods include the anchored 3 2**ANCHOR_E0.
+    """
+    period = draw(st.one_of(st.integers(8, 120).map(lambda m: 2 * m),
+                            st.just(3 << ANCHOR_E0), st.just(5 << (ANCHOR_E0 + 9))))
+    odd = draw(st.booleans())
+    miss = draw(st.sampled_from(_MISSES[odd]))
+    epsilon = draw(st.sampled_from([1, -1]))
+    count = draw(st.integers(3 if miss == "mixed" else 2, 5))
+    points = sorted(draw(st.lists(st.integers(1, period // 2 - 1), min_size=count,
+                                  max_size=count, unique=True)))
+    size = st.integers(1, 9)
+    if odd:
+        weights = [epsilon * draw(size) for _ in points]
+        if miss == "mixed":
+            weights[draw(st.integers(0, count - 1))] *= -1
+    else:  # w_j = T_(j-1) - T_j, the tails T above points 0..count-2, T = 0 outside
+        tails = [epsilon * draw(size) for _ in points[1:]]
+        if miss == "mixed":
+            tails[draw(st.integers(0, count - 2))] *= -1
+        weights = [a - b for a, b in zip([0, *tails], [*tails, 0])]
+        if miss == "sum":
+            weights[-1] += draw(size)
+    extra = {"half": period // 2, "end": 0}.get(miss)
+    if extra is not None:  # for even s, moved from the lowest point: tails keep the sign epsilon
+        u = epsilon * draw(size)
+        points.append(extra)
+        weights.append(u)
+        if not odd:
+            weights[0] -= u
+    sigma = -1 if odd else 1  # the fold adds sigma f(M - r) to f(r)
+    den = draw(st.integers(1, 6))
+    entries = {}
+    for r, w in zip(points, weights):
+        kept = w if r in (0, period // 2) or miss == "cancel" else draw(st.integers(-9, 9))
+        entries[r] = Fraction(kept, den)
+        if r not in (0, period // 2):  # the cancelled fold merges kept and -kept to 0
+            entries[period - r] = Fraction(sigma * (w - kept) if miss != "cancel" else -sigma * w,
+                                           den)
+    f = PeriodicFunction(period, tuple(entries.items()))
+    return f, odd, epsilon, miss
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[FIXTURE_PER_TEST])
+@given(case=lemma_folds())
+@example(case=(make_chi_m_ell(3, 1), False, 1, "none"))
+@example(case=(make_chi_k(4), True, 1, "none"))
+def test_sign_lemma_gives_the_exact_sums_sign(case, exact_exits):
+    f, odd, epsilon, miss = case
+    fold = f._fold(-1 if odd else 1)
+    assert fold.epsilon == (epsilon if miss == "none" else 0)
+    ss = list(range(1 if odd else 0, 61, 2))
+    exact_exits.clear()
+    for s, (ref, _) in zip(ss, horner_bernoulli_sum(f, ss)):
+        assert bernoulli_sign(f, s) == sign(ref)
+        if fold.epsilon and s:
+            assert sign(ref) == epsilon * (-1) ** ((s - 1) // 2 + 1)
+    assert exact_exits == [[s] for s in ss if not (fold.epsilon and s)]
 
 
 @st.composite
@@ -274,25 +342,27 @@ def cancelling_sums(draw):
     return PeriodicFunction(q1 << e, tuple(entries.items())), s
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, suppress_health_check=[FIXTURE_PER_TEST])
 @given(case=cancelling_sums())
-def test_sign_route_reads_past_cancelling_top_terms(case):
+def test_sign_route_reads_past_cancelling_top_terms(case, exact_exits):
+    # The weights near each anchor have tails of both signs, so the sign lemma
+    # leaves every index open and the exact sum reads all its terms.
     f, s = case
     [(ref, _)] = horner_bernoulli_sum(f, [s])
+    exact_exits.clear()
     assert bernoulli_sign(f, s) == sign(ref)
-    if f._fold(-1 if s % 2 else 1).anchor is not None:
-        terms = top_terms(f, s)
-        assert len(terms) == min(4, s + 1)
-        assert terms[:2] == (0, 0)  # U_s and U_(s-1) cancel, so the test reads on
+    assert f._fold(-1 if s % 2 else 1).epsilon == 0
+    assert exact_exits == [[s]]
 
 
 def test_sign_route_stops_early_on_a_torus32t_member(exact_exits):
-    # verify's checks for this member run up to s = 2n + 2 = 68
+    # verify's checks for this member run up to s = 2n + 2 = 68; its fold,
+    # -1 at 2**71 - 3 and +1 at 2**71 + 3, meets the sign lemma
     ident = identity_for(FamilySpec("torus32t", t=ANCHOR_E0 + 6))
-    for s in (10, 40, 68):
+    assert ident.f._fold(1).epsilon == 1
+    for s in (2, 10, 40, 68):
         [(num, _)] = bernoulli_sum(ident.f, [s])
-        assert bernoulli_sign(ident.f, s) == sign(num) != 0
-        assert len(top_terms(ident.f, s)) == 4 < s + 1
+        assert bernoulli_sign(ident.f, s) == sign(num) == (-1) ** ((s - 1) // 2 + 1)
     assert exact_exits == []
 
 
@@ -311,32 +381,31 @@ def exact_zero_weights(e: int, s: int):
 @pytest.mark.parametrize("s", [1, 2, 7, 30])
 def test_sign_route_falls_back_to_the_exact_sum(e, s, exact_exits):
     zeros = list(exact_zero_weights(e, s))
-    # residues far from their anchors, |d| within 2**10 of 2**(e-1)
+    # residues far from their anchors, |d| within 2**10 of 2**(e-1): both
+    # fold below M/2, with weights 3 and 2/3 at odd s, which meet the sign
+    # lemma, and 3 and -2/3 at even s, whose sum is not 0
     far = PeriodicFunction(3 << e, (((1 << (e - 1)) - 999, Fraction(3)),
                                     ((5 << (e - 1)) + 77, Fraction(-2, 3))))
-    # The far residues' sums are decided only by their last term U_0, so the
-    # exact exit runs once the s + 1 terms outnumber the four kept.
-    for f, undecided in [*((zero, True) for zero in zeros), (far, s + 1 > 4)]:
+    for f, open_ in [*((zero, True) for zero in zeros), (far, s % 2 == 0)]:
         [(num, _)] = bernoulli_sum(f, [s])
         [(ref, _)] = horner_bernoulli_sum(f, [s])
-        assert f._fold(-1 if s % 2 else 1).anchor is not None
+        fold = f._fold(-1 if s % 2 else 1)
+        assert fold.anchor is not None and (fold.epsilon == 0) == open_
         exact_exits.clear()
         assert bernoulli_sign(f, s) == sign(num) == sign(ref)
-        assert exact_exits == ([[s]] if undecided else [])
-        assert len(top_terms(f, s)) == min(4, s + 1)
+        assert exact_exits == ([[s]] if open_ else [])
     assert all(bernoulli_sign(f, s) == 0 for f in zeros)
 
 
 def test_sign_memo_shared_by_threads():
-    # Threads read and extend the same memo entries at once; far residues make
-    # every test run to U_0, so the threads race through whole expansions.
+    # Threads read and fill the same weights' fold memo, whose epsilon decides
+    # the signs the lemma covers; the far residues' even indices take the exact sum.
     e = ANCHOR_E0 + 3
     weights = [PeriodicFunction(3 << e, (((1 << (e - 1)) - 999 - j, Fraction(3)),
                                          ((5 << (e - 1)) + 77 + j, Fraction(-2, 3))))
                for j in range(3)] + [make_chi_t(e - 1)]
     cases = [(f, s) for s in range(1, 41) for f in weights]
-    want = [sign(horner_bernoulli_sum(f, [s])[0][0]) for f, s in cases]
-    _top_terms.cache_clear()
+    want = [sign(horner_bernoulli_sum(f, [s])[0][0]) for f, s in cases]  # reads no fold memo
     results, errors = [None] * 4, []
 
     def worker(i):
@@ -357,14 +426,6 @@ def test_sign_memo_shared_by_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == [] and results == [want] * 4
-
-
-def test_anchored_sum_leaves_the_sign_memo_alone():
-    f = make_chi_t(70)
-    ss = [1, 3, 5, 7]
-    before = _top_terms.cache_info()
-    assert bernoulli_sum(f, ss) == horner_bernoulli_sum(f, ss)
-    assert _top_terms.cache_info() == before
 
 
 def build_anchor_tables(top: int) -> list:
